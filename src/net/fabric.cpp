@@ -306,7 +306,6 @@ double Fabric::live_remaining(const Flow& flow) const {
 
 void Fabric::push_finish(std::uint32_t slot) {
   Slot& cell = slots_[slot];
-  ++cell.gen;  // supersede whatever entry is queued for this slot
   const Flow& flow = cell.flow;
   DROUTE_CHECK(flow.last_advance_s == simulator_->now(),
                "finish keyed from a stale remaining");
@@ -317,19 +316,61 @@ void Fabric::push_finish(std::uint32_t slot) {
   } else if (flow.activated && drained(flow.remaining_bytes, 0.0)) {
     finish_s = simulator_->now();  // already done, just needs the event
   }
-  if (std::isfinite(finish_s)) {
-    finish_heap_.push(FinishEntry{finish_s, slot, cell.gen});
+  if (!std::isfinite(finish_s)) {
+    heap_erase(slot);
+    return;
   }
+  cell.finish_s = finish_s;
+  if (cell.heap_pos == kNotQueued) {
+    cell.heap_pos = static_cast<std::uint32_t>(finish_heap_.size());
+    finish_heap_.push_back(slot);
+  }
+  heap_fix(cell.heap_pos);
+}
+
+void Fabric::heap_fix(std::size_t pos) {
+  const std::uint32_t slot = finish_heap_[pos];
+  const double key = slots_[slot].finish_s;
+  const auto place = [this](std::size_t at, std::uint32_t s) {
+    finish_heap_[at] = s;
+    slots_[s].heap_pos = static_cast<std::uint32_t>(at);
+  };
+  while (pos > 0) {
+    const std::size_t parent = (pos - 1) / 2;
+    if (slots_[finish_heap_[parent]].finish_s <= key) break;
+    place(pos, finish_heap_[parent]);
+    pos = parent;
+  }
+  // A slot that moved up already keys no later than its new children; only
+  // a slot that stayed put can need to sink.
+  const std::size_t size = finish_heap_.size();
+  for (std::size_t child = 2 * pos + 1; child < size; child = 2 * pos + 1) {
+    if (child + 1 < size && slots_[finish_heap_[child + 1]].finish_s <
+                                slots_[finish_heap_[child]].finish_s) {
+      ++child;
+    }
+    if (slots_[finish_heap_[child]].finish_s >= key) break;
+    place(pos, finish_heap_[child]);
+    pos = child;
+  }
+  place(pos, slot);
+}
+
+void Fabric::heap_erase(std::uint32_t slot) {
+  const std::uint32_t pos = slots_[slot].heap_pos;
+  if (pos == kNotQueued) return;
+  slots_[slot].heap_pos = kNotQueued;
+  const std::uint32_t last = finish_heap_.back();
+  finish_heap_.pop_back();
+  if (pos == finish_heap_.size()) return;  // erased the last entry
+  finish_heap_[pos] = last;
+  heap_fix(pos);
 }
 
 void Fabric::resync_completion_event() {
-  while (!finish_heap_.empty()) {
-    const FinishEntry& top = finish_heap_.top();
-    if (slots_[top.slot].id != 0 && slots_[top.slot].gen == top.gen) break;
-    finish_heap_.pop();
-  }
-  const sim::Time want =
-      finish_heap_.empty() ? sim::kTimeInfinity : finish_heap_.top().finish_s;
+  const sim::Time want = finish_heap_.empty()
+                             ? sim::kTimeInfinity
+                             : slots_[finish_heap_.front()].finish_s;
   if (want == scheduled_finish_) return;
   if (completion_event_.valid()) {
     simulator_->cancel(completion_event_);
@@ -378,7 +419,7 @@ void Fabric::detach_from_links(std::uint32_t slot) {
 Fabric::Flow Fabric::extract_flow(std::uint32_t slot) {
   Slot& cell = slots_[slot];
   DROUTE_CHECK(cell.id != 0, "extract of a free slot");
-  ++cell.gen;  // orphan any queued finish entry before the slot is reused
+  heap_erase(slot);
   if (cell.flow.activated) detach_from_links(slot);
   slot_index_.erase(cell.id);
   cell.id = 0;
@@ -420,9 +461,8 @@ void Fabric::collect_component(std::uint32_t seed_slot) {
   }
 }
 
-std::uint64_t Fabric::fill_component(
-    std::size_t comp, std::vector<std::uint32_t>& unfrozen,
-    std::vector<std::uint32_t>& still_unfrozen) {
+std::uint64_t Fabric::fill_component(std::size_t comp,
+                                     std::vector<std::uint32_t>& unfrozen) {
   // --- Progressive filling (water-filling) with per-flow caps. ---
   // Invariants on exit (checked by tests): no link over capacity, no flow
   // over its cap, and every unfrozen flow is blocked by a saturated link.
@@ -440,26 +480,35 @@ std::uint64_t Fabric::fill_component(
   const std::size_t fend = batch_flow_begin_[comp + 1];
   const std::size_t lbegin = batch_link_begin_[comp];
   const std::size_t lend = batch_link_begin_[comp + 1];
-  for (std::size_t i = fbegin; i < fend; ++i) {
-    slots_[batch_flows_[i]].flow.rate_bps = 0.0;
-  }
   for (std::size_t l = lbegin; l < lend; ++l) {
     const LinkId lid = batch_links_[l];
     links_[lid].remaining_bps =
         util::mbps_to_bytes_per_sec(topo_->link(lid).capacity_mbps);
     links_[lid].active = static_cast<std::int32_t>(links_[lid].flows.size());
   }
-
-  unfrozen.assign(batch_flows_.begin() + static_cast<std::ptrdiff_t>(fbegin),
-                  batch_flows_.begin() + static_cast<std::ptrdiff_t>(fend));
+  // Every unfrozen flow receives the same `+= delta` sequence from 0.0, so
+  // all of them share one rate, `level`, and a flow's rate is written once,
+  // as the level at which it freezes. The per-flow cap bound
+  // min(cap - level) equals min(cap) - level exactly (rounding is
+  // monotone), so each round needs only the smallest unfrozen cap.
+  unfrozen.clear();
+  double min_cap = std::numeric_limits<double>::infinity();
+  for (std::size_t i = fbegin; i < fend; ++i) {
+    Flow& flow = slots_[batch_flows_[i]].flow;
+    flow.frozen = false;
+    min_cap = std::min(min_cap, flow.cap_bps);
+    unfrozen.push_back(batch_flows_[i]);
+  }
+  double level = 0.0;
+  const auto freeze = [this, &level](Flow& flow) {
+    flow.frozen = true;
+    flow.rate_bps = level;
+    for (const LinkId lid : flow.stats.route.links) --links_[lid].active;
+  };
   std::uint64_t rounds = 0;
   while (!unfrozen.empty()) {
     ++rounds;
-    double delta = std::numeric_limits<double>::infinity();
-    for (const std::uint32_t slot : unfrozen) {
-      const Flow& flow = slots_[slot].flow;
-      delta = std::min(delta, flow.cap_bps - flow.rate_bps);
-    }
+    double delta = min_cap - level;
     for (std::size_t l = lbegin; l < lend; ++l) {
       const LinkState& link = links_[batch_links_[l]];
       if (link.active > 0) {
@@ -468,38 +517,36 @@ std::uint64_t Fabric::fill_component(
     }
     delta = std::max(delta, 0.0);
 
-    for (const std::uint32_t slot : unfrozen) {
-      slots_[slot].flow.rate_bps += delta;
-    }
+    level += delta;
     for (std::size_t l = lbegin; l < lend; ++l) {
       LinkState& link = links_[batch_links_[l]];
       link.remaining_bps -= delta * link.active;
     }
 
-    // Freeze flows at their cap or on a saturated link.
-    still_unfrozen.clear();
-    for (const std::uint32_t slot : unfrozen) {
-      const Flow& flow = slots_[slot].flow;
-      bool frozen = flow.rate_bps >= flow.cap_bps - kRateEps;
-      if (!frozen) {
-        for (const LinkId lid : flow.stats.route.links) {
-          if (links_[lid].remaining_bps <= kRateEps) {
-            frozen = true;
-            break;
-          }
-        }
-      }
-      if (frozen) {
-        for (const LinkId lid : flow.stats.route.links) {
-          --links_[lid].active;
-        }
-      } else {
-        still_unfrozen.push_back(slot);
+    // Freeze every flow crossing a link that saturated this round (an
+    // unfrozen flow keeps its links' `active` > 0, so links saturated in
+    // earlier rounds have nothing left to freeze)...
+    for (std::size_t l = lbegin; l < lend; ++l) {
+      const LinkState& link = links_[batch_links_[l]];
+      if (link.active <= 0 || link.remaining_bps > kRateEps) continue;
+      for (const LinkFlowRef& ref : link.flows) {
+        Flow& flow = slots_[ref.slot].flow;
+        if (!flow.frozen) freeze(flow);
       }
     }
-    DROUTE_CHECK(still_unfrozen.size() < unfrozen.size() || delta > 0.0,
+    // ...then every flow at its cap, keeping the rest for the next round.
+    std::size_t kept = 0;
+    min_cap = std::numeric_limits<double>::infinity();
+    for (const std::uint32_t slot : unfrozen) {
+      Flow& flow = slots_[slot].flow;
+      if (!flow.frozen && level >= flow.cap_bps - kRateEps) freeze(flow);
+      if (flow.frozen) continue;
+      min_cap = std::min(min_cap, flow.cap_bps);
+      unfrozen[kept++] = slot;
+    }
+    DROUTE_CHECK(kept < unfrozen.size() || delta > 0.0,
                  "allocation failed to make progress");
-    std::swap(unfrozen, still_unfrozen);
+    unfrozen.resize(kept);
   }
   return rounds;
 }
@@ -555,8 +602,7 @@ void Fabric::reallocate_and_reschedule(const std::vector<std::uint32_t>& seeds,
     try {
       shard_pool_->parallel_for(components, [this](std::size_t comp) {
         thread_local std::vector<std::uint32_t> unfrozen;
-        thread_local std::vector<std::uint32_t> still_unfrozen;
-        batch_rounds_[comp] = fill_component(comp, unfrozen, still_unfrozen);
+        batch_rounds_[comp] = fill_component(comp, unfrozen);
       });
     } catch (...) {
       simulator_->end_parallel_section();
@@ -565,7 +611,7 @@ void Fabric::reallocate_and_reschedule(const std::vector<std::uint32_t>& seeds,
     simulator_->end_parallel_section();
   } else {
     for (std::size_t comp = 0; comp < components; ++comp) {
-      batch_rounds_[comp] = fill_component(comp, unfrozen_, still_unfrozen_);
+      batch_rounds_[comp] = fill_component(comp, unfrozen_);
     }
   }
 
@@ -624,21 +670,17 @@ void Fabric::on_completion_event() {
   const sim::Time now = simulator_->now();
   std::vector<std::pair<FlowId, std::uint32_t>> done_order;
   while (!finish_heap_.empty()) {
-    const FinishEntry top = finish_heap_.top();
-    if (slots_[top.slot].id == 0 || slots_[top.slot].gen != top.gen) {
-      finish_heap_.pop();
-      continue;
-    }
-    if (top.finish_s > now) break;
-    finish_heap_.pop();
-    Flow& flow = slots_[top.slot].flow;
+    const std::uint32_t slot = finish_heap_.front();
+    if (slots_[slot].finish_s > now) break;
+    heap_erase(slot);
+    Flow& flow = slots_[slot].flow;
     advance_flow(flow, flow.rate_bps);
     if (drained(flow.remaining_bytes, flow.rate_bps)) {
-      done_order.emplace_back(slots_[top.slot].id, top.slot);
+      done_order.emplace_back(slots_[slot].id, slot);
     } else {
       // Residue not quite drained (fp rounding): re-key strictly later. The
       // nanosecond term in drained() guarantees the new finish is > now.
-      push_finish(top.slot);
+      push_finish(slot);
     }
   }
   std::sort(done_order.begin(), done_order.end());

@@ -31,10 +31,11 @@
 //
 // Between-event bookkeeping is lazy so untouched flows cost nothing per
 // event: byte progress is advanced per flow only when its rate is about to
-// change (or it leaves), and completions are scheduled from a min-heap of
-// absolute finish times re-keyed only on rate change. Both are keyed off
-// "did this flow's rate change bitwise", which the component argument above
-// makes identical across the two allocation modes.
+// change (or it leaves), and completions are scheduled from an indexed
+// min-heap of absolute finish times, re-keyed in place only on rate change
+// and holding at most one entry per live flow. Both are keyed off "did this
+// flow's rate change bitwise", which the component argument above makes
+// identical across the two allocation modes.
 //
 // Slow start is modelled as an activation delay during which the flow
 // consumes no bandwidth (conservative for short flows, negligible for bulk).
@@ -45,7 +46,6 @@
 #include <map>
 #include <memory>
 #include <optional>
-#include <queue>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -195,6 +195,10 @@ class Fabric {
 
   std::size_t active_flow_count() const { return live_flows_; }
 
+  /// Flows currently queued in the finish heap: those with a finite finish
+  /// time, so never more than active_flow_count().
+  std::size_t finish_heap_size() const { return finish_heap_.size(); }
+
   /// Total payload bytes fully delivered since construction.
   std::uint64_t delivered_bytes() const { return delivered_bytes_; }
 
@@ -231,33 +235,25 @@ class Fabric {
     double rate_bps = 0.0;   // current allocation, bytes/sec
     double cap_bps = 0.0;    // per-flow ceiling, bytes/sec
     bool activated = false;  // false while in modelled slow start
+    bool frozen = false;     // scratch during a fill: rate is final
     sim::EventId activation_event;
     // Position of this flow's entry in each route link's flow list
     // (parallel to stats.route.links); maintained while activated.
     std::vector<std::uint32_t> link_pos;
   };
 
+  static constexpr std::uint32_t kNotQueued = 0xffffffffu;
+
   /// One dense storage cell; `id == 0` marks a free slot. Slots are reused
   /// LIFO, so slot assignment is deterministic for a given event history.
+  /// While the flow has a finite finish time the slot sits in finish_heap_
+  /// at `heap_pos`, keyed by `finish_s`; otherwise `heap_pos == kNotQueued`.
   struct Slot {
     FlowId id = 0;
     std::uint32_t mark = 0;  // component-BFS visitation epoch
-    std::uint64_t gen = 0;   // invalidates stale finish-heap entries
+    std::uint32_t heap_pos = kNotQueued;
+    double finish_s = 0.0;   // absolute finish time (valid while queued)
     Flow flow;
-  };
-
-  /// Heap record: flow in `slot` finishes at absolute time `finish_s`,
-  /// valid only while the slot's generation still equals `gen` (entries are
-  /// never erased in place — superseded ones are skipped on pop).
-  struct FinishEntry {
-    double finish_s = 0.0;
-    std::uint32_t slot = 0;
-    std::uint64_t gen = 0;
-  };
-  struct FinishLater {
-    bool operator()(const FinishEntry& a, const FinishEntry& b) const {
-      return a.finish_s > b.finish_s;
-    }
   };
 
   /// Per-link dense state, indexed by LinkId. `flows` lists every activated
@@ -282,12 +278,18 @@ class Fabric {
   // remaining_bytes as of now, without mutating (for const queries).
   double live_remaining(const Flow& flow) const;
 
-  // Re-keys `slot`'s finish time from its current rate/remaining: bumps the
-  // slot generation (invalidating any queued entry) and pushes a fresh heap
-  // entry when the flow has a finite finish.
+  // Re-keys `slot`'s finish time from its current rate/remaining, in place:
+  // inserts or sifts the slot when the finish is finite, erases it from the
+  // heap otherwise (e.g. a flow frozen at rate 0).
   void push_finish(std::uint32_t slot);
 
-  // Points completion_event_ at the heap's minimum valid finish time,
+  // Indexed-heap primitives over finish_heap_: heap_fix restores the heap
+  // order around `pos` after its key changed (sifting up or down, updating
+  // every moved slot's heap_pos); heap_erase removes `slot` if queued.
+  void heap_fix(std::size_t pos);
+  void heap_erase(std::uint32_t slot);
+
+  // Points completion_event_ at the heap's minimum finish time,
   // cancelling/rescheduling only when that minimum changed.
   void resync_completion_event();
 
@@ -300,14 +302,13 @@ class Fabric {
   // (epoch-marked; callers bumped epoch_ and push the component offsets).
   void collect_component(std::uint32_t seed_slot);
 
-  // Max-min water-fill over batch component `comp` only, using the given
-  // scratch vectors. Returns rounds. Pure per component: in sharded mode it
+  // Max-min water-fill over batch component `comp` only, using `unfrozen`
+  // as scratch. Returns rounds. Pure per component: in sharded mode it
   // runs on a pool worker and touches only this component's slots_/links_
   // entries (disjoint across components by construction) — never the
   // simulator, the finish heap, or obs.
   std::uint64_t fill_component(std::size_t comp,
-                               std::vector<std::uint32_t>& unfrozen,
-                               std::vector<std::uint32_t>& still_unfrozen);
+                               std::vector<std::uint32_t>& unfrozen);
 
   // Water-fills the components reachable from `seeds` (incremental mode) or
   // every component (full mode / force_full) in three phases — serial
@@ -362,11 +363,11 @@ class Fabric {
   // Serial-path scratch (parallel fills use per-thread scratch instead).
   std::vector<std::uint32_t> bfs_stack_;
   std::vector<std::uint32_t> unfrozen_;
-  std::vector<std::uint32_t> still_unfrozen_;
 
   FlowId next_flow_id_ = 1;
-  std::priority_queue<FinishEntry, std::vector<FinishEntry>, FinishLater>
-      finish_heap_;
+  // Indexed binary min-heap of slots keyed by Slot::finish_s: exactly the
+  // live flows with a finite finish time, each once (Slot::heap_pos).
+  std::vector<std::uint32_t> finish_heap_;
   // Finish time completion_event_ targets; infinity when none is scheduled.
   sim::Time scheduled_finish_ = sim::kTimeInfinity;
   sim::EventId completion_event_;

@@ -78,8 +78,9 @@ void ThreadPool::worker_loop(std::size_t self) {
         if (!task) return;  // stopping_ and every deque drained
       }
     }
+    // Each task counts itself as executed before it releases its waiter
+    // (see submit/parallel_for), so stats() read after a join is exact.
     task();
-    executed_.fetch_add(1, std::memory_order_relaxed);
   }
 }
 
@@ -120,8 +121,9 @@ void ThreadPool::parallel_for(std::size_t count,
     for (std::size_t i = 0; i < count; ++i) run_one(i, join);
   } else {
     for (std::size_t i = 0; i < count; ++i) {
-      enqueue([&run_one, &join, i] {
+      enqueue([this, &run_one, &join, i] {
         run_one(i, join);
+        executed_.fetch_add(1, std::memory_order_relaxed);
         std::lock_guard<std::mutex> g(join.m);
         if (--join.remaining == 0) join.done.notify_all();
       });

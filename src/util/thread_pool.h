@@ -83,8 +83,14 @@ class ThreadPool {
   template <typename Fn>
   auto submit(Fn&& fn) -> std::future<std::invoke_result_t<Fn>> {
     using ResultT = std::invoke_result_t<Fn>;
+    // The count lands when the body returns or throws, before the
+    // packaged_task makes the future ready: a caller that joined on the
+    // future always sees its task in stats().executed.
     auto task = std::make_shared<std::packaged_task<ResultT()>>(
-        std::forward<Fn>(fn));
+        [this, body = std::forward<Fn>(fn)]() mutable -> ResultT {
+          const CountOnExit count(executed_);
+          return body();
+        });
     std::future<ResultT> future = task->get_future();
     enqueue([task]() { (*task)(); });
     return future;
@@ -122,6 +128,15 @@ class ThreadPool {
   void worker_loop(std::size_t self);
   /// True iff the calling thread is one of this pool's workers.
   bool on_worker_thread() const;
+  // Bumps `executed` when a task body leaves, normally or by throwing.
+  struct CountOnExit {
+    explicit CountOnExit(std::atomic<std::uint64_t>& counter)
+        : executed(counter) {}
+    CountOnExit(const CountOnExit&) = delete;
+    CountOnExit& operator=(const CountOnExit&) = delete;
+    ~CountOnExit() { executed.fetch_add(1, std::memory_order_relaxed); }
+    std::atomic<std::uint64_t>& executed;
+  };
   std::size_t queued_locked() const {
     std::size_t total = 0;
     for (const auto& deque : deques_) total += deque.size();

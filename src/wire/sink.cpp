@@ -74,10 +74,12 @@ void Sink::serve(Ingress* ingress) {
     }
     if (failed) continue;
 
-    const rsyncx::Md5Digest digest = md5.finalize();
-    if (auto status = conn.send_all(digest); !status.ok()) continue;
+    // Count before acknowledging: the client takes the digest as proof of
+    // delivery, so a caller that saw its upload complete must see it here.
     objects_received_.fetch_add(1);
     bytes_received_.fetch_add(len.value());
+    const rsyncx::Md5Digest digest = md5.finalize();
+    (void)conn.send_all(digest);  // a lost ack fails the upload client-side
   }
 }
 

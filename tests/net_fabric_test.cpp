@@ -1,7 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdlib>
+#include <functional>
+#include <limits>
 #include <map>
 #include <optional>
 
@@ -10,6 +13,7 @@
 #include "check/sim_audit.h"
 #include "net/cross_traffic.h"
 #include "net/fabric.h"
+#include "util/rng.h"
 #include "util/units.h"
 
 namespace droute::net {
@@ -530,6 +534,214 @@ TEST(Fabric, CapacityRewriteMidFlowConverges) {
   EXPECT_NEAR(finished.duration_s(), 12.0, 0.1);
   world.audit();
   world.audit_drained();
+}
+
+TEST(Fabric, FinishHeapBoundedByLiveFlowsUnderChurn) {
+  // Closed-loop churn on one shared link: every completion re-rates all
+  // survivors, and each completion callback starts a replacement. The
+  // finish heap holds one entry per live flow at most, however many
+  // re-keys the churn performs.
+  Dumbbell world(100.0);
+  constexpr int kConcurrent = 24;
+  constexpr int kTotal = 600;
+  int started = 0;
+  int completed = 0;
+  std::size_t peak_heap = 0;
+  std::function<void()> start_one = [&] {
+    const int i = started++;
+    FlowOptions options;
+    options.charge_slow_start = i % 4 == 0;  // some live flows sit unqueued
+    options.app_cap_mbps = i % 3 == 0 ? 7.5 : 0.0;
+    const auto flow = world.fabric->start_flow(
+        world.a[i % 3], world.b[(i / 3) % 3],
+        static_cast<std::uint64_t>(1 + i % 7) * util::kMB,
+        [&](const FlowStats& stats) {
+          EXPECT_EQ(stats.outcome, FlowOutcome::kCompleted);
+          ++completed;
+          peak_heap = std::max(peak_heap, world.fabric->finish_heap_size());
+          EXPECT_LE(world.fabric->finish_heap_size(),
+                    world.fabric->active_flow_count());
+          if (started < kTotal) start_one();
+        },
+        options);
+    ASSERT_TRUE(flow.ok());
+  };
+  for (int i = 0; i < kConcurrent; ++i) start_one();
+  world.simulator.run();
+  EXPECT_EQ(completed, kTotal);
+  EXPECT_GT(peak_heap, 0u);
+  EXPECT_EQ(world.fabric->finish_heap_size(), 0u);
+  world.audit();
+  world.audit_drained();
+}
+
+// Independent oracle for the fabric's single-level fill: plain per-flow
+// progressive filling, where each unfrozen flow carries its own rate and
+// re-checks its cap and every link of its route each round. The two must
+// agree bit for bit. It fills one sharing component at a time, as the
+// fabric does (a global fill would take different delta steps).
+struct OracleFlow {
+  std::vector<LinkId> links;
+  double cap_bps = 0.0;
+  double rate_bps = 0.0;
+};
+
+void oracle_fill_component(const Topology& topo,
+                           const std::vector<OracleFlow*>& flows) {
+  std::map<LinkId, double> remaining;
+  std::map<LinkId, int> active;
+  for (const OracleFlow* flow : flows) {
+    for (const LinkId lid : flow->links) {
+      remaining[lid] = util::mbps_to_bytes_per_sec(topo.link(lid).capacity_mbps);
+      ++active[lid];
+    }
+  }
+  std::vector<OracleFlow*> unfrozen = flows;
+  for (OracleFlow* flow : unfrozen) flow->rate_bps = 0.0;
+  while (!unfrozen.empty()) {
+    double delta = std::numeric_limits<double>::infinity();
+    for (const OracleFlow* flow : unfrozen) {
+      delta = std::min(delta, flow->cap_bps - flow->rate_bps);
+    }
+    for (const auto& [lid, count] : active) {
+      if (count > 0) delta = std::min(delta, remaining[lid] / count);
+    }
+    delta = std::max(delta, 0.0);
+    for (OracleFlow* flow : unfrozen) flow->rate_bps += delta;
+    for (auto& [lid, left] : remaining) left -= delta * active[lid];
+    std::vector<OracleFlow*> still_unfrozen;
+    for (OracleFlow* flow : unfrozen) {
+      bool frozen = flow->rate_bps >= flow->cap_bps - 1e-6;
+      for (const LinkId lid : flow->links) frozen |= remaining[lid] <= 1e-6;
+      if (frozen) {
+        for (const LinkId lid : flow->links) --active[lid];
+      } else {
+        still_unfrozen.push_back(flow);
+      }
+    }
+    ASSERT_TRUE(still_unfrozen.size() < unfrozen.size() || delta > 0.0);
+    unfrozen = std::move(still_unfrozen);
+  }
+}
+
+// Splits `live` into sharing components (flows linked through common links)
+// and fills each with the oracle.
+void oracle_fill(const Topology& topo, const std::vector<OracleFlow*>& live) {
+  std::vector<std::size_t> parent(live.size());
+  for (std::size_t i = 0; i < parent.size(); ++i) parent[i] = i;
+  const auto root = [&](std::size_t i) {
+    while (parent[i] != i) i = parent[i] = parent[parent[i]];
+    return i;
+  };
+  std::map<LinkId, std::size_t> first_on_link;
+  for (std::size_t i = 0; i < live.size(); ++i) {
+    for (const LinkId lid : live[i]->links) {
+      const auto [it, fresh] = first_on_link.emplace(lid, i);
+      if (!fresh) parent[root(i)] = root(it->second);
+    }
+  }
+  std::map<std::size_t, std::vector<OracleFlow*>> components;
+  for (std::size_t i = 0; i < live.size(); ++i) {
+    components[root(i)].push_back(live[i]);
+  }
+  for (auto& [r, members] : components) oracle_fill_component(topo, members);
+}
+
+TEST(Fabric, LevelFillMatchesPerFlowWaterFillOracle) {
+  // Random single-AS meshes with capacities drawn partly from a small set
+  // (so several links saturate, and caps bind, in the same round) and
+  // random per-flow app caps. After every start and abort, every live
+  // flow's rate must equal the oracle's bit for bit.
+  for (std::uint64_t seed = 1; seed <= 40; ++seed) {
+    util::Rng rng(seed);
+    const auto capacity = [&rng](double lo, double hi) {
+      static constexpr double kSteps[] = {10.0, 20.0, 40.0, 100.0};
+      return rng.uniform() < 0.5 ? kSteps[rng.uniform_int(0, 3)]
+                                 : rng.uniform(lo, hi);
+    };
+    Topology::Builder builder;
+    const AsId as = builder.add_as("AS");
+    const int router_count = static_cast<int>(rng.uniform_int(3, 9));
+    std::vector<NodeId> routers;
+    for (int r = 0; r < router_count; ++r) {
+      routers.push_back(
+          builder.add_router(as, "r" + std::to_string(r), {40, -100}));
+      if (r > 0) {
+        const auto peer = routers[static_cast<std::size_t>(
+            rng.uniform_int(0, r - 1))];
+        builder.add_duplex(peer, routers.back(), capacity(5.0, 400.0), 0.002);
+      }
+    }
+    std::vector<NodeId> hosts;
+    const int host_count = static_cast<int>(rng.uniform_int(4, 12));
+    for (int h = 0; h < host_count; ++h) {
+      hosts.push_back(builder.add_host(as, "h" + std::to_string(h), {40, -100}));
+      const auto router = routers[static_cast<std::size_t>(
+          rng.uniform_int(0, router_count - 1))];
+      builder.add_duplex(hosts.back(), router, capacity(20.0, 1000.0), 0.0005);
+    }
+    auto built = std::move(builder).build();
+    ASSERT_TRUE(built.ok());
+    Topology topo = std::move(built).value();
+    RouteTable routes(&topo);
+
+    struct Spec {
+      NodeId src, dst;
+      FlowOptions options;
+      OracleFlow oracle;
+    };
+    std::vector<Spec> specs(static_cast<std::size_t>(rng.uniform_int(4, 40)));
+    // Probe fabric: start and abort each flow to learn the route and cap the
+    // fabric derives for it (both independent of other traffic).
+    sim::Simulator probe_sim;
+    Fabric probe(&probe_sim, &topo, &routes);
+    for (Spec& spec : specs) {
+      spec.src = hosts[static_cast<std::size_t>(
+          rng.uniform_int(0, host_count - 1))];
+      do {
+        spec.dst = hosts[static_cast<std::size_t>(
+            rng.uniform_int(0, host_count - 1))];
+      } while (spec.dst == spec.src);
+      spec.options.charge_slow_start = false;
+      if (rng.uniform() < 0.6) spec.options.app_cap_mbps = capacity(1.0, 300.0);
+      FlowStats stats;
+      const auto id = probe.start_flow(spec.src, spec.dst, util::kGB,
+                                       [&](const FlowStats& s) { stats = s; },
+                                       spec.options);
+      ASSERT_TRUE(id.ok());
+      probe.abort_flow(id.value());
+      spec.oracle.links = stats.route.links;
+      spec.oracle.cap_bps = util::mbps_to_bytes_per_sec(stats.cap_mbps);
+    }
+
+    sim::Simulator simulator;
+    Fabric fabric(&simulator, &topo, &routes);
+    std::vector<std::pair<FlowId, Spec*>> live;
+    const auto expect_oracle_rates = [&] {
+      std::vector<OracleFlow*> flows;
+      for (auto& [id, spec] : live) flows.push_back(&spec->oracle);
+      oracle_fill(topo, flows);
+      for (const auto& [id, spec] : live) {
+        EXPECT_EQ(fabric.current_rate_mbps(id),
+                  util::bytes_per_sec_to_mbps(spec->oracle.rate_bps))
+            << "seed " << seed << " flow " << id;
+      }
+    };
+    for (Spec& spec : specs) {
+      const auto id = fabric.start_flow(spec.src, spec.dst, util::kGB, {},
+                                        spec.options);
+      ASSERT_TRUE(id.ok());
+      live.emplace_back(id.value(), &spec);
+      expect_oracle_rates();
+      if (live.size() > 2 && rng.uniform() < 0.3) {
+        const auto victim = live.begin() + rng.uniform_int(
+            0, static_cast<std::int64_t>(live.size()) - 1);
+        fabric.abort_flow(victim->first);
+        live.erase(victim);
+        expect_oracle_rates();
+      }
+    }
+  }
 }
 
 }  // namespace
