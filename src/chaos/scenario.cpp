@@ -287,9 +287,6 @@ RunReport run_case(const Case& c, const RunOptions& options) {
   net::Fabric fabric(&simulator, &topo, &routes);
   if (options.full_recompute) {
     fabric.set_alloc_mode(net::Fabric::AllocMode::kFullRecompute);
-  } else if (options.shard_workers > 0) {
-    fabric.set_alloc_mode(net::Fabric::AllocMode::kSharded);
-    fabric.set_shard_workers(options.shard_workers);
   }
   cloud::StorageServer server(
       cloud::ProviderKind::kGoogleDrive,

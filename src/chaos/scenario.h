@@ -134,11 +134,6 @@ struct RunOptions {
   /// of the default incremental allocator. The differential equivalence
   /// suite runs every case both ways and holds the digests byte-equal.
   bool full_recompute = false;
-  /// When > 0 (and full_recompute is off), drive the fabric in
-  /// AllocMode::kSharded with this many fill workers (DESIGN.md §16). Any
-  /// worker count must reproduce the incremental digest byte-for-byte — the
-  /// `sharded_equivalence` property.
-  int shard_workers = 0;
 };
 
 /// Builds the stack, runs the case to quiescence, checks every property.

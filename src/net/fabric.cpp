@@ -2,13 +2,11 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdlib>
 #include <limits>
 
 #include "check/contract.h"
 #include "obs/recorder.h"
 #include "util/logging.h"
-#include "util/thread_pool.h"
 #include "util/units.h"
 
 namespace droute::net {
@@ -43,30 +41,10 @@ Fabric::Fabric(sim::Simulator* simulator, Topology* topo, RouteTable* routes)
       obs::histogram("net.flow_duration_s", obs::duration_bounds_s());
   obs_link_utilization_ =
       obs::histogram("net.link_utilization_ratio", obs::ratio_bounds());
-  obs_shard_batches_ = obs::counter("net.shard_batches_total");
-  obs_shard_fills_ = obs::counter("net.shard_fills_total");
-  obs_shard_batch_components_ = obs::gauge("net.shard_batch_components");
-  obs_shard_imbalance_ =
-      obs::histogram("net.shard_imbalance_ratio", obs::log_ratio_bounds());
-  if (const char* env = std::getenv("DROUTE_SHARD_WORKERS")) {
-    const int workers = std::atoi(env);
-    if (workers >= 1) {
-      alloc_mode_ = AllocMode::kSharded;
-      shard_workers_ = workers;
-    }
-  }
   // Link ids are dense topology indices; size the per-link table up front
   // so attach never regrows it mid-simulation (late-added links still grow
   // it lazily).
   links_.resize(topo_->link_count());
-}
-
-Fabric::~Fabric() = default;
-
-void Fabric::set_shard_workers(int workers) {
-  DROUTE_CHECK(workers >= 1, "shard workers must be >= 1");
-  if (workers != shard_workers_) shard_pool_.reset();
-  shard_workers_ = workers;
 }
 
 util::Result<double> Fabric::rtt_s(NodeId a, NodeId b) const {
@@ -438,6 +416,9 @@ std::vector<std::uint32_t> Fabric::flows_on_links(const Route& route) const {
 }
 
 void Fabric::collect_component(std::uint32_t seed_slot) {
+  batch_flows_.clear();
+  batch_links_.clear();
+  batch_prev_rates_.clear();
   bfs_stack_.clear();
   slots_[seed_slot].mark = epoch_;
   bfs_stack_.push_back(seed_slot);
@@ -461,8 +442,7 @@ void Fabric::collect_component(std::uint32_t seed_slot) {
   }
 }
 
-std::uint64_t Fabric::fill_component(std::size_t comp,
-                                     std::vector<std::uint32_t>& unfrozen) {
+std::uint64_t Fabric::fill_component() {
   // --- Progressive filling (water-filling) with per-flow caps. ---
   // Invariants on exit (checked by tests): no link over capacity, no flow
   // over its cap, and every unfrozen flow is blocked by a saturated link.
@@ -470,18 +450,9 @@ std::uint64_t Fabric::fill_component(std::size_t comp,
   // The arithmetic below must stay a pure function of this component's
   // flows and links: the incremental/full-recompute equivalence (DESIGN.md
   // §12) rests on unchanged components reproducing their retained rates
-  // bit-for-bit, and the sharded mode (DESIGN.md §16) additionally runs
-  // this on pool workers — it may touch only this component's slots_/links_
-  // entries (disjoint across the batch by construction), read the topology,
-  // and must never reach the simulator, the finish heap, obs, or any clock.
-  // Min-reductions are exact and all updates are per-entry, so iteration
-  // order cannot perturb the result.
-  const std::size_t fbegin = batch_flow_begin_[comp];
-  const std::size_t fend = batch_flow_begin_[comp + 1];
-  const std::size_t lbegin = batch_link_begin_[comp];
-  const std::size_t lend = batch_link_begin_[comp + 1];
-  for (std::size_t l = lbegin; l < lend; ++l) {
-    const LinkId lid = batch_links_[l];
+  // bit-for-bit. Min-reductions are exact and all updates are per-entry, so
+  // iteration order cannot perturb the result.
+  for (const LinkId lid : batch_links_) {
     links_[lid].remaining_bps =
         util::mbps_to_bytes_per_sec(topo_->link(lid).capacity_mbps);
     links_[lid].active = static_cast<std::int32_t>(links_[lid].flows.size());
@@ -491,13 +462,13 @@ std::uint64_t Fabric::fill_component(std::size_t comp,
   // as the level at which it freezes. The per-flow cap bound
   // min(cap - level) equals min(cap) - level exactly (rounding is
   // monotone), so each round needs only the smallest unfrozen cap.
-  unfrozen.clear();
+  unfrozen_.clear();
   double min_cap = std::numeric_limits<double>::infinity();
-  for (std::size_t i = fbegin; i < fend; ++i) {
-    Flow& flow = slots_[batch_flows_[i]].flow;
+  for (const std::uint32_t slot : batch_flows_) {
+    Flow& flow = slots_[slot].flow;
     flow.frozen = false;
     min_cap = std::min(min_cap, flow.cap_bps);
-    unfrozen.push_back(batch_flows_[i]);
+    unfrozen_.push_back(slot);
   }
   double level = 0.0;
   const auto freeze = [this, &level](Flow& flow) {
@@ -506,11 +477,11 @@ std::uint64_t Fabric::fill_component(std::size_t comp,
     for (const LinkId lid : flow.stats.route.links) --links_[lid].active;
   };
   std::uint64_t rounds = 0;
-  while (!unfrozen.empty()) {
+  while (!unfrozen_.empty()) {
     ++rounds;
     double delta = min_cap - level;
-    for (std::size_t l = lbegin; l < lend; ++l) {
-      const LinkState& link = links_[batch_links_[l]];
+    for (const LinkId lid : batch_links_) {
+      const LinkState& link = links_[lid];
       if (link.active > 0) {
         delta = std::min(delta, link.remaining_bps / link.active);
       }
@@ -518,16 +489,16 @@ std::uint64_t Fabric::fill_component(std::size_t comp,
     delta = std::max(delta, 0.0);
 
     level += delta;
-    for (std::size_t l = lbegin; l < lend; ++l) {
-      LinkState& link = links_[batch_links_[l]];
+    for (const LinkId lid : batch_links_) {
+      LinkState& link = links_[lid];
       link.remaining_bps -= delta * link.active;
     }
 
     // Freeze every flow crossing a link that saturated this round (an
     // unfrozen flow keeps its links' `active` > 0, so links saturated in
     // earlier rounds have nothing left to freeze)...
-    for (std::size_t l = lbegin; l < lend; ++l) {
-      const LinkState& link = links_[batch_links_[l]];
+    for (const LinkId lid : batch_links_) {
+      const LinkState& link = links_[lid];
       if (link.active <= 0 || link.remaining_bps > kRateEps) continue;
       for (const LinkFlowRef& ref : link.flows) {
         Flow& flow = slots_[ref.slot].flow;
@@ -537,16 +508,16 @@ std::uint64_t Fabric::fill_component(std::size_t comp,
     // ...then every flow at its cap, keeping the rest for the next round.
     std::size_t kept = 0;
     min_cap = std::numeric_limits<double>::infinity();
-    for (const std::uint32_t slot : unfrozen) {
+    for (const std::uint32_t slot : unfrozen_) {
       Flow& flow = slots_[slot].flow;
       if (!flow.frozen && level >= flow.cap_bps - kRateEps) freeze(flow);
       if (flow.frozen) continue;
       min_cap = std::min(min_cap, flow.cap_bps);
-      unfrozen[kept++] = slot;
+      unfrozen_[kept++] = slot;
     }
-    DROUTE_CHECK(kept < unfrozen.size() || delta > 0.0,
+    DROUTE_CHECK(kept < unfrozen_.size() || delta > 0.0,
                  "allocation failed to make progress");
-    unfrozen.resize(kept);
+    unfrozen_.resize(kept);
   }
   return rounds;
 }
@@ -561,75 +532,23 @@ void Fabric::reallocate_and_reschedule(const std::vector<std::uint32_t>& seeds,
     epoch_ = 1;
   }
 
-  // Phase A — collect (serial, deterministic order: dense slot ids in full
-  // mode, caller-provided seed order otherwise). Component membership and
-  // pre-fill rates land in the batch arrays; nothing is mutated yet.
-  batch_flows_.clear();
-  batch_links_.clear();
-  batch_prev_rates_.clear();
-  batch_flow_begin_.assign(1, 0);
-  batch_link_begin_.assign(1, 0);
-  const auto consider = [this](std::uint32_t slot) {
-    const Slot& cell = slots_[slot];
-    if (cell.id == 0 || !cell.flow.activated || cell.mark == epoch_) return;
-    collect_component(slot);
-    batch_flow_begin_.push_back(batch_flows_.size());
-    batch_link_begin_.push_back(batch_links_.size());
-  };
-  const bool full = force_full || alloc_mode_ == AllocMode::kFullRecompute;
-  if (full) {
-    for (std::uint32_t slot = 0; slot < slots_.size(); ++slot) consider(slot);
-  } else {
-    for (const std::uint32_t slot : seeds) consider(slot);
-  }
-  const std::size_t components = batch_flow_begin_.size() - 1;
-
-  // Phase B — water-fill every collected component. Each fill is a pure
-  // function of its component (see fill_component), so sharded mode fans
-  // the batch out to the pool; any order of execution produces bit-identical
-  // rates. The simulator is guarded against worker scheduling for the whole
-  // parallel window.
-  batch_rounds_.assign(components, 0);
-  if (alloc_mode_ == AllocMode::kSharded && shard_workers_ > 1 &&
-      components > 1) {
-    if (!shard_pool_ ||
-        shard_pool_->thread_count() !=
-            static_cast<std::size_t>(shard_workers_)) {
-      shard_pool_ = std::make_unique<util::ThreadPool>(
-          static_cast<std::size_t>(shard_workers_));
-    }
-    simulator_->begin_parallel_section();
-    try {
-      shard_pool_->parallel_for(components, [this](std::size_t comp) {
-        thread_local std::vector<std::uint32_t> unfrozen;
-        batch_rounds_[comp] = fill_component(comp, unfrozen);
-      });
-    } catch (...) {
-      simulator_->end_parallel_section();
-      throw;
-    }
-    simulator_->end_parallel_section();
-  } else {
-    for (std::size_t comp = 0; comp < components; ++comp) {
-      batch_rounds_[comp] = fill_component(comp, unfrozen_);
-    }
-  }
-
-  // Phase C — merge (serial, strictly in collection order): settle byte
-  // progress and re-key the finish heap for exactly the flows whose rate
-  // changed bitwise, then observe per-link utilization. An unchanged
-  // component reproduces its retained rates exactly, so every mode takes
-  // the same advance/re-key actions in the same order — the invariant the
-  // equivalence suite pins down, and the reason no wall-clock or scheduling
-  // order can leak into event timestamps or metrics.
+  // One component at a time, in a deterministic order (dense slot ids in
+  // full mode, caller-provided seed order otherwise): collect it, water-fill
+  // it, then settle byte progress and re-key the finish heap for exactly the
+  // flows whose rate changed bitwise. An unchanged component reproduces its
+  // retained rates exactly, so both modes take the same advance/re-key
+  // actions in the same order — the invariant the equivalence suite pins
+  // down. Components are disjoint, so filling one never touches another's
+  // pre-fill rates.
   std::uint64_t rounds = 0;
-  std::size_t largest_component = 0;
-  for (std::size_t comp = 0; comp < components; ++comp) {
-    rounds += batch_rounds_[comp];
-    const std::size_t fbegin = batch_flow_begin_[comp];
-    const std::size_t fend = batch_flow_begin_[comp + 1];
-    largest_component = std::max(largest_component, fend - fbegin);
-    for (std::size_t i = fbegin; i < fend; ++i) {
+  std::uint64_t components = 0;
+  const auto refill = [&](std::uint32_t seed) {
+    const Slot& cell = slots_[seed];
+    if (cell.id == 0 || !cell.flow.activated || cell.mark == epoch_) return;
+    collect_component(seed);
+    rounds += fill_component();
+    ++components;
+    for (std::size_t i = 0; i < batch_flows_.size(); ++i) {
       const std::uint32_t slot = batch_flows_[i];
       Flow& flow = slots_[slot].flow;
       if (flow.rate_bps == batch_prev_rates_[i]) continue;
@@ -637,9 +556,7 @@ void Fabric::reallocate_and_reschedule(const std::vector<std::uint32_t>& seeds,
       push_finish(slot);
     }
     if (obs_link_utilization_ != nullptr) {
-      for (std::size_t l = batch_link_begin_[comp];
-           l < batch_link_begin_[comp + 1]; ++l) {
-        const LinkId lid = batch_links_[l];
+      for (const LinkId lid : batch_links_) {
         const double capacity_bps =
             util::mbps_to_bytes_per_sec(topo_->link(lid).capacity_mbps);
         if (capacity_bps <= 0.0) continue;
@@ -647,19 +564,14 @@ void Fabric::reallocate_and_reschedule(const std::vector<std::uint32_t>& seeds,
             std::max(0.0, 1.0 - links_[lid].remaining_bps / capacity_bps));
       }
     }
+  };
+  if (force_full || alloc_mode_ == AllocMode::kFullRecompute) {
+    for (std::uint32_t slot = 0; slot < slots_.size(); ++slot) refill(slot);
+  } else {
+    for (const std::uint32_t slot : seeds) refill(slot);
   }
   obs::add(obs_realloc_rounds_, rounds);
   obs::add(obs_realloc_components_, components);
-  // Shard-boundary diagnostics, derived from the batch structure alone so
-  // the values are identical in every mode and at every worker count.
-  obs::add(obs_shard_batches_);
-  obs::add(obs_shard_fills_, components);
-  obs::set(obs_shard_batch_components_, static_cast<double>(components));
-  if (!batch_flows_.empty()) {
-    obs::observe(obs_shard_imbalance_,
-                 static_cast<double>(largest_component) /
-                     static_cast<double>(batch_flows_.size()));
-  }
 
   resync_completion_event();
 }

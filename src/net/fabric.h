@@ -21,13 +21,11 @@
 // event, and the differential suite (tests/fabric_equivalence_test.cpp,
 // proptest property `fabric_equivalence`) holds the two paths byte-equal.
 //
-// Because each component's fill is independent, dirty components are also
-// embarrassingly parallel *within* one event: AllocMode::kSharded fans the
-// per-component water-fills out to a private util::ThreadPool while keeping
-// component collection and the advance/re-key merge single-threaded in
-// collection order, so event schedules, digests and metrics stay
-// byte-identical to the single-threaded modes at any worker count
-// (DESIGN.md §16).
+// Each event handles its dirty components one at a time, in a deterministic
+// order: collect the component, water-fill it, then merge it (settle byte
+// progress and re-key completions for the flows whose rate changed). A
+// parallel fill was measured and removed (DESIGN.md §12): an event dirties
+// less than one component on average, so there is nothing to fan out.
 //
 // Between-event bookkeeping is lazy so untouched flows cost nothing per
 // event: byte progress is advanced per flow only when its rate is about to
@@ -44,7 +42,6 @@
 #include <cstdint>
 #include <functional>
 #include <map>
-#include <memory>
 #include <optional>
 #include <string>
 #include <unordered_map>
@@ -58,13 +55,8 @@
 
 namespace droute::obs {
 class Counter;
-class Gauge;
 class Histogram;
 }  // namespace droute::obs
-
-namespace droute::util {
-class ThreadPool;
-}  // namespace droute::util
 
 namespace droute::net {
 
@@ -111,22 +103,11 @@ class Fabric {
   ///   kIncremental    water-fill only the component(s) dirtied by the event;
   ///                   all other flows keep their retained rates (default).
   ///   kFullRecompute  re-fill every component from scratch on every event —
-  ///                   the reference the differential suite compares against.
-  ///   kSharded        like kIncremental, but the dirty components of each
-  ///                   event are water-filled in parallel on a private
-  ///                   ThreadPool (shard boundary = sharing component);
-  ///                   collection and merge stay single-threaded and ordered,
-  ///                   so results are byte-identical to the other modes at
-  ///                   any worker count (DESIGN.md §16).
-  enum class AllocMode { kIncremental, kFullRecompute, kSharded };
+  ///                   the test oracle the differential suite compares the
+  ///                   incremental path against, byte for byte.
+  enum class AllocMode { kIncremental, kFullRecompute };
 
-  /// When the DROUTE_SHARD_WORKERS environment variable is a positive
-  /// integer N, new fabrics default to AllocMode::kSharded with N workers
-  /// (explicit set_alloc_mode/set_shard_workers calls override it). Lets CI
-  /// run the whole suite sharded without touching every stack constructor.
   Fabric(sim::Simulator* simulator, Topology* topo, RouteTable* routes);
-
-  ~Fabric();  // out-of-line: owns the (forward-declared) shard pool
 
   Fabric(const Fabric&) = delete;
   Fabric& operator=(const Fabric&) = delete;
@@ -140,15 +121,6 @@ class Fabric {
   /// suite always fixes the mode for a whole scenario.
   void set_alloc_mode(AllocMode mode) { alloc_mode_ = mode; }
   AllocMode alloc_mode() const { return alloc_mode_; }
-
-  /// Worker count for AllocMode::kSharded (>= 1). 1 runs the sharded
-  /// batch/merge discipline inline on the simulation thread (no pool);
-  /// >= 2 fans component fills out to a private ThreadPool, created lazily
-  /// on the first multi-component batch. Worker count can never change
-  /// results — only wall-clock time (the determinism contract the
-  /// three-mode differential suite enforces).
-  void set_shard_workers(int workers);
-  int shard_workers() const { return shard_workers_; }
 
   /// Base RTT added to propagation (host stacks, serialization); default 3ms.
   void set_base_rtt_s(double base_rtt) { base_rtt_s_ = base_rtt; }
@@ -297,25 +269,19 @@ class Fabric {
   void attach_to_links(std::uint32_t slot);
   void detach_from_links(std::uint32_t slot);
 
-  // Collects the connected component reachable from `seed_slot`, appending
-  // its flows (plus their pre-fill rates) and links to the batch arrays
-  // (epoch-marked; callers bumped epoch_ and push the component offsets).
+  // Replaces the batch with the connected component reachable from
+  // `seed_slot`: its flows (plus their pre-fill rates) and links
+  // (epoch-marked; the caller bumped epoch_).
   void collect_component(std::uint32_t seed_slot);
 
-  // Max-min water-fill over batch component `comp` only, using `unfrozen`
-  // as scratch. Returns rounds. Pure per component: in sharded mode it
-  // runs on a pool worker and touches only this component's slots_/links_
-  // entries (disjoint across components by construction) — never the
-  // simulator, the finish heap, or obs.
-  std::uint64_t fill_component(std::size_t comp,
-                               std::vector<std::uint32_t>& unfrozen);
+  // Max-min water-fill over the batch component only. Returns rounds.
+  std::uint64_t fill_component();
 
   // Water-fills the components reachable from `seeds` (incremental mode) or
-  // every component (full mode / force_full) in three phases — serial
-  // collect into the batch, per-component fill (parallel when sharded),
-  // serial merge in collection order; flows whose rate changed are settled
-  // and re-keyed in the finish heap, then the completion event is resynced
-  // to the new heap minimum.
+  // every component (full mode / force_full), one at a time in collection
+  // order: collect, fill, then settle and re-key in the finish heap the
+  // flows whose rate changed. Finally resyncs the completion event to the
+  // new heap minimum.
   void reallocate_and_reschedule(const std::vector<std::uint32_t>& seeds,
                                  bool force_full = false);
 
@@ -338,9 +304,6 @@ class Fabric {
   RouteTable* routes_;
   double base_rtt_s_ = 0.003;
   AllocMode alloc_mode_ = AllocMode::kIncremental;
-  int shard_workers_ = 1;
-  // Private fill pool for kSharded (lazy; sized to shard_workers_).
-  std::unique_ptr<util::ThreadPool> shard_pool_;
 
   std::vector<Slot> slots_;
   std::vector<std::uint32_t> free_slots_;
@@ -349,18 +312,12 @@ class Fabric {
   std::vector<LinkState> links_;
   std::uint32_t epoch_ = 0;
 
-  // Fill batch, rebuilt by every reallocation (buffers retained across
-  // events): the dirty components in collection order. Component c owns
-  // flows[flow_begin[c], flow_begin[c+1]) and links[link_begin[c],
-  // link_begin[c+1]); prev_rates parallels flows; rounds[c] is written by
-  // the (possibly parallel) fill and read back by the serial merge.
+  // The component being refilled, rebuilt by collect_component (buffers
+  // retained across events).
   std::vector<std::uint32_t> batch_flows_;
   std::vector<LinkId> batch_links_;
   std::vector<double> batch_prev_rates_;  // pre-fill rates, ∥ batch_flows_
-  std::vector<std::size_t> batch_flow_begin_;
-  std::vector<std::size_t> batch_link_begin_;
-  std::vector<std::uint64_t> batch_rounds_;
-  // Serial-path scratch (parallel fills use per-thread scratch instead).
+  // Collect and fill scratch.
   std::vector<std::uint32_t> bfs_stack_;
   std::vector<std::uint32_t> unfrozen_;
 
@@ -386,13 +343,6 @@ class Fabric {
   obs::Counter* obs_realloc_skipped_ = nullptr;
   obs::Histogram* obs_flow_duration_ = nullptr;
   obs::Histogram* obs_link_utilization_ = nullptr;
-  // Shard-boundary diagnostics, recorded in *every* mode from the batch
-  // structure alone (identical across modes and worker counts, so metrics
-  // CSVs stay byte-identical between single-threaded and sharded runs).
-  obs::Counter* obs_shard_batches_ = nullptr;
-  obs::Counter* obs_shard_fills_ = nullptr;
-  obs::Gauge* obs_shard_batch_components_ = nullptr;
-  obs::Histogram* obs_shard_imbalance_ = nullptr;
 };
 
 }  // namespace droute::net

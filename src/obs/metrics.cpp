@@ -131,24 +131,6 @@ const std::vector<double>& ratio_bounds() {
   return bounds;
 }
 
-const std::vector<double>& log_ratio_bounds() {
-  // 1e-4 up to 1.0 in half-decade steps: ratio_bounds() starts at 0.05,
-  // far too coarse for ratios that concentrate near 1/N (e.g. the largest
-  // shard's share of a well-balanced thousand-component fill batch).
-  static const std::vector<double> bounds = [] {
-    std::vector<double> edges;
-    double edge = 1e-4;
-    while (edge < 1.0) {
-      edges.push_back(edge);
-      edges.push_back(edge * 3.0);
-      edge *= 10.0;
-    }
-    edges.push_back(1.0);
-    return edges;
-  }();
-  return bounds;
-}
-
 Counter* Registry::counter(std::string_view name) {
   DROUTE_CHECK(!name.empty(), "empty metric name");
   std::lock_guard<std::mutex> lock(mutex_);

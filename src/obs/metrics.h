@@ -112,7 +112,6 @@ const std::vector<double>& duration_bounds_s();   // 1 ms .. ~4200 s
 const std::vector<double>& size_bounds_bytes();   // 1 KiB .. 16 GiB
 const std::vector<double>& rate_bounds_mbps();    // 0.1 .. ~6554 Mbps
 const std::vector<double>& ratio_bounds();        // 0.05 .. 1.00
-const std::vector<double>& log_ratio_bounds();    // 1e-4 .. 1.00, log steps
 
 /// Owns every instrument; lookups are keyed by full metric name and create
 /// on first use. Returned pointers are stable until the Registry dies.

@@ -11,16 +11,7 @@ Simulator::Simulator()
     : obs_events_executed_(obs::counter("sim.events_executed_total")),
       obs_queue_depth_(obs::gauge("sim.queue_depth")) {}
 
-void Simulator::begin_parallel_section() {
-  DROUTE_CHECK(!in_parallel_section_, "parallel sections cannot nest");
-  in_parallel_section_ = true;
-}
-
-void Simulator::end_parallel_section() { in_parallel_section_ = false; }
-
 EventId Simulator::schedule_at(Time at, Handler handler) {
-  DROUTE_CHECK(!in_parallel_section_,
-               "schedule inside a parallel section (worker scheduling)");
   DROUTE_CHECK(at >= now_, "event scheduled in the past");
   DROUTE_CHECK(handler != nullptr, "null event handler");
   const std::uint64_t seq = next_seq_++;
@@ -38,8 +29,6 @@ bool Simulator::cancel(EventId id) {
   // The handler table is the single source of liveness: erasing the handler
   // IS the cancellation. The heap entry is reclaimed lazily when it surfaces.
   if (!id.valid()) return false;
-  DROUTE_CHECK(!in_parallel_section_,
-               "cancel inside a parallel section (worker scheduling)");
   return handlers_.erase(id.value) > 0;
 }
 

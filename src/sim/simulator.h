@@ -108,18 +108,6 @@ class Simulator {
     step_observer_ = std::move(observer);
   }
 
-  /// Brackets a window in which worker threads may run (the sharded fabric
-  /// fill, DESIGN.md §16). While a section is open, schedule_at/schedule_in/
-  /// cancel are contract violations: workers must never touch the event
-  /// queue — all scheduling happens in the single-threaded merge that
-  /// follows, so event order can never depend on thread timing. The flag is
-  /// a plain bool on purpose: it is written by the owning thread only, and
-  /// the fork/join of the worker batch orders those writes against any
-  /// (buggy, about-to-throw) worker read.
-  void begin_parallel_section();
-  void end_parallel_section();
-  bool in_parallel_section() const { return in_parallel_section_; }
-
  private:
   struct Entry {
     Time at;
@@ -137,7 +125,6 @@ class Simulator {
   void skim_cancelled() const;
 
   Time now_ = 0.0;
-  bool in_parallel_section_ = false;
   std::uint64_t next_seq_ = 1;
   std::uint64_t executed_ = 0;
   // Handlers are stored out-of-heap so Entry stays trivially copyable. The

@@ -9,7 +9,6 @@
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
-#include <cstring>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -17,18 +16,13 @@
 #include <vector>
 
 #include "check/contract.h"
-#include "net/fabric.h"
-#include "net/routing.h"
-#include "net/topology.h"
 #include "obs/export.h"
 #include "obs/metrics.h"
 #include "obs/recorder.h"
 #include "sim/simulator.h"
 #include "sim/task.h"
 #include "util/logging.h"
-#include "util/rng.h"
 #include "util/thread_pool.h"
-#include "util/units.h"
 
 namespace droute::util {
 namespace {
@@ -52,13 +46,9 @@ TEST(ThreadPoolStress, ConcurrentSubmittersShareOnePool) {
   submitters.reserve(kSubmitters);
   for (int t = 0; t < kSubmitters; ++t) {
     submitters.emplace_back([&] {
-      std::vector<std::future<void>> futures;
-      futures.reserve(kTasksEach);
-      for (int i = 0; i < kTasksEach; ++i) {
-        futures.push_back(pool.submit(
-            [&] { executed.fetch_add(1, std::memory_order_relaxed); }));
-      }
-      for (auto& future : futures) future.get();
+      pool.parallel_for(kTasksEach, [&](std::size_t) {
+        executed.fetch_add(1, std::memory_order_relaxed);
+      });
     });
   }
   for (auto& thread : submitters) thread.join();
@@ -86,8 +76,6 @@ TEST(ThreadPoolStress, StatsTrackSubmissionAndExecution) {
   EXPECT_EQ(stats.queued, 0u);
   EXPECT_GE(stats.peak_queued, 1u);
   EXPECT_LE(stats.peak_queued, kTasks);
-  EXPECT_EQ(pool.tasks_executed(), kTasks);
-  EXPECT_EQ(pool.queue_depth(), 0u);
 }
 
 TEST(ThreadPoolStress, RepeatedConstructionAndTeardown) {
@@ -225,139 +213,6 @@ TEST(RecorderStress, InstallUninstallRacesWithOneShotCounts) {
 
 }  // namespace
 }  // namespace droute::util
-
-namespace droute::net {
-namespace {
-
-std::uint64_t fnv1a_mix(std::uint64_t hash, std::uint64_t value) {
-  for (int shift = 0; shift < 64; shift += 8) {
-    hash ^= (value >> shift) & 0xff;
-    hash *= 0x100000001b3ull;
-  }
-  return hash;
-}
-
-/// One self-contained run of the shard storm: `kPods` disconnected
-/// mini-dumbbells (each pod is its own sharing component, so every
-/// fabric-wide event produces a multi-component fill batch that
-/// AllocMode::kSharded fans out across workers), hammered by link flaps,
-/// capacity rewrites, app-throttled flow churn and out-of-band reallocations
-/// from a seeded script. Returns an FNV-1a digest over every flow outcome —
-/// byte-identical digests across repeat runs are the determinism assertion;
-/// the concurrent component refills inside are what TSan watches.
-std::uint64_t run_shard_storm(int workers, std::uint64_t seed) {
-  constexpr int kPods = 24;
-  constexpr int kRounds = 40;
-
-  Topology::Builder builder;
-  const AsId as = builder.add_as("AS");
-  NodeId src[kPods], dst[kPods];
-  LinkId shared[kPods];
-  for (int p = 0; p < kPods; ++p) {
-    const NodeId left = builder.add_router(as, "l" + std::to_string(p),
-                                           {50, -100});
-    const NodeId right = builder.add_router(as, "r" + std::to_string(p),
-                                            {50, -99});
-    src[p] = builder.add_host(as, "s" + std::to_string(p), {50, -100});
-    dst[p] = builder.add_host(as, "d" + std::to_string(p), {50, -99});
-    builder.add_duplex(src[p], left, 10000, 0.0005);
-    builder.add_duplex(right, dst[p], 10000, 0.0005);
-    shared[p] = builder.add_duplex(left, right, 100.0, 0.005);
-  }
-  auto built = std::move(builder).build();
-  EXPECT_TRUE(built.ok());
-  Topology topo = std::move(built).value();
-  RouteTable routes(&topo);
-  sim::Simulator simulator;
-  Fabric fabric(&simulator, &topo, &routes);
-  fabric.set_alloc_mode(Fabric::AllocMode::kSharded);
-  fabric.set_shard_workers(workers);
-
-  std::uint64_t digest = 0xcbf29ce484222325ull;
-  util::Rng rng(seed);
-  std::vector<LinkId> failed;
-  for (int round = 0; round < kRounds; ++round) {
-    // Start a throttled flow in most pods — one start_flow event dirties one
-    // component, but the storm keeps *every* pod live, so the flap/rewrite
-    // events below each produce a dense multi-component batch.
-    for (int p = 0; p < kPods; ++p) {
-      if (rng.uniform() < 0.2) continue;
-      FlowOptions options;
-      options.charge_slow_start = false;
-      options.app_cap_mbps = rng.uniform() < 0.5 ? rng.uniform(5.0, 60.0) : 0.0;
-      const std::uint64_t bytes =
-          static_cast<std::uint64_t>(rng.uniform_int(1, 8)) * util::kMB;
-      auto flow = fabric.start_flow(
-          src[p], dst[p], bytes,
-          [&digest](const FlowStats& stats) {
-            std::uint64_t end_bits;
-            static_assert(sizeof end_bits == sizeof stats.end_time);
-            std::memcpy(&end_bits, &stats.end_time, sizeof end_bits);
-            digest = fnv1a_mix(digest, stats.id);
-            digest = fnv1a_mix(digest, end_bits);
-            digest = fnv1a_mix(digest,
-                               static_cast<std::uint64_t>(stats.outcome));
-          },
-          options);
-      // Flows into a pod whose shared link is down are unroutable — that
-      // rejection must be deterministic too.
-      digest = fnv1a_mix(digest, flow.ok() ? flow.value() : ~0ull);
-    }
-    // Link flap storm: fail a couple of pod bottlenecks, restore the oldest.
-    for (int flap = 0; flap < 2; ++flap) {
-      const LinkId link = shared[rng.uniform_int(0, kPods - 1)];
-      fabric.fail_link(link);
-      failed.push_back(link);
-    }
-    while (failed.size() > 3) {
-      fabric.restore_link(failed.front());
-      failed.erase(failed.begin());
-    }
-    // Capacity storm: rewrite several bottlenecks, then one fabric-wide
-    // reallocation — the full-recompute path collects every live component
-    // into a single batch (the widest parallel section this fabric has).
-    for (int rewrite = 0; rewrite < 4; ++rewrite) {
-      const LinkId link = shared[rng.uniform_int(0, kPods - 1)];
-      EXPECT_TRUE(
-          topo.set_link_capacity(link, rng.uniform(20.0, 500.0)).ok());
-    }
-    fabric.reallocate_now();
-    simulator.run_until(simulator.now() + rng.uniform(0.05, 0.6));
-  }
-  simulator.run();
-  EXPECT_EQ(simulator.pending(), 0u)
-      << "events leaked after drain (workers " << workers << ")";
-  EXPECT_EQ(fabric.active_flow_count(), 0u);
-  digest = fnv1a_mix(digest, fabric.delivered_bytes());
-  return digest;
-}
-
-TEST(ShardStress, ConcurrentComponentRefillsAreRaceFreeAndDeterministic) {
-  // The TSan target for DESIGN.md §16: four workers water-filling disjoint
-  // components concurrently while link flaps and capacity storms churn the
-  // batches. A data race, a worker touching the simulator, or any
-  // scheduling-order leak shows up as a TSan report or a digest mismatch.
-  obs::Recorder recorder;
-  obs::ScopedRecorder install(&recorder);
-  const std::uint64_t first = run_shard_storm(/*workers=*/4, /*seed=*/17);
-  const std::uint64_t again = run_shard_storm(/*workers=*/4, /*seed=*/17);
-  EXPECT_EQ(first, again) << "same-seed sharded storm diverged";
-  // And worker count must not matter either — inline execution is the oracle.
-  const std::uint64_t inline_run = run_shard_storm(/*workers=*/1, /*seed=*/17);
-  EXPECT_EQ(first, inline_run) << "worker count changed results";
-  // Prove the storm actually exercised multi-component parallel batches
-  // (shard fills strictly exceeding batches means components > 1 occurred).
-  const auto* batches =
-      recorder.metrics().counter("net.shard_batches_total");
-  const auto* fills = recorder.metrics().counter("net.shard_fills_total");
-  ASSERT_NE(batches, nullptr);
-  ASSERT_NE(fills, nullptr);
-  EXPECT_GT(batches->value(), 0u);
-  EXPECT_GT(fills->value(), batches->value());
-}
-
-}  // namespace
-}  // namespace droute::net
 
 namespace droute::sim {
 namespace {

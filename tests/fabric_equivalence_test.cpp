@@ -1,31 +1,27 @@
-// Differential equivalence suite for the incremental + sharded fabric
-// allocators.
+// Differential equivalence suite for the incremental fabric allocator.
 //
 // The incremental max-min allocator (DESIGN.md §12) water-fills only the
 // connected component(s) dirtied by each event; AllocMode::kFullRecompute is
-// the retained reference that re-fills every component on every event; and
-// AllocMode::kSharded (DESIGN.md §16) fans the per-component fills out to a
-// thread pool behind a serial collect/merge discipline. All three must agree
-// *bit-for-bit* at every worker count — one ulp of divergence means a
-// retained rate was stale (or a worker leaked scheduling order into the
-// event queue) and every figure reproduction is suspect. Three layers:
+// the retained reference that re-fills every component on every event. The
+// two must agree *bit-for-bit* — one ulp of divergence means a retained rate
+// was stale and every figure reproduction is suspect. Three layers:
 //
-//   * Lockstep: triplet stacks driven by an identical random op script
+//   * Lockstep: paired stacks driven by an identical random op script
 //     (starts, aborts, link failures/restores, capacity rewrites), with
 //     every live flow's rate compared for exact equality after every op.
-//     The sharded stack's worker count cycles 1/2/4/8 across seeds.
-//   * End-to-end: chaos::random_case scenarios run to quiescence in all
-//     three modes; the outcome digests (FNV-1a over every observable
-//     transfer time) must be byte-identical.
-//   * Metrics: the full exported metrics CSV of a sharded scenario must be
-//     byte-identical at workers 1, 2, 4 and 8 (shard diagnostics included).
+//   * End-to-end: chaos::random_case scenarios run to quiescence in both
+//     modes; the outcome digests (FNV-1a over every observable transfer
+//     time) must be byte-identical.
+//   * Storm: many live components hammered by link flaps, capacity rewrites
+//     and flow churn, so single reallocations refill many components.
 //
-// Together with the proptest properties `fabric_equivalence` and
-// `sharded_equivalence` this covers the ≥200 seeded scenarios the rewrites
-// were accepted under.
+// Together with the proptest property `fabric_equivalence` this covers the
+// ≥200 seeded scenarios the rewrites were accepted under.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
+#include <cstring>
 #include <memory>
 #include <optional>
 #include <string>
@@ -36,7 +32,7 @@
 #include "net/fabric.h"
 #include "net/routing.h"
 #include "net/topology.h"
-#include "obs/export.h"
+#include "obs/metrics.h"
 #include "obs/recorder.h"
 #include "sim/simulator.h"
 #include "util/rng.h"
@@ -44,14 +40,6 @@
 
 namespace droute::net {
 namespace {
-
-// Worker counts the sharded mode is exercised at, cycled by seed so the
-// whole sweep covers inline (1), the CI leg (2) and oversubscribed (4/8).
-constexpr int kWorkerCycle[] = {1, 2, 4, 8};
-
-int workers_for_seed(std::uint64_t seed) {
-  return kWorkerCycle[seed % (sizeof(kWorkerCycle) / sizeof(int))];
-}
 
 // One self-contained stack over a generated topology. Sibling instances are
 // built from the same GenTopology so node/link ids line up exactly.
@@ -61,15 +49,13 @@ struct Stack {
   RouteTable routes{nullptr};
   std::unique_ptr<Fabric> fabric;
 
-  explicit Stack(const chaos::GenTopology& gen, Fabric::AllocMode mode,
-                 int shard_workers = 1) {
+  explicit Stack(const chaos::GenTopology& gen, Fabric::AllocMode mode) {
     auto built = gen.build();
     EXPECT_TRUE(built.ok());
     topo = std::move(built).value();
     routes = RouteTable(&topo);
     fabric = std::make_unique<Fabric>(&simulator, &topo, &routes);
     fabric->set_alloc_mode(mode);
-    fabric->set_shard_workers(shard_workers);
   }
 };
 
@@ -207,8 +193,7 @@ TEST(FabricEquivalence, LockstepRandomOpsBitIdenticalRates) {
 
     Stack inc(gen, Fabric::AllocMode::kIncremental);
     Stack full(gen, Fabric::AllocMode::kFullRecompute);
-    Stack sharded(gen, Fabric::AllocMode::kSharded, workers_for_seed(seed));
-    LockstepDriver driver({&inc, &full, &sharded}, hosts,
+    LockstepDriver driver({&inc, &full}, hosts,
                           static_cast<int>(gen.links.size()));
     util::Rng ops = rng.split(2);
     for (int op = 0; op < kOpsPerSeed; ++op) {
@@ -216,8 +201,7 @@ TEST(FabricEquivalence, LockstepRandomOpsBitIdenticalRates) {
       if (::testing::Test::HasFatalFailure()) return;
       driver.expect_equivalent();
       ASSERT_FALSE(::testing::Test::HasFailure())
-          << "first divergence at seed " << seed << " op " << op
-          << " (sharded workers " << workers_for_seed(seed) << ")";
+          << "first divergence at seed " << seed << " op " << op;
     }
     driver.drain();
     driver.expect_equivalent();
@@ -235,25 +219,14 @@ TEST(FabricEquivalence, ChaosScenarioDigestsBitIdentical) {
     const chaos::RunReport incremental = chaos::run_case(c);
     const chaos::RunReport reference =
         chaos::run_case(c, chaos::RunOptions{.full_recompute = true});
-    const chaos::RunReport sharded = chaos::run_case(
-        c, chaos::RunOptions{.shard_workers = workers_for_seed(seed)});
     EXPECT_EQ(incremental.digest, reference.digest) << "seed " << seed;
-    EXPECT_EQ(incremental.digest, sharded.digest)
-        << "seed " << seed << " (sharded workers " << workers_for_seed(seed)
-        << ")";
     EXPECT_EQ(incremental.violated, reference.violated) << "seed " << seed;
-    EXPECT_EQ(incremental.violated, sharded.violated) << "seed " << seed;
     EXPECT_EQ(incremental.completed_work, reference.completed_work)
         << "seed " << seed;
-    EXPECT_EQ(incremental.completed_work, sharded.completed_work)
-        << "seed " << seed;
     ASSERT_EQ(incremental.outcomes.size(), reference.outcomes.size());
-    ASSERT_EQ(incremental.outcomes.size(), sharded.outcomes.size());
     for (std::size_t i = 0; i < incremental.outcomes.size(); ++i) {
       EXPECT_EQ(incremental.outcomes[i].end_s, reference.outcomes[i].end_s)
           << "seed " << seed << " work item " << i;
-      EXPECT_EQ(incremental.outcomes[i].end_s, sharded.outcomes[i].end_s)
-          << "seed " << seed << " work item " << i << " (sharded)";
     }
     if (incremental.completed_work > 0) ++nontrivial;
   }
@@ -261,52 +234,130 @@ TEST(FabricEquivalence, ChaosScenarioDigestsBitIdentical) {
   EXPECT_GT(nontrivial, kSeeds / 2);
 }
 
-TEST(FabricEquivalence, ShardedDigestsStableAcrossAllWorkerCounts) {
-  // The per-seed cycle above gives every worker count broad coverage; this
-  // holds one fixed scenario to *all* counts side by side, the most direct
-  // statement of "worker count can never change results".
-  constexpr std::uint64_t kSeeds = 8;
-  for (std::uint64_t seed = 11; seed < 11 + kSeeds; ++seed) {
-    const chaos::Case c = chaos::random_case(seed);
-    const chaos::RunReport reference =
-        chaos::run_case(c, chaos::RunOptions{.shard_workers = 1});
-    for (const int workers : kWorkerCycle) {
-      const chaos::RunReport run =
-          chaos::run_case(c, chaos::RunOptions{.shard_workers = workers});
-      EXPECT_EQ(reference.digest, run.digest)
-          << "seed " << seed << " workers " << workers;
-      EXPECT_EQ(reference.violated, run.violated)
-          << "seed " << seed << " workers " << workers;
-    }
+std::uint64_t fnv1a_mix(std::uint64_t hash, std::uint64_t value) {
+  for (int shift = 0; shift < 64; shift += 8) {
+    hash ^= (value >> shift) & 0xff;
+    hash *= 0x100000001b3ull;
   }
+  return hash;
 }
 
-TEST(FabricEquivalence, MetricsCsvByteIdenticalAcrossWorkerCounts) {
-  // Beyond event schedules: the entire exported metrics CSV — including the
-  // net.shard_* diagnostics — must be byte-identical at every worker count
-  // (the shard metrics are functions of the batch structure alone).
-  const chaos::Case c = chaos::random_case(7);
-  std::string reference_csv;
-  for (const int workers : kWorkerCycle) {
-    obs::Recorder rec;
-    std::uint64_t digest = 0;
-    {
-      obs::ScopedRecorder install(&rec);
-      digest =
-          chaos::run_case(c, chaos::RunOptions{.shard_workers = workers})
-              .digest;
-    }
-    const std::string csv = obs::metrics_csv(rec.metrics());
-    if (workers == 1) {
-      reference_csv = csv;
-      ASSERT_FALSE(reference_csv.empty());
-      ASSERT_NE(reference_csv.find("net.shard_batches_total"),
-                std::string::npos);
-    } else {
-      EXPECT_EQ(reference_csv, csv) << "workers " << workers;
-    }
-    EXPECT_NE(digest, 0u);
+struct StormResult {
+  std::uint64_t digest = 0xcbf29ce484222325ull;
+  // Most components one reallocate_now() refilled.
+  std::uint64_t widest_refill = 0;
+};
+
+/// One self-contained run of the component storm: `kPods` disconnected
+/// mini-dumbbells (each pod is its own sharing component, so every
+/// fabric-wide reallocation refills many components), hammered by link
+/// flaps, capacity rewrites, app-throttled flow churn and out-of-band
+/// reallocations from a seeded script. The digest is FNV-1a over every
+/// flow outcome and start rejection.
+StormResult run_component_storm(Fabric::AllocMode mode, std::uint64_t seed) {
+  constexpr int kPods = 24;
+  constexpr int kRounds = 40;
+
+  obs::Recorder recorder;
+  obs::ScopedRecorder install(&recorder);
+  Topology::Builder builder;
+  const AsId as = builder.add_as("AS");
+  NodeId src[kPods], dst[kPods];
+  LinkId shared[kPods];
+  for (int p = 0; p < kPods; ++p) {
+    const NodeId left = builder.add_router(as, "l" + std::to_string(p),
+                                           {50, -100});
+    const NodeId right = builder.add_router(as, "r" + std::to_string(p),
+                                            {50, -99});
+    src[p] = builder.add_host(as, "s" + std::to_string(p), {50, -100});
+    dst[p] = builder.add_host(as, "d" + std::to_string(p), {50, -99});
+    builder.add_duplex(src[p], left, 10000, 0.0005);
+    builder.add_duplex(right, dst[p], 10000, 0.0005);
+    shared[p] = builder.add_duplex(left, right, 100.0, 0.005);
   }
+  auto built = std::move(builder).build();
+  EXPECT_TRUE(built.ok());
+  Topology topo = std::move(built).value();
+  RouteTable routes(&topo);
+  sim::Simulator simulator;
+  Fabric fabric(&simulator, &topo, &routes);
+  fabric.set_alloc_mode(mode);
+  const obs::Counter* components =
+      recorder.metrics().counter("net.realloc_components_total");
+
+  StormResult result;
+  util::Rng rng(seed);
+  std::vector<LinkId> failed;
+  for (int round = 0; round < kRounds; ++round) {
+    // Start a throttled flow in most pods, so the flap/rewrite events below
+    // each find many live components.
+    for (int p = 0; p < kPods; ++p) {
+      if (rng.uniform() < 0.2) continue;
+      FlowOptions options;
+      options.charge_slow_start = false;
+      options.app_cap_mbps = rng.uniform() < 0.5 ? rng.uniform(5.0, 60.0) : 0.0;
+      const std::uint64_t bytes =
+          static_cast<std::uint64_t>(rng.uniform_int(1, 8)) * util::kMB;
+      auto flow = fabric.start_flow(
+          src[p], dst[p], bytes,
+          [&result](const FlowStats& stats) {
+            std::uint64_t end_bits;
+            static_assert(sizeof end_bits == sizeof stats.end_time);
+            std::memcpy(&end_bits, &stats.end_time, sizeof end_bits);
+            result.digest = fnv1a_mix(result.digest, stats.id);
+            result.digest = fnv1a_mix(result.digest, end_bits);
+            result.digest = fnv1a_mix(
+                result.digest, static_cast<std::uint64_t>(stats.outcome));
+          },
+          options);
+      // Flows into a pod whose shared link is down are unroutable — that
+      // rejection must be deterministic too.
+      result.digest =
+          fnv1a_mix(result.digest, flow.ok() ? flow.value() : ~0ull);
+    }
+    // Link flap storm: fail a couple of pod bottlenecks, restore the oldest.
+    for (int flap = 0; flap < 2; ++flap) {
+      const LinkId link = shared[rng.uniform_int(0, kPods - 1)];
+      fabric.fail_link(link);
+      failed.push_back(link);
+    }
+    while (failed.size() > 3) {
+      fabric.restore_link(failed.front());
+      failed.erase(failed.begin());
+    }
+    // Capacity storm: rewrite several bottlenecks, then one fabric-wide
+    // reallocation, which refills every live component.
+    for (int rewrite = 0; rewrite < 4; ++rewrite) {
+      const LinkId link = shared[rng.uniform_int(0, kPods - 1)];
+      EXPECT_TRUE(
+          topo.set_link_capacity(link, rng.uniform(20.0, 500.0)).ok());
+    }
+    const std::uint64_t before = components->value();
+    fabric.reallocate_now();
+    result.widest_refill =
+        std::max(result.widest_refill, components->value() - before);
+    simulator.run_until(simulator.now() + rng.uniform(0.05, 0.6));
+  }
+  simulator.run();
+  EXPECT_EQ(simulator.pending(), 0u) << "events leaked after drain";
+  EXPECT_EQ(fabric.active_flow_count(), 0u);
+  result.digest = fnv1a_mix(result.digest, fabric.delivered_bytes());
+  return result;
+}
+
+TEST(FabricEquivalence, ComponentStormDigestsBitIdentical) {
+  const StormResult first =
+      run_component_storm(Fabric::AllocMode::kIncremental, /*seed=*/17);
+  const StormResult again =
+      run_component_storm(Fabric::AllocMode::kIncremental, /*seed=*/17);
+  EXPECT_EQ(first.digest, again.digest) << "same-seed storm diverged";
+  const StormResult reference =
+      run_component_storm(Fabric::AllocMode::kFullRecompute, /*seed=*/17);
+  EXPECT_EQ(first.digest, reference.digest)
+      << "incremental and full-recompute storms diverged";
+  // The storm must refill several components in one reallocation, or it
+  // would not exercise the multi-component path at all.
+  EXPECT_GT(first.widest_refill, 1u);
 }
 
 }  // namespace

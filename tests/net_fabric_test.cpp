@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdlib>
 #include <functional>
 #include <limits>
 #include <map>
@@ -479,13 +478,7 @@ TEST(Fabric, FullRecomputeModeMatchesIncrementalRates) {
   // broad version of this check lives in fabric_equivalence_test.cpp).
   Dumbbell inc(100.0), full(100.0);
   full.fabric->set_alloc_mode(Fabric::AllocMode::kFullRecompute);
-  // The default is incremental unless the DROUTE_SHARD_WORKERS env override
-  // picked sharded (the sharded CI leg) — either way, not full recompute,
-  // and either way bit-identical to it.
-  EXPECT_NE(inc.fabric->alloc_mode(), Fabric::AllocMode::kFullRecompute);
-  if (std::getenv("DROUTE_SHARD_WORKERS") == nullptr) {
-    EXPECT_EQ(inc.fabric->alloc_mode(), Fabric::AllocMode::kIncremental);
-  }
+  EXPECT_EQ(inc.fabric->alloc_mode(), Fabric::AllocMode::kIncremental);
 
   FlowOptions options;
   options.charge_slow_start = false;

@@ -163,15 +163,11 @@ constexpr std::uint64_t kCampaignCsvDigest = 0xe14f6b9b82df52deull;
 // and the transfer.batch_inflight gauge to the export. All pre-existing
 // metric values are unchanged, and the campaign CSV digest above is
 // untouched — the batch layer adds no sim events.
-// Recaptured once for the sharded allocator (DESIGN.md §16): every fabric
-// now exports the shard-boundary diagnostics net.shard_batches_total /
-// net.shard_fills_total / net.shard_batch_components /
-// net.shard_imbalance_ratio. Their values are derived from the fill-batch
-// structure alone, so they — and therefore this digest — are identical in
-// every AllocMode and at every DROUTE_SHARD_WORKERS worker count; the
-// sharded CI leg re-runs this test to prove it. All pre-existing metric
-// values and the campaign CSV digest above are untouched.
-constexpr std::uint64_t kMetricsCsvDigest = 0x821bf530ef2e5c0full;
+// Recaptured once when the sharded allocator was deleted: the 11 rows of
+// its four shard diagnostics (2 counters, 1 gauge, 8 histogram rows) left
+// the export. Every remaining row is byte-identical, and the campaign CSV
+// digest above is untouched.
+constexpr std::uint64_t kMetricsCsvDigest = 0xc90400f28f969629ull;
 
 TEST(CampaignGolden, PaperScaleCampaignCsvIsByteIdentical) {
   const measure::Campaign campaign = paper_campaign();

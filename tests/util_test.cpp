@@ -239,12 +239,6 @@ TEST(ThreadPool, RunsAllTasks) {
   EXPECT_EQ(counter.load(), 100);
 }
 
-TEST(ThreadPool, SubmitReturnsValue) {
-  ThreadPool pool(2);
-  auto future = pool.submit([] { return 6 * 7; });
-  EXPECT_EQ(future.get(), 42);
-}
-
 TEST(ThreadPool, PropagatesExceptions) {
   ThreadPool pool(2);
   EXPECT_THROW(
@@ -292,48 +286,15 @@ TEST(ThreadPool, ParallelForRethrowsLowestFailingIndex) {
   }
 }
 
-TEST(ThreadPool, ParallelForReduceFoldsInIndexOrder) {
-  // The fold must be the serial left fold regardless of pool size: string
-  // concatenation is order-sensitive, so any scheduling leak shows up.
-  for (std::size_t threads : {1u, 2u, 4u, 8u}) {
-    ThreadPool pool(threads);
-    const std::string folded = pool.parallel_for_reduce(
-        10, std::string{},
-        [](std::size_t i) { return std::to_string(i); },
-        [](std::string acc, std::string r) { return acc + r; });
-    EXPECT_EQ(folded, "0123456789") << threads << " threads";
-  }
-}
-
-TEST(ThreadPool, ParallelForReduceFloatingPointIsPoolSizeInvariant) {
-  // Left-fold summation of values at wildly different magnitudes is not
-  // associative in floating point; bit-identical results across pool sizes
-  // prove the reduction tree depends on the count alone.
-  const auto run = [](std::size_t threads) {
-    ThreadPool pool(threads);
-    return pool.parallel_for_reduce(
-        1000, 0.0,
-        [](std::size_t i) {
-          return std::ldexp(1.0, static_cast<int>(i % 64) - 32);
-        },
-        [](double acc, double r) { return acc + r; });
-  };
-  const double reference = run(1);
-  for (std::size_t threads : {2u, 3u, 4u, 8u}) {
-    EXPECT_EQ(reference, run(threads)) << threads << " threads";
-  }
-}
-
 TEST(ThreadPool, NestedParallelForFromWorkerRunsInline) {
   // A worker of the pool re-entering parallel_for must not deadlock waiting
   // on tasks only it could drain; the batch runs inline instead.
   ThreadPool pool(1);
   std::atomic<int> inner{0};
-  auto outer = pool.submit([&] {
+  pool.parallel_for(3, [&](std::size_t) {
     pool.parallel_for(5, [&](std::size_t) { inner.fetch_add(1); });
-    return inner.load();
   });
-  EXPECT_EQ(outer.get(), 5);
+  EXPECT_EQ(inner.load(), 15);
 }
 
 // ------------------------------------------------------------------ blob ----
