@@ -6,6 +6,8 @@
 
 #include "common.h"
 #include "core/multihop.h"
+#include "scenario/foreground.h"
+#include "sim/task.h"
 #include "util/table.h"
 #include "util/units.h"
 
@@ -40,16 +42,13 @@ int main() {
   // Legs into Google Drive from every site.
   for (const auto& [a, node_a] : sites) {
     auto world = scenario::World::create(config);
-    bool done = false;
-    double elapsed = 0.0;
-    world->api_engine(cloud::ProviderKind::kGoogleDrive)
-        .upload(world->node(node_a), transfer::make_file_mb(50, 1),
-                [&](const transfer::UploadResult& r) {
-                  done = true;
-                  elapsed = r.success ? r.duration_s() : 1e9;
-                });
-    world->simulator().run();
-    if (done) matrix.set(a, "GDrive", elapsed);
+    auto task = world->api_engine(cloud::ProviderKind::kGoogleDrive)
+                    .upload_task(world->node(node_a),
+                                 transfer::make_file_mb(50, 1));
+    if (sim::drive(world->simulator(), task, scenario::kForegroundDeadlineS)) {
+      const auto elapsed = scenario::fold_elapsed(task.result());
+      matrix.set(a, "GDrive", elapsed.ok() ? elapsed.value() : 1e9);
+    }
   }
   // Direct client->GDrive entries must use the measured *direct* route,
   // with cross traffic on: congestion is exactly what the direct paths

@@ -9,6 +9,8 @@
 #include <cstdio>
 
 #include "common.h"
+#include "scenario/foreground.h"
+#include "sim/task.h"
 #include "transfer/parallel.h"
 #include "util/table.h"
 #include "util/units.h"
@@ -30,19 +32,22 @@ int main() {
     auto world = scenario::World::create(config);
     transfer::ParallelPushEngine engine(&world->fabric());
     transfer::FileSpec file = transfer::make_file_mb(100, 1);
-    transfer::ParallelPushResult result;
-    engine.push(world->client_node(scenario::Client::kUBC),
-                world->provider_node(cloud::ProviderKind::kGoogleDrive), file,
-                streams,
-                [&](const transfer::ParallelPushResult& r) { result = r; });
-    world->simulator().run();
-    if (!result.success) {
-      std::fprintf(stderr, "push failed: %s\n", result.error.c_str());
+    auto task = engine.push_task(
+        world->client_node(scenario::Client::kUBC),
+        world->provider_node(cloud::ProviderKind::kGoogleDrive), file,
+        streams);
+    const auto elapsed =
+        sim::drive(world->simulator(), task, scenario::kForegroundDeadlineS)
+            ? scenario::fold_elapsed(task.result())
+            : util::Error::make("did not finish");
+    if (!elapsed.ok()) {
+      std::fprintf(stderr, "push failed: %s\n",
+                   elapsed.error().message.c_str());
       return 1;
     }
     raw.add_row({std::to_string(streams),
-                 util::fmt_seconds(result.duration_s()),
-                 util::fmt_double(kBytes * 8e-6 / result.duration_s(), 1),
+                 util::fmt_seconds(elapsed.value()),
+                 util::fmt_double(kBytes * 8e-6 / elapsed.value(), 1),
                  streams == 1 ? "policer-bound (9.3 Mbps/flow)"
                               : "policer defeated per stream"});
   }

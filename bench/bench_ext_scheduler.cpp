@@ -9,6 +9,7 @@
 #include "common.h"
 #include "core/scheduler.h"
 #include "measure/workload.h"
+#include "scenario/foreground.h"
 #include "stats/histogram.h"
 #include "util/rng.h"
 #include "util/table.h"
@@ -54,17 +55,18 @@ PolicyRun run_policy(bool use_overlay, std::uint64_t seed) {
     file.bytes = job.bytes;
     file.name = job.id;
     const auto client = world->client_node(scenario::Client::kPurdue);
+    auto report = [done](const auto& joined) {
+      const auto elapsed = scenario::fold_elapsed(joined);
+      done(elapsed.ok(), elapsed.ok() ? "" : elapsed.error().message);
+    };
     if (route == "Direct") {
-      world->api_engine(provider).upload(
-          client, file,
-          [done](const transfer::UploadResult& r) { done(r.success, r.error); });
+      auto task = world->api_engine(provider).upload_task(client, file);
+      task.on_done(report);
     } else {
-      world->detour_engine(provider).transfer(
+      auto task = world->detour_engine(provider).transfer_task(
           client,
-          world->intermediate_node(scenario::Intermediate::kUAlberta), file,
-          [done](const transfer::DetourResult& r) {
-            done(r.success, r.error);
-          });
+          world->intermediate_node(scenario::Intermediate::kUAlberta), file);
+      task.on_done(report);
     }
   };
 

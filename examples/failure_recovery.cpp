@@ -10,6 +10,7 @@
 #include "core/advisor.h"
 #include "core/monitor.h"
 #include "core/overlay.h"
+#include "scenario/foreground.h"
 #include "scenario/north_america.h"
 #include "sim/task.h"
 #include "trace/route_monitor.h"
@@ -51,11 +52,10 @@ int main() {
 
   auto probe = [&]() -> double {
     auto task = probe_leg(*world);
-    while (!task.done() && world->simulator().step()) {
+    if (!sim::drive(world->simulator(), task, scenario::kForegroundDeadlineS)) {
+      return 0.0;  // missed: drive() cancelled and unwound the probe
     }
-    if (!task.done()) task.cancel();  // starved: unwind the frame
-    if (!task.result().ok()) return 0.0;
-    return task.result().value();
+    return task.result().ok() ? task.result().value() : 0.0;
   };
 
   std::printf("phase 1: steady state probes of the UBC->UAlberta leg\n");

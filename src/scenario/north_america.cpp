@@ -5,6 +5,7 @@
 #include "check/contract.h"
 #include "cloud/oauth.h"
 #include "geo/geo.h"
+#include "scenario/foreground.h"
 #include "sim/task.h"
 #include "transfer/rsync_engine.h"
 #include "transfer/steered.h"
@@ -47,35 +48,6 @@ constexpr double kCwI2Loss = 0.03;
 
 constexpr double kWide = 10000.0;   // effectively-unconstrained backbone Mbps
 constexpr double kCampus = 1000.0;  // campus LAN Mbps
-
-constexpr double kForegroundDeadlineS = 36000.0;  // simulated-time safety cap
-
-// Drives `task` to completion, bounded by `deadline_s` of simulated time.
-// Returns false when the deadline (or event starvation) hit first; in that
-// case the task is cancelled and the cancellation drained, so its frame has
-// unwound (flows aborted, sessions released) before the caller returns.
-template <typename R>
-bool drive(sim::Simulator& simulator, sim::Task<R>& task, double deadline_s) {
-  const double start = simulator.now();
-  while (!task.done() && simulator.now() - start < deadline_s) {
-    if (!simulator.step()) break;
-  }
-  if (task.done()) return true;
-  task.cancel();
-  while (!task.done() && simulator.step()) {
-  }
-  return false;
-}
-
-// Folds an engine task's join result into the campaign's Result<double>:
-// Task-level errors (escaped exceptions, cancellation) and domain failures
-// both surface as errors; success yields the transfer's elapsed seconds.
-template <typename R>
-util::Result<double> fold_elapsed(const util::Result<R>& joined) {
-  if (!joined.ok()) return util::Error{joined.error()};
-  if (!joined.value().success) return util::Error::make(joined.value().error);
-  return joined.value().duration_s();
-}
 
 }  // namespace
 
@@ -632,7 +604,7 @@ util::Result<std::string> World::stage_object(cloud::ProviderKind provider,
 
   auto task = api_engine(provider).upload_task(
       intermediate_node(Intermediate::kUAlberta), file);
-  if (!drive(simulator_, task, kForegroundDeadlineS)) {
+  if (!sim::drive(simulator_, task, kForegroundDeadlineS)) {
     return util::Error::make("stage_object failed: ");
   }
   const auto& joined = task.result();
@@ -656,7 +628,7 @@ util::Result<double> World::run_download(Client client,
 
   if (route == RouteChoice::kDirect) {
     auto task = download_engine(provider).download_task(dst, name);
-    if (drive(simulator_, task, kForegroundDeadlineS)) {
+    if (sim::drive(simulator_, task, kForegroundDeadlineS)) {
       elapsed = fold_elapsed(task.result());
     }
   } else {
@@ -664,7 +636,7 @@ util::Result<double> World::run_download(Client client,
         route == RouteChoice::kViaUAlberta ? Intermediate::kUAlberta
                                            : Intermediate::kUMich);
     auto task = detour_download_engine(provider).download_task(dst, via, name);
-    if (drive(simulator_, task, kForegroundDeadlineS)) {
+    if (sim::drive(simulator_, task, kForegroundDeadlineS)) {
       elapsed = fold_elapsed(task.result());
     }
   }
@@ -689,7 +661,7 @@ util::Result<double> World::run_upload(Client client,
 
   if (route == RouteChoice::kDirect) {
     auto task = api_engine(provider).upload_task(src, sized);
-    if (drive(simulator_, task, kForegroundDeadlineS)) {
+    if (sim::drive(simulator_, task, kForegroundDeadlineS)) {
       elapsed = fold_elapsed(task.result());
     }
   } else {
@@ -699,7 +671,7 @@ util::Result<double> World::run_upload(Client client,
     transfer::DetourOptions options;
     options.mode = mode;
     auto task = detour_engine(provider).transfer_task(src, via, sized, options);
-    if (drive(simulator_, task, kForegroundDeadlineS)) {
+    if (sim::drive(simulator_, task, kForegroundDeadlineS)) {
       elapsed = fold_elapsed(task.result());
     }
   }
@@ -718,7 +690,7 @@ util::Result<double> World::run_rsync(const std::string& src_node,
   util::Result<double> elapsed =
       util::Error::make("rsync did not finish (deadline)");
   auto task = engine.push_task(node(src_node), node(dst_node), file);
-  if (drive(simulator_, task, kForegroundDeadlineS)) {
+  if (sim::drive(simulator_, task, kForegroundDeadlineS)) {
     elapsed = fold_elapsed(task.result());
   }
   for (auto& source : cross_) source->stop();
@@ -755,7 +727,7 @@ util::Result<double> World::run_steered_upload(cloud::ProviderKind provider,
   util::Result<double> elapsed =
       util::Error::make("steered upload did not finish (deadline)");
   auto task = engine.upload_task(src, file);
-  if (drive(simulator_, task, kForegroundDeadlineS)) {
+  if (sim::drive(simulator_, task, kForegroundDeadlineS)) {
     elapsed = fold_elapsed(task.result());
   }
   return elapsed;

@@ -1,6 +1,8 @@
 #include "scenario/science_dmz.h"
 
 #include "check/contract.h"
+#include "scenario/foreground.h"
+#include "sim/task.h"
 #include "transfer/file_spec.h"
 #include "util/units.h"
 
@@ -82,30 +84,18 @@ util::Result<double> ScienceDmzWorld::run_upload(Path path,
       std::max<std::uint64_t>(1, bytes / util::kMB), ++upload_counter_);
   file.bytes = bytes;
 
-  bool done = false;
-  bool ok = false;
-  std::string error;
-  double elapsed = 0.0;
+  util::Result<double> elapsed = util::Error::make("upload did not finish");
   if (path == Path::kThroughFirewall) {
-    api_->upload(lab_host_, file, [&](const transfer::UploadResult& result) {
-      done = true;
-      ok = result.success;
-      error = result.error;
-      elapsed = result.duration_s();
-    });
+    auto task = api_->upload_task(lab_host_, file);
+    if (sim::drive(simulator_, task, kForegroundDeadlineS)) {
+      elapsed = fold_elapsed(task.result());
+    }
   } else {
-    detour_->transfer(lab_host_, dtn_, file,
-                      [&](const transfer::DetourResult& result) {
-                        done = true;
-                        ok = result.success;
-                        error = result.error;
-                        elapsed = result.duration_s();
-                      });
+    auto task = detour_->transfer_task(lab_host_, dtn_, file);
+    if (sim::drive(simulator_, task, kForegroundDeadlineS)) {
+      elapsed = fold_elapsed(task.result());
+    }
   }
-  while (!done && simulator_.step()) {
-  }
-  if (!done) return util::Error::make("upload did not finish");
-  if (!ok) return util::Error::make(error);
   return elapsed;
 }
 

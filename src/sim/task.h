@@ -1,8 +1,7 @@
 // Structured concurrency over the discrete-event kernel (C++20).
 //
-// sim::Task<T> is a value-returning, joinable, cancellable coroutine: the
-// production successor of the detached sim::Process (process.h is now a
-// thin alias over Task<void>). A multi-leg transfer reads top-to-bottom:
+// sim::Task<T> is a value-returning, joinable, cancellable coroutine. A
+// multi-leg transfer reads top-to-bottom:
 //
 //   sim::Task<double> detour(net::Fabric& fabric, ...) {
 //     auto leg1 = net::transfer(fabric, client, dtn, bytes);
@@ -19,10 +18,10 @@
 //   * co_return maps onto util::Result<T>: a task can return a T, a
 //     util::Error, or a whole util::Result<T>. Task<void> completes with a
 //     util::Status. An exception escaping the body is caught and becomes
-//     an error result — never std::terminate (the old Process policy).
-//   * Join: poll done()/result(), register on_done(fn), or co_await the
-//     task from another task (completion resumes the awaiter in the same
-//     sim event, like a callback would have fired).
+//     an error result — never std::terminate.
+//   * Join: poll done()/result(), register on_done(fn), co_await the task
+//     from another task (completion resumes the awaiter in the same sim
+//     event), or run it from plain code with drive(simulator, task, dt).
 //   * Cancellation is cooperative: cancel() sets a flag and cancels the
 //     awaitable the task is currently parked on (pending sim event,
 //     in-flight fabric flow, Notify wait). The body resumes, observes the
@@ -30,8 +29,9 @@
 //     completes with kAborted), runs its cleanup, and co_returns normally
 //     — frames are never destroyed mid-body, so RAII cleanup always runs.
 //   * Lifetime: every pending resume lives in the simulator's queue, so a
-//     Task must not outlive its Simulator (cancel() it first if tearing
-//     down early). See DESIGN.md §10.
+//     Task must not outlive its Simulator (cancel() it and drain first if
+//     tearing down early; drive() does both when the task misses its
+//     deadline). See DESIGN.md §10.
 //   * Awaiting is lvalue-only (awaiter methods are &-qualified): GCC 12
 //     miscompiles temporaries awaited directly in a co_await expression
 //     (GCC PR 99576 family), so `co_await make_task()` is rejected at
@@ -528,6 +528,24 @@ Task<T> with_timeout(Simulator& simulator, Task<T> task, Time dt) {  // NOLINT(c
         "timed out after " + std::to_string(dt) + " s", kErrTimeout);
   }
   co_return result;
+}
+
+/// Steps `simulator` until `task` finishes or `deadline_s` of simulated
+/// time has passed since the call. Returns true when the task finished.
+/// Otherwise (deadline, or the queue ran dry with the task still parked)
+/// the task is cancelled and the cancellation drained, so its frame has
+/// unwound (flows aborted, sessions released) before drive() returns false.
+template <typename R>
+bool drive(Simulator& simulator, Task<R>& task, double deadline_s) {
+  const double start = simulator.now();
+  while (!task.done() && simulator.now() - start < deadline_s) {
+    if (!simulator.step()) break;
+  }
+  if (task.done()) return true;
+  task.cancel();
+  while (!task.done() && simulator.step()) {
+  }
+  return false;
 }
 
 }  // namespace droute::sim

@@ -113,24 +113,4 @@ sim::Task<DownloadResult> ApiDownloadEngine::download_task(
   co_return result;
 }
 
-void ApiDownloadEngine::download(net::NodeId client, const std::string& name,
-                                 Callback done, ApiDownloadOptions options) {
-  // Folded task_shim: the Task error channel (escaped exception,
-  // cancellation) maps back onto {success, error}; `done` fires exactly once.
-  sim::Simulator* simulator = fabric_->simulator();
-  auto task = download_task(client, name, options);
-  task.on_done([done = std::move(done),
-                simulator](const util::Result<DownloadResult>& result) {
-    if (result.ok()) {
-      done(result.value());
-      return;
-    }
-    DownloadResult failed{};
-    failed.success = false;
-    failed.error = result.error().message;
-    failed.start_time = failed.end_time = simulator->now();
-    done(failed);
-  });
-}
-
 }  // namespace droute::transfer

@@ -4,7 +4,6 @@
 // committed digest.
 #pragma once
 
-#include <functional>
 #include <string>
 
 #include "cloud/oauth.h"
@@ -35,8 +34,6 @@ struct ApiDownloadOptions {
 
 class ApiDownloadEngine {
  public:
-  using Callback = std::function<void(const DownloadResult&)>;
-
   ApiDownloadEngine(net::Fabric* fabric, cloud::StorageServer* server,
                     net::NodeId server_node);
 
@@ -47,10 +44,6 @@ class ApiDownloadEngine {
   /// `client`. Domain failures land inside DownloadResult.
   sim::Task<DownloadResult> download_task(net::NodeId client, std::string name,
                                           ApiDownloadOptions options = {});
-
-  /// Legacy callback shim over download_task(); `done` fires exactly once.
-  void download(net::NodeId client, const std::string& name, Callback done,
-                ApiDownloadOptions options = {});
 
   /// The batched submission layer every ranged GET routes through.
   TransferEngine& batch_engine() { return xfer_; }

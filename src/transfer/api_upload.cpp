@@ -191,25 +191,4 @@ sim::Task<UploadResult> ApiUploadEngine::upload_task(net::NodeId client,
   co_return result;
 }
 
-void ApiUploadEngine::upload(net::NodeId client, const FileSpec& file,
-                             Callback done, ApiUploadOptions options) {
-  // Fold of the old task_shim: domain failures already live inside the
-  // result struct; the Task error channel (escaped exception, cancellation)
-  // is folded back into {success, error} so `done` fires exactly once.
-  sim::Simulator* simulator = fabric_->simulator();
-  auto task = upload_task(client, file, options);
-  task.on_done([done = std::move(done),
-                simulator](const util::Result<UploadResult>& result) {
-    if (result.ok()) {
-      done(result.value());
-      return;
-    }
-    UploadResult failed{};
-    failed.success = false;
-    failed.error = result.error().message;
-    failed.start_time = failed.end_time = simulator->now();
-    done(failed);
-  });
-}
-
 }  // namespace droute::transfer

@@ -3,7 +3,6 @@
 // updating the provider's StorageServer state machine as chunks land.
 #pragma once
 
-#include <functional>
 #include <string>
 
 #include "cloud/oauth.h"
@@ -45,8 +44,6 @@ struct ApiUploadOptions {
 /// Asynchronous engine bound to one provider front-end node.
 class ApiUploadEngine {
  public:
-  using Callback = std::function<void(const UploadResult&)>;
-
   ApiUploadEngine(net::Fabric* fabric, cloud::StorageServer* server,
                   net::NodeId server_node);
 
@@ -59,10 +56,6 @@ class ApiUploadEngine {
   /// channel carries only escaped exceptions / cancellation.
   sim::Task<UploadResult> upload_task(net::NodeId client, FileSpec file,
                                       ApiUploadOptions options = {});
-
-  /// Legacy callback shim over upload_task(); `done` fires exactly once.
-  void upload(net::NodeId client, const FileSpec& file, Callback done,
-              ApiUploadOptions options = {});
 
   /// The batched submission layer every chunk PUT routes through (chaos
   /// leak audits poll batches_inflight() here).

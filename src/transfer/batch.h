@@ -14,8 +14,8 @@
 //
 // Launch is deferred: requests hit the Transport inside the awaiter's
 // await_suspend (or an explicit start()/wait()), never at submit time. This
-// is what makes the six legacy engines event-schedule-identical to their
-// pre-batch form — a single-request batch starts its flow at exactly the
+// is what keeps every engine event-schedule-identical to its pre-batch
+// form — a single-request batch starts its flow at exactly the
 // co_await point where `co_await net::transfer(...)` used to start it, the
 // completion resumes the awaiter in the same sim event the flow callback
 // used to, and a parent task cancelled before the co_await never touches
@@ -114,7 +114,7 @@ struct RequestStatus {
   }
   bool completed() const { return state == RequestState::kCompleted; }
   /// The request never ran: refused synchronously or cancelled pre-start.
-  /// Legacy engines surface these as "<leg> flow rejected: <error>".
+  /// Engines surface these as "<leg> flow rejected: <error>".
   bool rejected() const {
     return state == RequestState::kRejected ||
            state == RequestState::kCancelled;

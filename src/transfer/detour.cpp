@@ -53,27 +53,6 @@ sim::Task<DetourResult> DetourEngine::transfer_task(net::NodeId client,
              : pipelined_task(client, intermediate, std::move(file), options);
 }
 
-void DetourEngine::transfer(net::NodeId client, net::NodeId intermediate,
-                            const FileSpec& file, Callback done,
-                            DetourOptions options) {
-  // Folded task_shim: the Task error channel (escaped exception,
-  // cancellation) maps back onto {success, error}; `done` fires exactly once.
-  sim::Simulator* simulator = fabric_->simulator();
-  auto task = transfer_task(client, intermediate, file, options);
-  task.on_done([done = std::move(done),
-                simulator](const util::Result<DetourResult>& result) {
-    if (result.ok()) {
-      done(result.value());
-      return;
-    }
-    DetourResult failed{};
-    failed.success = false;
-    failed.error = result.error().message;
-    failed.start_time = failed.end_time = simulator->now();
-    done(failed);
-  });
-}
-
 sim::Task<DetourResult> DetourEngine::store_and_forward_task(
     net::NodeId client, net::NodeId intermediate, FileSpec file,
     DetourOptions options) {

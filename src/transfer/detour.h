@@ -11,7 +11,6 @@
 // approaches the slower leg plus one chunk's worth of the other.
 #pragma once
 
-#include <functional>
 #include <string>
 
 #include "sim/task.h"
@@ -43,8 +42,6 @@ struct DetourOptions {
 
 class DetourEngine {
  public:
-  using Callback = std::function<void(const DetourResult&)>;
-
   /// `api` is bound to the destination provider's front-end node.
   DetourEngine(net::Fabric* fabric, ApiUploadEngine* api)
       : fabric_(fabric), api_(api), rsync_(fabric), transport_(fabric),
@@ -58,10 +55,6 @@ class DetourEngine {
                                         net::NodeId intermediate,
                                         FileSpec file,
                                         DetourOptions options = {});
-
-  /// Legacy callback shim over transfer_task(); `done` fires exactly once.
-  void transfer(net::NodeId client, net::NodeId intermediate,
-                const FileSpec& file, Callback done, DetourOptions options = {});
 
   /// The batched submission layer the pipelined relay hops route through
   /// (store-and-forward legs go through rsync()/the API engine instead).

@@ -1,7 +1,5 @@
 #include "transfer/detour_download.h"
 
-#include <utility>
-
 #include "transfer/file_spec.h"
 
 namespace droute::transfer {
@@ -62,27 +60,6 @@ sim::Task<DownloadDetourResult> DetourDownloadEngine::download_task(
   }
   result.end_time = simulator.now();
   co_return result;
-}
-
-void DetourDownloadEngine::download(net::NodeId client,
-                                    net::NodeId intermediate,
-                                    const std::string& name, Callback done) {
-  // Folded task_shim: the Task error channel (escaped exception,
-  // cancellation) maps back onto {success, error}; `done` fires exactly once.
-  sim::Simulator* simulator = fabric_->simulator();
-  auto task = download_task(client, intermediate, name);
-  task.on_done([done = std::move(done),
-                simulator](const util::Result<DownloadDetourResult>& result) {
-    if (result.ok()) {
-      done(result.value());
-      return;
-    }
-    DownloadDetourResult failed{};
-    failed.success = false;
-    failed.error = result.error().message;
-    failed.start_time = failed.end_time = simulator->now();
-    done(failed);
-  });
 }
 
 }  // namespace droute::transfer

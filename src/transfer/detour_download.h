@@ -4,7 +4,6 @@
 // Store-and-forward: total = leg1 + leg2.
 #pragma once
 
-#include <functional>
 #include <string>
 
 #include "sim/task.h"
@@ -27,8 +26,6 @@ struct DownloadDetourResult {
 
 class DetourDownloadEngine {
  public:
-  using Callback = std::function<void(const DownloadDetourResult&)>;
-
   DetourDownloadEngine(net::Fabric* fabric, ApiDownloadEngine* api)
       : fabric_(fabric), api_(api), rsync_(fabric) {}
 
@@ -36,10 +33,6 @@ class DetourDownloadEngine {
   sim::Task<DownloadDetourResult> download_task(net::NodeId client,
                                                 net::NodeId intermediate,
                                                 std::string name);
-
-  /// Legacy callback shim over download_task(); `done` fires exactly once.
-  void download(net::NodeId client, net::NodeId intermediate,
-                const std::string& name, Callback done);
 
   /// The embedded DTN -> client rsync engine (leg 2); its flows and the
   /// API leg's all route through per-engine batch layers.

@@ -84,25 +84,4 @@ sim::Task<ParallelPushResult> ParallelPushEngine::push_task(net::NodeId src,
   co_return result;
 }
 
-void ParallelPushEngine::push(net::NodeId src, net::NodeId dst,
-                              const FileSpec& file, int streams,
-                              Callback done) {
-  // Folded task_shim: the Task error channel (escaped exception,
-  // cancellation) maps back onto {success, error}; `done` fires exactly once.
-  sim::Simulator* simulator = fabric_->simulator();
-  auto task = push_task(src, dst, file, streams);
-  task.on_done([done = std::move(done),
-                simulator](const util::Result<ParallelPushResult>& result) {
-    if (result.ok()) {
-      done(result.value());
-      return;
-    }
-    ParallelPushResult failed{};
-    failed.success = false;
-    failed.error = result.error().message;
-    failed.start_time = failed.end_time = simulator->now();
-    done(failed);
-  });
-}
-
 }  // namespace droute::transfer

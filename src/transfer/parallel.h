@@ -11,7 +11,6 @@
 // (bench_abl_streams) quantifies both facts.
 #pragma once
 
-#include <functional>
 #include <string>
 
 #include "net/fabric.h"
@@ -36,8 +35,6 @@ struct ParallelPushResult {
 
 class ParallelPushEngine {
  public:
-  using Callback = std::function<void(const ParallelPushResult&)>;
-
   explicit ParallelPushEngine(net::Fabric* fabric)
       : fabric_(fabric), transport_(fabric), xfer_(&transport_) {}
 
@@ -46,10 +43,6 @@ class ParallelPushEngine {
   /// contiguous stripe. streams must be >= 1.
   sim::Task<ParallelPushResult> push_task(net::NodeId src, net::NodeId dst,
                                           FileSpec file, int streams);
-
-  /// Legacy callback shim over push_task(); `done` fires exactly once.
-  void push(net::NodeId src, net::NodeId dst, const FileSpec& file,
-            int streams, Callback done);
 
   /// The batched submission layer the stripe fan-out routes through.
   TransferEngine& batch_engine() { return xfer_; }

@@ -149,24 +149,4 @@ sim::Task<RsyncResult> RsyncEngine::push_task(net::NodeId src, net::NodeId dst,
   co_return result;
 }
 
-void RsyncEngine::push(net::NodeId src, net::NodeId dst, const FileSpec& file,
-                       Callback done, RsyncOptions options) {
-  // Folded task_shim: the Task error channel (escaped exception,
-  // cancellation) maps back onto {success, error}; `done` fires exactly once.
-  sim::Simulator* simulator = fabric_->simulator();
-  auto task = push_task(src, dst, file, options);
-  task.on_done([done = std::move(done),
-                simulator](const util::Result<RsyncResult>& result) {
-    if (result.ok()) {
-      done(result.value());
-      return;
-    }
-    RsyncResult failed{};
-    failed.success = false;
-    failed.error = result.error().message;
-    failed.start_time = failed.end_time = simulator->now();
-    done(failed);
-  });
-}
-
 }  // namespace droute::transfer

@@ -9,7 +9,6 @@
 // payload cost on both legs.
 #pragma once
 
-#include <functional>
 #include <optional>
 #include <string>
 
@@ -46,8 +45,6 @@ struct RsyncOptions {
 
 class RsyncEngine {
  public:
-  using Callback = std::function<void(const RsyncResult&)>;
-
   explicit RsyncEngine(net::Fabric* fabric)
       : fabric_(fabric), transport_(fabric), xfer_(&transport_) {}
 
@@ -57,10 +54,6 @@ class RsyncEngine {
   /// only escaped exceptions / cancellation.
   sim::Task<RsyncResult> push_task(net::NodeId src, net::NodeId dst,
                                    FileSpec file, RsyncOptions options = {});
-
-  /// Legacy callback shim over push_task(); `done` fires exactly once.
-  void push(net::NodeId src, net::NodeId dst, const FileSpec& file,
-            Callback done, RsyncOptions options = {});
 
   /// The batched submission layer both session legs route through.
   TransferEngine& batch_engine() { return xfer_; }

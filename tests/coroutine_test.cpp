@@ -1,5 +1,6 @@
 // C++20 coroutine layer tests: sim::Task<T> (values, errors, cancellation,
-// combinators), sim::Process compatibility, and the net::transfer awaitable.
+// combinators, sim::drive), Task<void> scripts, and the net::transfer
+// awaitable.
 #include <gtest/gtest.h>
 
 #include <stdexcept>
@@ -9,7 +10,6 @@
 
 #include "net/fabric_await.h"
 #include "scenario/north_america.h"
-#include "sim/process.h"
 #include "sim/task.h"
 #include "transfer/detour.h"
 #include "transfer/rsync_engine.h"
@@ -18,7 +18,7 @@
 namespace droute::sim {
 namespace {
 
-Process two_step(Simulator& simulator, std::vector<double>& timestamps) {
+Task<void> two_step(Simulator& simulator, std::vector<double>& timestamps) {
   timestamps.push_back(simulator.now());
   co_await delay(simulator, 2.0);
   timestamps.push_back(simulator.now());
@@ -29,19 +29,19 @@ Process two_step(Simulator& simulator, std::vector<double>& timestamps) {
 TEST(Process, DelaysAdvanceSimulatedTime) {
   Simulator simulator;
   std::vector<double> timestamps;
-  Process process = two_step(simulator, timestamps);
+  Task<void> script = two_step(simulator, timestamps);
   // Body ran eagerly to the first co_await.
   ASSERT_EQ(timestamps.size(), 1u);
-  EXPECT_FALSE(process.done());
+  EXPECT_FALSE(script.done());
   simulator.run();
   ASSERT_EQ(timestamps.size(), 3u);
   EXPECT_DOUBLE_EQ(timestamps[0], 0.0);
   EXPECT_DOUBLE_EQ(timestamps[1], 2.0);
   EXPECT_DOUBLE_EQ(timestamps[2], 5.0);
-  EXPECT_TRUE(process.done());
+  EXPECT_TRUE(script.done());
 }
 
-Process ticker(Simulator& simulator, int& count, int limit) {
+Task<void> ticker(Simulator& simulator, int& count, int limit) {
   for (int i = 0; i < limit; ++i) {
     co_await delay(simulator, 1.0);
     ++count;
@@ -64,7 +64,7 @@ TEST(Process, LoopsInterleaveDeterministically) {
 TEST(Process, ZeroDelayDoesNotSuspend) {
   Simulator simulator;
   std::vector<double> timestamps;
-  auto proc = [](Simulator& s, std::vector<double>& ts) -> Process {
+  auto proc = [](Simulator& s, std::vector<double>& ts) -> Task<void> {
     co_await delay(s, 0.0);
     ts.push_back(s.now());
     co_await delay_until(s, -5.0);  // already past: no-op
@@ -78,7 +78,7 @@ TEST(Process, ZeroDelayDoesNotSuspend) {
 TEST(Process, DelayUntilAbsoluteTime) {
   Simulator simulator;
   double fired_at = -1.0;
-  [](Simulator& s, double& at) -> Process {
+  [](Simulator& s, double& at) -> Task<void> {
     co_await delay_until(s, 7.5);
     at = s.now();
   }(simulator, fired_at);
@@ -308,6 +308,42 @@ TEST(Combinators, WithTimeoutPassesInnerResultThrough) {
   EXPECT_EQ(simulator.pending(), 0u);
 }
 
+// ---------------------------------------------------------------------------
+// sim::drive: step a task from plain code under a simulated-time deadline.
+
+TEST(Drive, TaskFinishingBeforeDeadlineReturnsTrue) {
+  Simulator simulator;
+  auto task = patient(simulator, 2.0, 5);
+  ASSERT_TRUE(drive(simulator, task, 10.0));
+  ASSERT_TRUE(task.done());
+  ASSERT_TRUE(task.result().ok());
+  EXPECT_EQ(task.result().value(), 5);
+  EXPECT_DOUBLE_EQ(simulator.now(), 2.0);
+}
+
+TEST(Drive, DeadlineMissCancelsAndDrains) {
+  Simulator simulator;
+  auto task = patient(simulator, 50.0, 5);
+  // A later event keeps the queue busy past the deadline.
+  simulator.schedule_in(20.0, [] {});
+  EXPECT_FALSE(drive(simulator, task, 10.0));
+  ASSERT_TRUE(task.done());
+  ASSERT_FALSE(task.result().ok());
+  EXPECT_EQ(task.result().error().code, kErrCancelled);
+  EXPECT_EQ(simulator.pending(), 0u);
+}
+
+TEST(Drive, StarvedTaskReturnsFalseAndUnwinds) {
+  Simulator simulator;
+  Notify gate;  // nobody ever signals it
+  auto task = [](Notify& n) -> Task<void> {
+    auto parked = n.wait();
+    co_await parked;
+  }(gate);
+  EXPECT_FALSE(drive(simulator, task, 10.0));
+  EXPECT_TRUE(task.done());
+}
+
 }  // namespace
 }  // namespace droute::sim
 
@@ -317,8 +353,8 @@ namespace {
 using scenario::World;
 using scenario::WorldConfig;
 
-sim::Process detour_script(World& world, double& leg1_s, double& leg2_s,
-                           bool& ok) {
+sim::Task<void> detour_script(World& world, double& leg1_s, double& leg2_s,
+                              bool& ok) {
   // The paper's store-and-forward detour as a straight-line script:
   // UBC -> UAlberta, then UAlberta -> Google front end.
   const auto ubc = world.client_node(scenario::Client::kUBC);
@@ -348,7 +384,7 @@ TEST(TransferAwait, SequentialDetourScript) {
   auto world = World::create(config);
   double leg1_s = 0.0, leg2_s = 0.0;
   bool ok = false;
-  sim::Process script = detour_script(*world, leg1_s, leg2_s, ok);
+  sim::Task<void> script = detour_script(*world, leg1_s, leg2_s, ok);
   world->simulator().run();
   ASSERT_TRUE(script.done());
   ASSERT_TRUE(ok);
@@ -372,7 +408,7 @@ TEST(TransferAwait, RejectedFlowResumesWithError) {
   bool reached_end = false;
   bool got_stats = true;
   std::string error;
-  [](World& w, bool& end, bool& stats, std::string& err) -> sim::Process {
+  [](World& w, bool& end, bool& stats, std::string& err) -> sim::Task<void> {
     auto awaitable = transfer(
         w.fabric(), w.client_node(scenario::Client::kUCLA),
         w.provider_node(cloud::ProviderKind::kDropbox), util::kMB);
@@ -396,7 +432,7 @@ TEST(TransferAwait, ConcurrentScriptsShareTheFabric) {
   // per-flow (middlebox), so the real constraint is the shared 50 Mbps
   // uplink: each flow gets ~25 Mbps.
   std::vector<double> durations;
-  auto script = [](World& w, std::vector<double>& out) -> sim::Process {
+  auto script = [](World& w, std::vector<double>& out) -> sim::Task<void> {
     auto awaitable = transfer(
         w.fabric(), w.client_node(scenario::Client::kUBC),
         w.intermediate_node(scenario::Intermediate::kUAlberta),
@@ -447,28 +483,6 @@ TEST(DetourTask, ThrowingLegSurfacesAsFailedResult) {
   EXPECT_FALSE(result.success);
   EXPECT_NE(result.error.find("detour leg 1 (rsync)"), std::string::npos);
   EXPECT_NE(result.error.find("basis_overlap"), std::string::npos);
-}
-
-TEST(DetourTask, ThrowingLegSurfacesThroughCallbackShim) {
-  auto world = quiet_world();
-  const auto ubc = world->client_node(scenario::Client::kUBC);
-  const auto ua = world->intermediate_node(scenario::Intermediate::kUAlberta);
-  DetourOptions options;
-  options.rsync.basis_overlap = 1.5;
-
-  DetourResult seen;
-  bool fired = false;
-  world->detour_engine(cloud::ProviderKind::kGoogleDrive)
-      .transfer(ubc, ua, make_file_mb(10, 7),
-                [&](const DetourResult& result) {
-                  fired = true;
-                  seen = result;
-                },
-                options);
-  world->simulator().run();
-  ASSERT_TRUE(fired);
-  EXPECT_FALSE(seen.success);
-  EXPECT_NE(seen.error.find("detour leg 1 (rsync)"), std::string::npos);
 }
 
 TEST(RsyncTask, AbortFlowMidTransferFailsTheLeg) {

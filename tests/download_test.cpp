@@ -59,12 +59,14 @@ TEST(ApiDownload, FetchesAndVerifiesIntegrity) {
   auto name = world->stage_object(ProviderKind::kGoogleDrive, 20 * util::kMB);
   ASSERT_TRUE(name.ok());
 
-  DownloadResult result;
-  world->download_engine(ProviderKind::kGoogleDrive)
-      .download(world->intermediate_node(scenario::Intermediate::kUAlberta),
-                name.value(),
-                [&](const DownloadResult& r) { result = r; });
+  auto task = world->download_engine(ProviderKind::kGoogleDrive)
+                  .download_task(world->intermediate_node(
+                                     scenario::Intermediate::kUAlberta),
+                                 name.value());
   world->simulator().run();
+  ASSERT_TRUE(task.done());
+  ASSERT_TRUE(task.result().ok());
+  const DownloadResult& result = task.result().value();
   ASSERT_TRUE(result.success) << result.error;
   EXPECT_TRUE(result.integrity_ok);
   EXPECT_EQ(result.payload_bytes, 20 * util::kMB);
@@ -74,12 +76,14 @@ TEST(ApiDownload, FetchesAndVerifiesIntegrity) {
 
 TEST(ApiDownload, MissingObjectFailsCleanly) {
   auto world = quiet_world();
-  DownloadResult result;
-  result.success = true;
-  world->download_engine(ProviderKind::kDropbox)
-      .download(world->client_node(scenario::Client::kUBC), "no-such-file",
-                [&](const DownloadResult& r) { result = r; });
+  auto task =
+      world->download_engine(ProviderKind::kDropbox)
+          .download_task(world->client_node(scenario::Client::kUBC),
+                         "no-such-file");
   world->simulator().run();
+  ASSERT_TRUE(task.done());
+  ASSERT_TRUE(task.result().ok());
+  const DownloadResult& result = task.result().value();
   EXPECT_FALSE(result.success);
   EXPECT_NE(result.error.find("metadata"), std::string::npos);
 }
@@ -91,17 +95,17 @@ TEST(ApiDownload, OAuthRefreshCharged) {
   cloud::OAuthSession oauth("dl-client", 3600.0, 3);
   ApiDownloadOptions options;
   options.oauth = &oauth;
-  DownloadResult with_auth, without_auth;
   const auto client =
       world->intermediate_node(scenario::Intermediate::kUAlberta);
-  world->download_engine(ProviderKind::kOneDrive)
-      .download(client, name.value(),
-                [&](const DownloadResult& r) { with_auth = r; }, options);
+  auto& engine = world->download_engine(ProviderKind::kOneDrive);
+  auto with_task = engine.download_task(client, name.value(), options);
   world->simulator().run();
-  world->download_engine(ProviderKind::kOneDrive)
-      .download(client, name.value(),
-                [&](const DownloadResult& r) { without_auth = r; }, options);
+  auto without_task = engine.download_task(client, name.value(), options);
   world->simulator().run();
+  ASSERT_TRUE(with_task.done() && without_task.done());
+  ASSERT_TRUE(with_task.result().ok() && without_task.result().ok());
+  const DownloadResult& with_auth = with_task.result().value();
+  const DownloadResult& without_auth = without_task.result().value();
   ASSERT_TRUE(with_auth.success && without_auth.success);
   EXPECT_GT(with_auth.duration_s(), without_auth.duration_s());
   EXPECT_EQ(oauth.refresh_count(), 1u);
@@ -113,13 +117,16 @@ TEST(DetourDownload, SumsLegsAndDelivers) {
   auto world = quiet_world();
   auto name = world->stage_object(ProviderKind::kGoogleDrive, 30 * util::kMB);
   ASSERT_TRUE(name.ok());
-  DownloadDetourResult result;
-  world->detour_download_engine(ProviderKind::kGoogleDrive)
-      .download(world->client_node(scenario::Client::kUBC),
-                world->intermediate_node(scenario::Intermediate::kUAlberta),
-                name.value(),
-                [&](const DownloadDetourResult& r) { result = r; });
+  auto task =
+      world->detour_download_engine(ProviderKind::kGoogleDrive)
+          .download_task(
+              world->client_node(scenario::Client::kUBC),
+              world->intermediate_node(scenario::Intermediate::kUAlberta),
+              name.value());
   world->simulator().run();
+  ASSERT_TRUE(task.done());
+  ASSERT_TRUE(task.result().ok());
+  const DownloadDetourResult& result = task.result().value();
   ASSERT_TRUE(result.success) << result.error;
   EXPECT_GT(result.leg1_s, 0.0);
   EXPECT_GT(result.leg2_s, 0.0);
@@ -129,13 +136,16 @@ TEST(DetourDownload, SumsLegsAndDelivers) {
 
 TEST(DetourDownload, MissingObjectReportsLegOne) {
   auto world = quiet_world();
-  DownloadDetourResult result;
-  result.success = true;
-  world->detour_download_engine(ProviderKind::kDropbox)
-      .download(world->client_node(scenario::Client::kUBC),
-                world->intermediate_node(scenario::Intermediate::kUAlberta),
-                "ghost", [&](const DownloadDetourResult& r) { result = r; });
+  auto task =
+      world->detour_download_engine(ProviderKind::kDropbox)
+          .download_task(
+              world->client_node(scenario::Client::kUBC),
+              world->intermediate_node(scenario::Intermediate::kUAlberta),
+              "ghost");
   world->simulator().run();
+  ASSERT_TRUE(task.done());
+  ASSERT_TRUE(task.result().ok());
+  const DownloadDetourResult& result = task.result().value();
   EXPECT_FALSE(result.success);
   EXPECT_NE(result.error.find("leg 1"), std::string::npos);
 }

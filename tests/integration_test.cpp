@@ -52,27 +52,23 @@ TEST(Integration, TivCatalogueFindsUAlbertaDetourForUbcGoogle) {
                              "planetlab01.eecs.umich.edu", kBytes)
                  .value());
   auto world4 = World::create(quiet());
-  bool done = false;
-  world4->api_engine(ProviderKind::kGoogleDrive)
-      .upload(world4->intermediate_node(scenario::Intermediate::kUAlberta),
-              transfer::make_file_mb(100, 1),
-              [&](const transfer::UploadResult& r) {
-                done = true;
-                matrix.set("UAlberta", "GDrive", r.duration_s());
-              });
+  auto task4 = world4->api_engine(ProviderKind::kGoogleDrive)
+                   .upload_task(world4->intermediate_node(
+                                    scenario::Intermediate::kUAlberta),
+                                transfer::make_file_mb(100, 1));
   world4->simulator().run();
-  ASSERT_TRUE(done);
+  ASSERT_TRUE(task4.done());
+  ASSERT_TRUE(task4.result().ok());
+  matrix.set("UAlberta", "GDrive", task4.result().value().duration_s());
   auto world5 = World::create(quiet());
-  done = false;
-  world5->api_engine(ProviderKind::kGoogleDrive)
-      .upload(world5->intermediate_node(scenario::Intermediate::kUMich),
-              transfer::make_file_mb(100, 2),
-              [&](const transfer::UploadResult& r) {
-                done = true;
-                matrix.set("UMich", "GDrive", r.duration_s());
-              });
+  auto task5 = world5->api_engine(ProviderKind::kGoogleDrive)
+                   .upload_task(world5->intermediate_node(
+                                    scenario::Intermediate::kUMich),
+                                transfer::make_file_mb(100, 2));
   world5->simulator().run();
-  ASSERT_TRUE(done);
+  ASSERT_TRUE(task5.done());
+  ASSERT_TRUE(task5.result().ok());
+  matrix.set("UMich", "GDrive", task5.result().value().duration_s());
 
   const auto violations = core::find_violations(matrix);
   ASSERT_EQ(violations.size(), 1u);

@@ -135,18 +135,13 @@ TEST(MultiHop, ScenarioSecondHopNeverBeatsPaperDetour) {
            {"UAlberta", scenario::Intermediate::kUAlberta},
            {"UMich", scenario::Intermediate::kUMich}}) {
     auto world = scenario::World::create(config);
-    bool done = false;
-    double elapsed = 0.0;
-    world->api_engine(cloud::ProviderKind::kGoogleDrive)
-        .upload(world->intermediate_node(node),
-                transfer::make_file_mb(50, 1),
-                [&](const transfer::UploadResult& r) {
-                  done = true;
-                  elapsed = r.duration_s();
-                });
+    auto task = world->api_engine(cloud::ProviderKind::kGoogleDrive)
+                    .upload_task(world->intermediate_node(node),
+                                 transfer::make_file_mb(50, 1));
     world->simulator().run();
-    ASSERT_TRUE(done);
-    m.set(name, "GDrive", elapsed);
+    ASSERT_TRUE(task.done());
+    ASSERT_TRUE(task.result().ok());
+    m.set(name, "GDrive", task.result().value().duration_s());
   }
 
   const auto one_hop = best_multihop_route(

@@ -63,19 +63,15 @@ TEST(Calibration, UAlbertaGoogleLegMatchesIntro) {
   WorldConfig config;
   config.cross_traffic = false;
   auto world = World::create(config);
-  bool done = false;
-  double elapsed = 0.0;
-  world->api_engine(ProviderKind::kGoogleDrive)
-      .upload(world->intermediate_node(Intermediate::kUAlberta),
-              transfer::make_file_mb(100, 9),
-              [&](const transfer::UploadResult& r) {
-                done = true;
-                EXPECT_TRUE(r.success);
-                elapsed = r.duration_s();
-              });
+  auto task =
+      world->api_engine(ProviderKind::kGoogleDrive)
+          .upload_task(world->intermediate_node(Intermediate::kUAlberta),
+                       transfer::make_file_mb(100, 9));
   world->simulator().run();
-  ASSERT_TRUE(done);
-  EXPECT_NEAR(elapsed, 17.0, 2.6);
+  ASSERT_TRUE(task.done());
+  ASSERT_TRUE(task.result().ok());
+  EXPECT_TRUE(task.result().value().success);
+  EXPECT_NEAR(task.result().value().duration_s(), 17.0, 2.6);
 }
 
 TEST(TableOne, RowA_UbcOrderings) {

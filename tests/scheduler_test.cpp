@@ -4,6 +4,7 @@
 
 #include "core/scheduler.h"
 #include "measure/workload.h"
+#include "scenario/foreground.h"
 #include "scenario/north_america.h"
 #include "stats/histogram.h"
 #include "util/units.h"
@@ -179,18 +180,18 @@ TEST(Scheduler, DrivesRealTransfersThroughTheWorld) {
         std::max<std::uint64_t>(1, job.bytes / util::kMB), 77);
     file.bytes = job.bytes;
     file.name = job.id;
+    auto report = [done](const auto& joined) {
+      const auto elapsed = scenario::fold_elapsed(joined);
+      done(elapsed.ok(), elapsed.ok() ? "" : elapsed.error().message);
+    };
     if (route == "Direct") {
-      world->api_engine(provider).upload(
-          client, file, [done](const transfer::UploadResult& r) {
-            done(r.success, r.error);
-          });
+      auto task = world->api_engine(provider).upload_task(client, file);
+      task.on_done(report);
     } else {
-      world->detour_engine(provider).transfer(
+      auto task = world->detour_engine(provider).transfer_task(
           client,
-          world->intermediate_node(scenario::Intermediate::kUAlberta), file,
-          [done](const transfer::DetourResult& r) {
-            done(r.success, r.error);
-          });
+          world->intermediate_node(scenario::Intermediate::kUAlberta), file);
+      task.on_done(report);
     }
   };
 

@@ -124,24 +124,28 @@ TEST(ThrottleBackoff, UploadRetriesAndSucceeds) {
                          world->provider_node(
                              cloud::ProviderKind::kGoogleDrive));
 
-  UploadResult result;
-  engine.upload(world->intermediate_node(scenario::Intermediate::kUAlberta),
-                make_file_mb(40, 1),
-                [&](const UploadResult& r) { result = r; });
+  auto task = engine.upload_task(
+      world->intermediate_node(scenario::Intermediate::kUAlberta),
+      make_file_mb(40, 1));
   world->simulator().run();
 
+  ASSERT_TRUE(task.done());
+  ASSERT_TRUE(task.result().ok());
+  const UploadResult& result = task.result().value();
   ASSERT_TRUE(result.success) << result.error;
   EXPECT_GT(result.throttle_retries, 0);
   EXPECT_GT(throttled.throttled_requests(), 0u);
   EXPECT_EQ(throttled.object_count(), 1u);
 
   // An unthrottled upload of the same file is strictly faster.
-  UploadResult free_result;
-  world->api_engine(cloud::ProviderKind::kGoogleDrive)
-      .upload(world->intermediate_node(scenario::Intermediate::kUAlberta),
-              make_file_mb(40, 2),
-              [&](const UploadResult& r) { free_result = r; });
+  auto free_task = world->api_engine(cloud::ProviderKind::kGoogleDrive)
+                       .upload_task(world->intermediate_node(
+                                        scenario::Intermediate::kUAlberta),
+                                    make_file_mb(40, 2));
   world->simulator().run();
+  ASSERT_TRUE(free_task.done());
+  ASSERT_TRUE(free_task.result().ok());
+  const UploadResult& free_result = free_task.result().value();
   ASSERT_TRUE(free_result.success);
   EXPECT_GT(result.duration_s(), free_result.duration_s() * 1.5);
 }
@@ -163,12 +167,13 @@ TEST(ThrottleBackoff, GivesUpAfterMaxRetries) {
   ApiUploadEngine engine(&world->fabric(), &throttled,
                          world->provider_node(cloud::ProviderKind::kDropbox));
 
-  UploadResult result;
-  result.success = true;
-  engine.upload(world->intermediate_node(scenario::Intermediate::kUAlberta),
-                make_file_mb(20, 1),
-                [&](const UploadResult& r) { result = r; });
+  auto task = engine.upload_task(
+      world->intermediate_node(scenario::Intermediate::kUAlberta),
+      make_file_mb(20, 1));
   world->simulator().run();
+  ASSERT_TRUE(task.done());
+  ASSERT_TRUE(task.result().ok());
+  const UploadResult& result = task.result().value();
   EXPECT_FALSE(result.success);
   EXPECT_NE(result.error.find("rate limited"), std::string::npos);
   EXPECT_EQ(throttled.object_count(), 0u);

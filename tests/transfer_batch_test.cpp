@@ -102,12 +102,13 @@ TEST(Batch, ThrottledUploadGivesUpAndReleasesBatches) {
   ApiUploadEngine engine(&world->fabric(), &server,
                          world->provider_node(ProviderKind::kGoogleDrive));
 
-  UploadResult result;
-  result.success = true;
-  engine.upload(world->client_node(scenario::Client::kUBC),
-                make_file_mb(10, 1), [&](const UploadResult& r) { result = r; });
+  auto task = engine.upload_task(world->client_node(scenario::Client::kUBC),
+                                 make_file_mb(10, 1));
   world->simulator().run();
 
+  ASSERT_TRUE(task.done());
+  ASSERT_TRUE(task.result().ok());
+  const UploadResult& result = task.result().value();
   EXPECT_FALSE(result.success);
   EXPECT_NE(result.error.find("rate limited"), std::string::npos)
       << result.error;

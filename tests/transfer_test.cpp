@@ -39,11 +39,14 @@ TEST(FileSpec, DigestsAreDeterministicAndPositional) {
 TEST(ApiUpload, DeliversAndCommitsObject) {
   auto world = quiet_world();
   const FileSpec file = make_file_mb(10, 1);
-  UploadResult result;
-  world->api_engine(ProviderKind::kGoogleDrive)
-      .upload(world->intermediate_node(scenario::Intermediate::kUAlberta),
-              file, [&](const UploadResult& r) { result = r; });
+  auto task = world->api_engine(ProviderKind::kGoogleDrive)
+                  .upload_task(world->intermediate_node(
+                                   scenario::Intermediate::kUAlberta),
+                               file);
   world->simulator().run();
+  ASSERT_TRUE(task.done());
+  ASSERT_TRUE(task.result().ok());
+  const UploadResult& result = task.result().value();
   ASSERT_TRUE(result.success) << result.error;
   EXPECT_GT(result.duration_s(), 0.0);
   // 10 MB / 8 MiB chunks = 2 chunks.
@@ -59,13 +62,15 @@ TEST(ApiUpload, TimeScalesWithSize) {
   auto world = quiet_world();
   double t10 = 0.0, t50 = 0.0;
   for (auto [mb, out] : {std::pair<int, double*>{10, &t10}, {50, &t50}}) {
-    UploadResult result;
-    world->api_engine(ProviderKind::kDropbox)
-        .upload(world->intermediate_node(scenario::Intermediate::kUAlberta),
-                make_file_mb(static_cast<std::uint64_t>(mb),
-                             static_cast<std::uint64_t>(mb)),
-                [&](const UploadResult& r) { result = r; });
+    auto task = world->api_engine(ProviderKind::kDropbox)
+                    .upload_task(world->intermediate_node(
+                                     scenario::Intermediate::kUAlberta),
+                                 make_file_mb(static_cast<std::uint64_t>(mb),
+                                              static_cast<std::uint64_t>(mb)));
     world->simulator().run();
+    ASSERT_TRUE(task.done());
+    ASSERT_TRUE(task.result().ok());
+    const UploadResult& result = task.result().value();
     ASSERT_TRUE(result.success);
     *out = result.duration_s();
   }
@@ -79,16 +84,17 @@ TEST(ApiUpload, OAuthRefreshChargedOnce) {
   ApiUploadOptions options;
   options.oauth = &oauth;
 
-  UploadResult first, second;
   auto& engine = world->api_engine(ProviderKind::kGoogleDrive);
   const auto client =
       world->intermediate_node(scenario::Intermediate::kUAlberta);
-  engine.upload(client, make_file_mb(10, 1),
-                [&](const UploadResult& r) { first = r; }, options);
+  auto first_task = engine.upload_task(client, make_file_mb(10, 1), options);
   world->simulator().run();
-  engine.upload(client, make_file_mb(10, 2),
-                [&](const UploadResult& r) { second = r; }, options);
+  auto second_task = engine.upload_task(client, make_file_mb(10, 2), options);
   world->simulator().run();
+  ASSERT_TRUE(first_task.done() && second_task.done());
+  ASSERT_TRUE(first_task.result().ok() && second_task.result().ok());
+  const UploadResult& first = first_task.result().value();
+  const UploadResult& second = second_task.result().value();
   ASSERT_TRUE(first.success && second.success);
   EXPECT_TRUE(first.token_refreshed);
   EXPECT_FALSE(second.token_refreshed);  // token still fresh
@@ -104,12 +110,12 @@ TEST(ApiUpload, FailsCleanlyWhenUnroutable) {
       world->topology()
           .find_link(client, world->node("pl-gw.ucla.edu"))
           .value());
-  UploadResult result;
-  result.success = true;
-  world->api_engine(ProviderKind::kDropbox)
-      .upload(client, make_file_mb(10, 1),
-              [&](const UploadResult& r) { result = r; });
+  auto task = world->api_engine(ProviderKind::kDropbox)
+                  .upload_task(client, make_file_mb(10, 1));
   world->simulator().run();
+  ASSERT_TRUE(task.done());
+  ASSERT_TRUE(task.result().ok());
+  const UploadResult& result = task.result().value();
   EXPECT_FALSE(result.success);
   EXPECT_FALSE(result.error.empty());
   EXPECT_EQ(world->server(ProviderKind::kDropbox).open_sessions(), 0u);
@@ -118,11 +124,8 @@ TEST(ApiUpload, FailsCleanlyWhenUnroutable) {
 TEST(ApiUpload, LinkFailureMidTransferAbandonsSession) {
   auto world = quiet_world();
   const auto client = world->client_node(scenario::Client::kUBC);
-  UploadResult result;
-  result.success = true;
-  world->api_engine(ProviderKind::kGoogleDrive)
-      .upload(client, make_file_mb(100, 1),
-              [&](const UploadResult& r) { result = r; });
+  auto task = world->api_engine(ProviderKind::kGoogleDrive)
+                  .upload_task(client, make_file_mb(100, 1));
   world->simulator().schedule_in(10.0, [&] {
     world->fabric().fail_link(
         world->topology()
@@ -131,7 +134,9 @@ TEST(ApiUpload, LinkFailureMidTransferAbandonsSession) {
             .value());
   });
   world->simulator().run();
-  EXPECT_FALSE(result.success);
+  ASSERT_TRUE(task.done());
+  ASSERT_TRUE(task.result().ok());
+  EXPECT_FALSE(task.result().value().success);
   EXPECT_EQ(world->server(ProviderKind::kGoogleDrive).open_sessions(), 0u);
 }
 
@@ -140,12 +145,14 @@ TEST(ApiUpload, LinkFailureMidTransferAbandonsSession) {
 TEST(RsyncEngine, PushMovesPayloadPlusFraming) {
   auto world = quiet_world();
   RsyncEngine engine(&world->fabric());
-  RsyncResult result;
-  engine.push(world->client_node(scenario::Client::kUBC),
-              world->intermediate_node(scenario::Intermediate::kUAlberta),
-              make_file_mb(10, 3),
-              [&](const RsyncResult& r) { result = r; });
+  auto task = engine.push_task(
+      world->client_node(scenario::Client::kUBC),
+      world->intermediate_node(scenario::Intermediate::kUAlberta),
+      make_file_mb(10, 3));
   world->simulator().run();
+  ASSERT_TRUE(task.done());
+  ASSERT_TRUE(task.result().ok());
+  const RsyncResult& result = task.result().value();
   ASSERT_TRUE(result.success) << result.error;
   EXPECT_GT(result.forward_wire_bytes, 10 * util::kMB);
   EXPECT_LT(result.forward_wire_bytes, 10 * util::kMB + 10000);
@@ -156,18 +163,22 @@ TEST(RsyncEngine, PushMovesPayloadPlusFraming) {
 TEST(RsyncEngine, BasisOverlapShrinksForwardBytes) {
   auto world = quiet_world();
   RsyncEngine engine(&world->fabric());
-  RsyncResult cold, warm;
   RsyncOptions warm_options;
   warm_options.basis_overlap = 0.9;
-  engine.push(world->client_node(scenario::Client::kUBC),
-              world->intermediate_node(scenario::Intermediate::kUAlberta),
-              make_file_mb(10, 4), [&](const RsyncResult& r) { cold = r; });
+  auto cold_task = engine.push_task(
+      world->client_node(scenario::Client::kUBC),
+      world->intermediate_node(scenario::Intermediate::kUAlberta),
+      make_file_mb(10, 4));
   world->simulator().run();
-  engine.push(world->client_node(scenario::Client::kUBC),
-              world->intermediate_node(scenario::Intermediate::kUAlberta),
-              make_file_mb(10, 4), [&](const RsyncResult& r) { warm = r; },
-              warm_options);
+  auto warm_task = engine.push_task(
+      world->client_node(scenario::Client::kUBC),
+      world->intermediate_node(scenario::Intermediate::kUAlberta),
+      make_file_mb(10, 4), warm_options);
   world->simulator().run();
+  ASSERT_TRUE(cold_task.done() && warm_task.done());
+  ASSERT_TRUE(cold_task.result().ok() && warm_task.result().ok());
+  const RsyncResult& cold = cold_task.result().value();
+  const RsyncResult& warm = warm_task.result().value();
   ASSERT_TRUE(cold.success && warm.success);
   EXPECT_LT(warm.forward_wire_bytes, cold.forward_wire_bytes / 5);
   EXPECT_GT(warm.reverse_wire_bytes, cold.reverse_wire_bytes);
@@ -178,13 +189,15 @@ TEST(RsyncEngine, BasisOverlapShrinksForwardBytes) {
 
 TEST(Detour, StoreAndForwardSumsLegs) {
   auto world = quiet_world();
-  DetourResult result;
-  world->detour_engine(ProviderKind::kGoogleDrive)
-      .transfer(world->client_node(scenario::Client::kUBC),
-                world->intermediate_node(scenario::Intermediate::kUAlberta),
-                make_file_mb(20, 5),
-                [&](const DetourResult& r) { result = r; });
+  auto task = world->detour_engine(ProviderKind::kGoogleDrive)
+                  .transfer_task(world->client_node(scenario::Client::kUBC),
+                                 world->intermediate_node(
+                                     scenario::Intermediate::kUAlberta),
+                                 make_file_mb(20, 5));
   world->simulator().run();
+  ASSERT_TRUE(task.done());
+  ASSERT_TRUE(task.result().ok());
+  const DetourResult& result = task.result().value();
   ASSERT_TRUE(result.success) << result.error;
   EXPECT_GT(result.leg1_s, 0.0);
   EXPECT_GT(result.leg2_s, 0.0);
@@ -192,22 +205,27 @@ TEST(Detour, StoreAndForwardSumsLegs) {
 }
 
 TEST(Detour, PipelinedBeatsStoreAndForward) {
-  auto run = [](DetourMode mode) {
+  auto run = [](DetourMode mode, double& seconds) {
     auto world = quiet_world();
-    DetourResult result;
     DetourOptions options;
     options.mode = mode;
-    world->detour_engine(ProviderKind::kGoogleDrive)
-        .transfer(world->client_node(scenario::Client::kUBC),
-                  world->intermediate_node(scenario::Intermediate::kUAlberta),
-                  make_file_mb(60, 6),
-                  [&](const DetourResult& r) { result = r; }, options);
+    auto task =
+        world->detour_engine(ProviderKind::kGoogleDrive)
+            .transfer_task(
+                world->client_node(scenario::Client::kUBC),
+                world->intermediate_node(scenario::Intermediate::kUAlberta),
+                make_file_mb(60, 6), options);
     world->simulator().run();
+    ASSERT_TRUE(task.done());
+    ASSERT_TRUE(task.result().ok());
+    const DetourResult& result = task.result().value();
     EXPECT_TRUE(result.success) << result.error;
-    return result.duration_s();
+    seconds = result.duration_s();
   };
-  const double saf = run(DetourMode::kStoreAndForward);
-  const double pipe = run(DetourMode::kPipelined);
+  double saf = 0.0;
+  double pipe = 0.0;
+  run(DetourMode::kStoreAndForward, saf);
+  run(DetourMode::kPipelined, pipe);
   EXPECT_LT(pipe, saf * 0.75);
   // Pipelining cannot beat the slower leg alone.
   EXPECT_GT(pipe, saf / 2.5);
@@ -216,14 +234,17 @@ TEST(Detour, PipelinedBeatsStoreAndForward) {
 TEST(Detour, PipelinedCommitsIntactObject) {
   auto world = quiet_world();
   const FileSpec file = make_file_mb(30, 7);
-  DetourResult result;
   DetourOptions options;
   options.mode = DetourMode::kPipelined;
-  world->detour_engine(ProviderKind::kOneDrive)
-      .transfer(world->client_node(scenario::Client::kUBC),
-                world->intermediate_node(scenario::Intermediate::kUAlberta),
-                file, [&](const DetourResult& r) { result = r; }, options);
+  auto task = world->detour_engine(ProviderKind::kOneDrive)
+                  .transfer_task(world->client_node(scenario::Client::kUBC),
+                                 world->intermediate_node(
+                                     scenario::Intermediate::kUAlberta),
+                                 file, options);
   world->simulator().run();
+  ASSERT_TRUE(task.done());
+  ASSERT_TRUE(task.result().ok());
+  const DetourResult& result = task.result().value();
   ASSERT_TRUE(result.success) << result.error;
   const auto object = world->server(ProviderKind::kOneDrive).lookup(file.name);
   ASSERT_TRUE(object.has_value());
@@ -238,14 +259,16 @@ TEST(Detour, FailureInLegOneReported) {
           .find_link(world->node("planetlab1.cs.ubc.ca"),
                      world->node("cs-gw.net.ubc.ca"))
           .value());
-  DetourResult result;
-  result.success = true;
-  world->detour_engine(ProviderKind::kGoogleDrive)
-      .transfer(client,
-                world->intermediate_node(scenario::Intermediate::kUAlberta),
-                make_file_mb(10, 8),
-                [&](const DetourResult& r) { result = r; });
+  auto task =
+      world->detour_engine(ProviderKind::kGoogleDrive)
+          .transfer_task(
+              client,
+              world->intermediate_node(scenario::Intermediate::kUAlberta),
+              make_file_mb(10, 8));
   world->simulator().run();
+  ASSERT_TRUE(task.done());
+  ASSERT_TRUE(task.result().ok());
+  const DetourResult& result = task.result().value();
   EXPECT_FALSE(result.success);
   EXPECT_NE(result.error.find("leg 1"), std::string::npos);
 }
@@ -261,44 +284,52 @@ namespace {
 TEST(ParallelPush, StreamsDefeatPerFlowPolicer) {
   // UBC -> Google front end crosses the 9.3 Mbps per-flow PacificWave
   // policer; N stripes each get their own allowance.
-  auto run = [](int streams) {
+  auto run = [](int streams, double& seconds) {
     scenario::WorldConfig config;
     config.cross_traffic = false;
     auto world = scenario::World::create(config);
     ParallelPushEngine engine(&world->fabric());
-    ParallelPushResult result;
-    engine.push(world->client_node(scenario::Client::kUBC),
-                world->provider_node(cloud::ProviderKind::kGoogleDrive),
-                make_file_mb(40, 1), streams,
-                [&](const ParallelPushResult& r) { result = r; });
+    auto task = engine.push_task(
+        world->client_node(scenario::Client::kUBC),
+        world->provider_node(cloud::ProviderKind::kGoogleDrive),
+        make_file_mb(40, 1), streams);
     world->simulator().run();
+    ASSERT_TRUE(task.done());
+    ASSERT_TRUE(task.result().ok());
+    const ParallelPushResult& result = task.result().value();
     EXPECT_TRUE(result.success) << result.error;
-    return result.duration_s();
+    seconds = result.duration_s();
   };
-  const double one = run(1);
-  const double four = run(4);
+  double one = 0.0;
+  double four = 0.0;
+  run(1, one);
+  run(4, four);
   EXPECT_NEAR(one / four, 4.0, 0.5);
 }
 
 TEST(ParallelPush, BoundedByLinkCapacityNotStreams) {
   // UBC -> UAlberta is capacity-bound (50 Mbps research uplink): extra
   // streams cannot exceed the shared link.
-  auto run = [](int streams) {
+  auto run = [](int streams, double& seconds) {
     scenario::WorldConfig config;
     config.cross_traffic = false;
     auto world = scenario::World::create(config);
     ParallelPushEngine engine(&world->fabric());
-    ParallelPushResult result;
-    engine.push(world->client_node(scenario::Client::kUBC),
-                world->intermediate_node(scenario::Intermediate::kUAlberta),
-                make_file_mb(40, 2), streams,
-                [&](const ParallelPushResult& r) { result = r; });
+    auto task = engine.push_task(
+        world->client_node(scenario::Client::kUBC),
+        world->intermediate_node(scenario::Intermediate::kUAlberta),
+        make_file_mb(40, 2), streams);
     world->simulator().run();
+    ASSERT_TRUE(task.done());
+    ASSERT_TRUE(task.result().ok());
+    const ParallelPushResult& result = task.result().value();
     EXPECT_TRUE(result.success);
-    return result.duration_s();
+    seconds = result.duration_s();
   };
-  const double two = run(2);
-  const double eight = run(8);
+  double two = 0.0;
+  double eight = 0.0;
+  run(2, two);
+  run(8, eight);
   // 2 streams already saturate the 50 Mbps link; 8 gain little.
   EXPECT_GT(eight, two * 0.8);
 }
@@ -308,12 +339,14 @@ TEST(ParallelPush, SingleStreamMatchesPlainFlow) {
   config.cross_traffic = false;
   auto world = scenario::World::create(config);
   ParallelPushEngine engine(&world->fabric());
-  ParallelPushResult result;
-  engine.push(world->client_node(scenario::Client::kUBC),
-              world->intermediate_node(scenario::Intermediate::kUAlberta),
-              make_file_mb(20, 3), 1,
-              [&](const ParallelPushResult& r) { result = r; });
+  auto task = engine.push_task(
+      world->client_node(scenario::Client::kUBC),
+      world->intermediate_node(scenario::Intermediate::kUAlberta),
+      make_file_mb(20, 3), 1);
   world->simulator().run();
+  ASSERT_TRUE(task.done());
+  ASSERT_TRUE(task.result().ok());
+  const ParallelPushResult& result = task.result().value();
   ASSERT_TRUE(result.success);
   EXPECT_EQ(result.streams, 1);
   EXPECT_NEAR(result.slowest_stream_s, result.duration_s(), 1e-9);
@@ -328,12 +361,13 @@ TEST(ParallelPush, MoreStreamsThanBytesIsClamped) {
   tiny.name = "tiny";
   tiny.bytes = 3;
   tiny.seed = 1;
-  ParallelPushResult result;
-  engine.push(world->client_node(scenario::Client::kUBC),
-              world->intermediate_node(scenario::Intermediate::kUAlberta),
-              tiny, 16, [&](const ParallelPushResult& r) { result = r; });
+  auto task = engine.push_task(
+      world->client_node(scenario::Client::kUBC),
+      world->intermediate_node(scenario::Intermediate::kUAlberta), tiny, 16);
   world->simulator().run();
-  EXPECT_TRUE(result.success);
+  ASSERT_TRUE(task.done());
+  ASSERT_TRUE(task.result().ok());
+  EXPECT_TRUE(task.result().value().success);
 }
 
 TEST(ParallelPush, FailureReportedOnce) {
@@ -348,16 +382,16 @@ TEST(ParallelPush, FailureReportedOnce) {
           .value());
   ParallelPushEngine engine(&world->fabric());
   int calls = 0;
-  ParallelPushResult result;
-  engine.push(world->client_node(scenario::Client::kUBC),
-              world->intermediate_node(scenario::Intermediate::kUAlberta),
-              make_file_mb(10, 4), 4, [&](const ParallelPushResult& r) {
-                ++calls;
-                result = r;
-              });
+  auto task = engine.push_task(
+      world->client_node(scenario::Client::kUBC),
+      world->intermediate_node(scenario::Intermediate::kUAlberta),
+      make_file_mb(10, 4), 4);
+  task.on_done([&](const util::Result<ParallelPushResult>&) { ++calls; });
   world->simulator().run();
   EXPECT_EQ(calls, 1);
-  EXPECT_FALSE(result.success);
+  ASSERT_TRUE(task.done());
+  ASSERT_TRUE(task.result().ok());
+  EXPECT_FALSE(task.result().value().success);
 }
 
 }  // namespace

@@ -33,6 +33,11 @@ Rules, all scoped to src/:
                 sim::Task<T> coroutines (DESIGN.md §10); shared-state job
                 structs threaded through callbacks are the pattern this
                 repo migrated away from.
+  task-shim     no include of the deleted transfer/task_shim.h, and (in
+                src/transfer/ only) no `using Callback = std::function`
+                alias. Each transfer engine has one entry point, its
+                sim::Task<T> coroutine (DESIGN.md §10); a callback alias is
+                how a second, callback-style API beside it starts.
 
 One rule is scoped to bench/:
 
@@ -96,9 +101,12 @@ JOB_STATE_RE = re.compile(r"\bmake_shared\s*<\s*\w*Job\w*\s*>")
 JOB_STATE_SCOPE = ("src", "transfer")
 
 # The callback-shim header died with the batched TransferEngine rewrite
-# (DESIGN.md §15): every engine entry point inlines its one-line on_done
-# fold over the coroutine form. No include may resurrect the header.
+# (DESIGN.md §15), and the per-engine callback entry points after it: each
+# engine is driven through its sim::Task<T> coroutine alone. No include may
+# resurrect the header, and no src/transfer/ engine may declare a callback
+# alias again.
 TASK_SHIM_RE = re.compile(r"#\s*include\s*[\"<][^\">]*task_shim\.h[\">]")
+CALLBACK_ALIAS_RE = re.compile(r"\busing\s+Callback\s*=\s*std::function\b")
 
 # Metric-name literals at instrument call sites. Runs on RAW lines (names
 # live inside string literals, which strip_code removes).
@@ -220,6 +228,7 @@ class Linter:
             self.check_task_shim(path, line_no, raw_lines[idx])
             if in_transfer:
                 self.check_job_state(path, line_no, code)
+                self.check_callback_alias(path, line_no, code)
         if path.suffix == ".h":
             self.check_nodiscard(path, stripped)
         self.report_stale_waivers(path)
@@ -259,6 +268,15 @@ class Linter:
                 "include of the deleted transfer/task_shim.h — inline the "
                 "on_done fold over the engine's coroutine entry point "
                 "instead (DESIGN.md §15)",
+            )
+
+    def check_callback_alias(self, path: Path, line_no: int, code: str) -> None:
+        if CALLBACK_ALIAS_RE.search(code):
+            self.report(
+                path, line_no, "task-shim",
+                "callback alias in a transfer engine — expose the sim::Task "
+                "coroutine as the one entry point and let callers co_await "
+                "it, drive() it or bind on_done (DESIGN.md §10)",
             )
 
     def check_time_eq(self, path: Path, line_no: int, code: str) -> None:
