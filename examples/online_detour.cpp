@@ -3,7 +3,8 @@
 // upload sessions onto the UAlberta relay, rides out a chaos link failure
 // on the CANARIE detour leg (the estimator resets, an out-of-band epoch
 // re-learns the new regime), and walks back onto the relay once the link
-// is restored. Every decision lands in a deterministic DecisionTrace.
+// is restored. Every decision lands in a deterministic DecisionTrace, and a
+// RouteMonitor on the detour's first leg shows the re-route behind it.
 #include <cstdio>
 #include <string>
 
@@ -11,6 +12,7 @@
 #include "chaos/plan.h"
 #include "ctrl/controller.h"
 #include "scenario/north_america.h"
+#include "trace/route_monitor.h"
 #include "util/units.h"
 
 namespace {
@@ -49,6 +51,13 @@ void steered_session(scenario::World& world, ctrl::Controller& controller,
   }
 }
 
+// Traces the watched leg and reports how many route changes this phase saw.
+void snapshot_routes(trace::RouteMonitor& routes) {
+  const auto changes = routes.snapshot();
+  std::printf("  route monitor (UBC->UAlberta leg): %zu change(s)\n",
+              changes.size());
+}
+
 }  // namespace
 
 int main() {
@@ -79,6 +88,12 @@ int main() {
     controller.on_network_event(chaos::event_kind_name(event.kind));
   });
 
+  // The relay's first leg, traced once per phase: the first snapshot is the
+  // baseline, later ones record where the path diverged.
+  trace::RouteMonitor routes(&world->tracer(), &world->topology());
+  routes.watch(ubc,
+               world->intermediate_node(scenario::Intermediate::kUAlberta));
+
   std::printf("phase 1: the controller probes and finds the TIV\n");
   controller.start();
   world->simulator().run_until(world->simulator().now() + 12.0);
@@ -90,6 +105,7 @@ int main() {
                 flag.path.label().c_str(), flag.path_mbps, flag.direct_mbps);
   }
   steered_session(*world, controller, 50 * util::kMB);
+  snapshot_routes(routes);
 
   std::printf("\nphase 2: the Vancouver<->Edmonton CANARIE link fails\n");
   const auto canarie_link = world->topology().find_link(
@@ -103,6 +119,8 @@ int main() {
   world->simulator().run_until(world->simulator().now() + 12.0);
   print_estimates(controller, *world, ubc, gdrive);
   steered_session(*world, controller, 50 * util::kMB);
+  snapshot_routes(routes);
+  std::printf("route monitor history:\n%s", routes.render_history().c_str());
 
   std::printf("\nphase 3: the link is repaired\n");
   injector.apply({world->simulator().now(), chaos::EventKind::kLinkRestore,
@@ -110,6 +128,7 @@ int main() {
   world->simulator().run_until(world->simulator().now() + 12.0);
   print_estimates(controller, *world, ubc, gdrive);
   steered_session(*world, controller, 50 * util::kMB);
+  snapshot_routes(routes);
 
   controller.stop();
   std::printf("\ndecision trace (deterministic; same seed => same bytes):\n");

@@ -1,7 +1,7 @@
 // OverlayTable — the deployed artifact of detour planning: for every
 // (client, provider) pair, which route traffic should take right now.
 // This is the "full-fledged overlay network" bookkeeping of Sec III-D,
-// fed by DetourPlanner decisions and DynamicMonitor degradation events.
+// fed by DetourPlanner and RouteAdvisor decisions.
 #pragma once
 
 #include <map>

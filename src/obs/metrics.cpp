@@ -195,18 +195,4 @@ std::vector<const Histogram*> Registry::histograms() const {
   return out;
 }
 
-std::vector<const Histogram*> Registry::histograms_with_prefix(
-    std::string_view prefix) const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  std::vector<const Histogram*> out;
-  for (const auto& [name, histogram] : histograms_) {
-    if (name.size() > prefix.size() + 1 &&
-        name.compare(0, prefix.size(), prefix) == 0 &&
-        name[prefix.size()] == '.') {
-      out.push_back(histogram.get());
-    }
-  }
-  return out;
-}
-
 }  // namespace droute::obs

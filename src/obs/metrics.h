@@ -132,11 +132,6 @@ class Registry {
   std::vector<const Counter*> counters() const;
   std::vector<const Gauge*> gauges() const;
   std::vector<const Histogram*> histograms() const;
-  /// Histograms whose name starts with `prefix` + '.', e.g. prefix
-  /// "probe.throughput" matches "probe.throughput.direct". Consumed by
-  /// core::DynamicMonitor::poll().
-  std::vector<const Histogram*> histograms_with_prefix(
-      std::string_view prefix) const;
 
  private:
   mutable std::mutex mutex_;

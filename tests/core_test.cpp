@@ -1,7 +1,6 @@
 #include <gtest/gtest.h>
 
 #include "core/advisor.h"
-#include "core/monitor.h"
 #include "core/overlay.h"
 #include "core/planner.h"
 #include "core/tiv.h"
@@ -225,61 +224,6 @@ TEST(Planner, PropagatesProbeFailures) {
   auto report = planner.plan(1000);
   ASSERT_FALSE(report.ok());
   EXPECT_NE(report.error().message.find("probe exploded"), std::string::npos);
-}
-
-// ---------------------------------------------------------------- monitor ----
-
-TEST(Monitor, LearnsBaselineAndDetectsCollapse) {
-  DynamicMonitor monitor;
-  for (int i = 0; i < 5; ++i) monitor.observe("ubc->gdrive", 40.0);
-  ASSERT_TRUE(monitor.baseline_mbps("ubc->gdrive").has_value());
-  EXPECT_NEAR(monitor.baseline_mbps("ubc->gdrive").value(), 40.0, 1e-9);
-  EXPECT_FALSE(monitor.is_degraded("ubc->gdrive"));
-
-  monitor.observe("ubc->gdrive", 10.0);
-  EXPECT_FALSE(monitor.is_degraded("ubc->gdrive"));  // 1 strike
-  monitor.observe("ubc->gdrive", 10.0);
-  monitor.observe("ubc->gdrive", 10.0);
-  EXPECT_TRUE(monitor.is_degraded("ubc->gdrive"));   // 3 strikes
-}
-
-TEST(Monitor, SingleBlipDoesNotFlap) {
-  DynamicMonitor monitor;
-  for (int i = 0; i < 5; ++i) monitor.observe("r", 40.0);
-  monitor.observe("r", 5.0);    // blip
-  monitor.observe("r", 40.0);   // recovery resets strikes
-  monitor.observe("r", 5.0);
-  monitor.observe("r", 40.0);
-  EXPECT_FALSE(monitor.is_degraded("r"));
-}
-
-TEST(Monitor, BaselineFrozenWhileDegraded) {
-  DynamicMonitor monitor;
-  for (int i = 0; i < 5; ++i) monitor.observe("r", 40.0);
-  for (int i = 0; i < 4; ++i) monitor.observe("r", 2.0);
-  ASSERT_TRUE(monitor.is_degraded("r"));
-  // The baseline must not have been dragged down to the failure level.
-  EXPECT_GT(monitor.baseline_mbps("r").value(), 20.0);
-}
-
-TEST(Monitor, ResetClearsDegradation) {
-  DynamicMonitor monitor;
-  for (int i = 0; i < 5; ++i) monitor.observe("r", 40.0);
-  for (int i = 0; i < 4; ++i) monitor.observe("r", 2.0);
-  ASSERT_TRUE(monitor.is_degraded("r"));
-  EXPECT_EQ(monitor.degraded_routes(), std::vector<std::string>{"r"});
-  monitor.reset("r");
-  EXPECT_FALSE(monitor.is_degraded("r"));
-  EXPECT_TRUE(monitor.degraded_routes().empty());
-}
-
-TEST(Monitor, WarmupGracePeriod) {
-  DynamicMonitor monitor;
-  // Low samples during warm-up must not immediately degrade.
-  monitor.observe("r", 40.0);
-  monitor.observe("r", 4.0);
-  monitor.observe("r", 4.0);
-  EXPECT_FALSE(monitor.is_degraded("r"));
 }
 
 // ---------------------------------------------------------------- overlay ----

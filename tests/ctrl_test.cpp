@@ -1,7 +1,9 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "ctrl/controller.h"
@@ -11,6 +13,7 @@
 #include "ctrl/steering.h"
 #include "ctrl/trace.h"
 #include "net/fabric.h"
+#include "scenario/north_america.h"
 #include "sim/simulator.h"
 #include "util/units.h"
 
@@ -536,6 +539,58 @@ TEST(Controller, DecisionHookSeesEverySteerForDeadSteerAuditing) {
   EXPECT_EQ(hooked, 2u);
   controller.stop();
   world.simulator.run();
+}
+
+TEST(Controller, SilentBottleneckShiftMovesSteerOffTheRelay) {
+  // A bottleneck appears on the relay's first leg with no network event:
+  // only the controller's own probes can notice it. The config is
+  // examples/online_detour's.
+  scenario::WorldConfig world_config;
+  world_config.cross_traffic = false;
+  auto world = scenario::World::create(world_config);
+  ControllerConfig config;
+  config.epoch_s = 5.0;
+  config.probe_budget_bytes = 8 * util::kMB;
+  config.max_relay_hops = 1;
+  Controller& controller =
+      world->make_controller(cloud::ProviderKind::kGoogleDrive, config);
+  const net::NodeId ubc = world->client_node(scenario::Client::kUBC);
+  const PathSpec via_ualberta{
+      {world->intermediate_node(scenario::Intermediate::kUAlberta)}};
+  sim::Simulator& simulator = world->simulator();
+
+  controller.start();
+  simulator.run_until(simulator.now() + 12.0);
+  ASSERT_EQ(controller.steer(ubc, 50 * util::kMB).path, via_ualberta);
+
+  // Choke the UAlberta campus uplink both ways; on_network_event is not
+  // called, so the estimator keeps its stale relay mean until re-probed.
+  const net::NodeId gsb = world->node("gsb-asr-core1.backbone.ualberta.ca");
+  const net::NodeId cybera = world->node("uofa-p-1-edm.cybera.ca");
+  for (const auto& [from, to] :
+       {std::pair{gsb, cybera}, std::pair{cybera, gsb}}) {
+    const auto link = world->topology().find_link(from, to);
+    ASSERT_TRUE(link.has_value());
+    ASSERT_TRUE(world->topology().set_link_capacity(*link, 2.0).ok());
+  }
+  world->fabric().reallocate_now();
+  const std::uint64_t fault_epoch = controller.epoch();
+
+  // Back to direct within three epochs, and it stays there.
+  std::optional<std::uint64_t> direct_at;
+  for (int step = 0; step < 12; ++step) {
+    simulator.run_until(simulator.now() + config.epoch_s);
+    const Decision decision = controller.steer(ubc, 50 * util::kMB);
+    if (direct_at.has_value()) {
+      EXPECT_TRUE(decision.path.direct()) << "flapped back at epoch "
+                                          << decision.epoch;
+    } else if (decision.path.direct()) {
+      direct_at = decision.epoch;
+    }
+  }
+  ASSERT_TRUE(direct_at.has_value());
+  EXPECT_LE(*direct_at, fault_epoch + 3);
+  controller.stop();
 }
 
 TEST(StaticSteering, PinsItsPath) {

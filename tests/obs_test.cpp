@@ -9,7 +9,6 @@
 #include <string>
 #include <vector>
 
-#include "core/monitor.h"
 #include "measure/campaign.h"
 #include "obs/export.h"
 #include "obs/metrics.h"
@@ -89,19 +88,6 @@ TEST(Registry, EnumerationIsSortedByName) {
   EXPECT_EQ(counters[0]->name(), "a.first_total");
   EXPECT_EQ(counters[1]->name(), "m.middle_total");
   EXPECT_EQ(counters[2]->name(), "z.last_total");
-}
-
-TEST(Registry, PrefixQueryMatchesOnlyDottedChildren) {
-  Registry registry;
-  registry.histogram("probe.route_mbps.direct", rate_bounds_mbps());
-  registry.histogram("probe.route_mbps.via_ua", rate_bounds_mbps());
-  registry.histogram("probe.route_mbps_other.x", rate_bounds_mbps());
-  registry.histogram("probe.route_mbps", rate_bounds_mbps());
-
-  const auto matched = registry.histograms_with_prefix("probe.route_mbps");
-  ASSERT_EQ(matched.size(), 2u);
-  EXPECT_EQ(matched[0]->name(), "probe.route_mbps.direct");
-  EXPECT_EQ(matched[1]->name(), "probe.route_mbps.via_ua");
 }
 
 // --- Recorder / global installation ------------------------------------------
@@ -244,46 +230,6 @@ TEST(Export, PrometheusBucketsAreCumulative) {
 TEST(Export, WriteFileRejectsUnwritablePath) {
   const auto status = write_file("/nonexistent-dir/trace.json", "x");
   EXPECT_FALSE(status.ok());
-}
-
-// --- DynamicMonitor fed from an obs registry -----------------------------------
-
-TEST(MonitorIntegration, PollFeedsDeltaMeansPerRoute) {
-  Registry registry;
-  Histogram* direct =
-      registry.histogram("probe.route_mbps.direct", rate_bounds_mbps());
-  core::DynamicMonitor::Options options;
-  options.min_observations = 2;
-  options.strikes_to_degrade = 2;
-  core::DynamicMonitor monitor(options, &registry, "probe.route_mbps");
-
-  // Healthy baseline: three windows around 100 Mbps.
-  for (const double mbps : {100.0, 102.0, 98.0}) {
-    direct->observe(mbps);
-    EXPECT_EQ(monitor.poll(), 1);
-  }
-  EXPECT_EQ(monitor.poll(), 0) << "no new samples, nothing to feed";
-  ASSERT_TRUE(monitor.baseline_mbps("direct").has_value());
-  EXPECT_NEAR(*monitor.baseline_mbps("direct"), 100.0, 5.0);
-  EXPECT_FALSE(monitor.is_degraded("direct"));
-
-  // Collapse: two consecutive windows far below the baseline.
-  direct->observe(10.0);
-  monitor.poll();
-  direct->observe(10.0);
-  monitor.poll();
-  EXPECT_TRUE(monitor.is_degraded("direct"));
-}
-
-TEST(MonitorIntegration, PollBatchesMultipleSamplesIntoOneObservation) {
-  Registry registry;
-  Histogram* h = registry.histogram("probe.route_mbps.r", rate_bounds_mbps());
-  core::DynamicMonitor monitor({}, &registry, "probe.route_mbps");
-
-  h->observe(80.0);
-  h->observe(120.0);
-  EXPECT_EQ(monitor.poll(), 1) << "one window -> one observation";
-  EXPECT_DOUBLE_EQ(*monitor.baseline_mbps("r"), 100.0) << "mean of the window";
 }
 
 // --- Determinism ---------------------------------------------------------------

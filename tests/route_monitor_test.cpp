@@ -59,7 +59,7 @@ TEST_F(RouteMonitorTest, DetectsRerouteAfterLinkFailure) {
             world_->node("vncv1rtr2.canarie.ca"));
 
   // And the new route is faster (the policer is gone) — the exact situation
-  // DynamicMonitor + RouteMonitor exist to surface.
+  // RouteMonitor and the ctrl::Controller estimator exist to surface.
   EXPECT_TRUE(monitor_->snapshot().empty());  // stable again
   EXPECT_EQ(monitor_->history().size(), 1u);
 }

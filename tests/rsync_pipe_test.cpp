@@ -79,9 +79,13 @@ TEST_F(RsyncPipe, ThrottledPushRespectsRate) {
   auto fast = rsync_push(port_, "fast.bin", data);
   auto slow = rsync_push(port_, "slow.bin", data, /*rate=*/2e6);  // 2 MB/s
   ASSERT_TRUE(fast.ok() && slow.ok());
-  // 2 MB at 2 MB/s ~= 1 s; loopback is near-instant.
+  // 2 MB at 2 MB/s ~= 1 s.
   EXPECT_GT(slow.value().seconds, 0.5);
-  EXPECT_LT(fast.value().seconds, slow.value().seconds / 3);
+  // Both pushes pay the same CPU work (signature, delta, MD5), which is not
+  // negligible under sanitizers (~0.6 s under TSan). The limiter paces only
+  // the delta send, so it must add its own time on top: ~1.75 MB beyond the
+  // 250 KB burst at 2 MB/s is ~0.875 s.
+  EXPECT_GT(slow.value().seconds - fast.value().seconds, 0.5);
 }
 
 TEST_F(RsyncPipe, ConnectToDeadServerFails) {
