@@ -27,23 +27,6 @@ struct Candidate {
 
 }  // namespace
 
-bool EgressOverride::matches_source(const Node& source) const {
-  if (!src_tag.empty() && source.tag == src_tag) return true;
-  if (src_prefix_bits > 0) {
-    const std::uint32_t mask =
-        src_prefix_bits >= 32
-            ? ~std::uint32_t{0}
-            : ~std::uint32_t{0} << (32 - src_prefix_bits);
-    if ((source.ip.value & mask) == (src_prefix.value & mask)) return true;
-  }
-  return false;
-}
-
-void RouteTable::add_override(EgressOverride ov) {
-  overrides_.push_back(std::move(ov));
-  route_cache_.clear();
-}
-
 void RouteTable::invalidate() {
   bgp_cache_.clear();
   route_cache_.clear();
@@ -302,8 +285,9 @@ util::Result<Route> RouteTable::route(NodeId src, NodeId dst) const {
     // Source-tag policy overrides: fire when traffic with a matching tag is
     // inside the override router's AS and heading for the matching dst AS.
     bool overridden = false;
-    for (std::size_t i = 0; i < overrides_.size(); ++i) {
-      const EgressOverride& ov = overrides_[i];
+    const auto& overrides = topo_->overrides();
+    for (std::size_t i = 0; i < overrides.size(); ++i) {
+      const EgressOverride& ov = overrides[i];
       if (fired_overrides.contains(i)) continue;
       if (ov.dst_as != dst_as || !ov.matches_source(topo_->node(src))) {
         continue;

@@ -16,14 +16,14 @@
 // Source-tag egress overrides model the paper's central routing artifact:
 // traffic from PlanetLab-tagged sources is forced out a different egress
 // (the policed PacificWave hop of Fig 5) than other traffic at the same
-// router (the direct peering of Fig 6). An override may change the next AS;
-// expansion then re-consults BGP from the forced link's far end.
+// router (the direct peering of Fig 6). Overrides are topology data
+// (Topology::overrides()). An override may change the next AS; expansion then
+// re-consults BGP from the forced link's far end.
 #pragma once
 
 #include <cstdint>
 #include <map>
 #include <optional>
-#include <string>
 #include <vector>
 
 #include "net/topology.h"
@@ -41,21 +41,6 @@ struct Route {
   }
 };
 
-/// Policy-routing exception installed at one router. A source matches when
-/// its tag equals `src_tag` (if set) OR its address falls inside
-/// `src_prefix`/`src_prefix_bits` (if prefix_bits > 0) — real policy routing
-/// matches on source prefixes; tags are the scenario-authoring shorthand.
-struct EgressOverride {
-  NodeId at = kInvalidNode;     // router applying the policy
-  std::string src_tag;          // matches Node::tag of the flow source
-  geo::Ipv4 src_prefix{};       // alternative matcher: source address prefix
-  int src_prefix_bits = 0;      // 0 = prefix matching disabled
-  AsId dst_as = kInvalidAs;     // destination AS the policy applies to
-  LinkId use_link = kInvalidLink;  // forced egress link from `at`
-
-  bool matches_source(const Node& source) const;
-};
-
 /// How an AS learned its best route toward a destination (selection order).
 enum class RouteOrigin : std::uint8_t {
   kSelf = 0,      // destination is in this AS
@@ -67,9 +52,6 @@ enum class RouteOrigin : std::uint8_t {
 class RouteTable {
  public:
   explicit RouteTable(const Topology* topo) : topo_(topo) {}
-
-  /// Installs a policy-routing exception (see EgressOverride).
-  void add_override(EgressOverride ov);
 
   /// Best AS-level path src_as -> dst_as (inclusive), or error if the policy
   /// graph offers no valley-free route.
@@ -130,7 +112,6 @@ class RouteTable {
   util::Result<GatewayChoice> pick_gateway(NodeId cur, AsId to) const;
 
   const Topology* topo_;
-  std::vector<EgressOverride> overrides_;
   mutable std::map<AsId, std::vector<BgpEntry>> bgp_cache_;
   mutable std::map<std::tuple<NodeId, NodeId>, Route> route_cache_;
 };

@@ -2,10 +2,23 @@
 
 #include <algorithm>
 #include <unordered_set>
+#include <utility>
 
 #include "check/contract.h"
 
 namespace droute::net {
+
+bool EgressOverride::matches_source(const Node& source) const {
+  if (!src_tag.empty() && source.tag == src_tag) return true;
+  if (src_prefix_bits > 0) {
+    const std::uint32_t mask =
+        src_prefix_bits >= 32
+            ? ~std::uint32_t{0}
+            : ~std::uint32_t{0} << (32 - src_prefix_bits);
+    if ((source.ip.value & mask) == (src_prefix.value & mask)) return true;
+  }
+  return false;
+}
 
 std::optional<LinkId> Topology::find_link(NodeId src, NodeId dst) const {
   for (LinkId lid : out_links_.at(static_cast<std::size_t>(src))) {
@@ -101,6 +114,16 @@ util::Status Topology::validate() const {
       return util::Status::failure(
           "inter-AS link without declared relationship: " + node(l.src).name +
           " -> " + node(l.dst).name);
+    }
+  }
+  for (const EgressOverride& ov : overrides_) {
+    if (ov.at < 0 || static_cast<std::size_t>(ov.at) >= nodes_.size() ||
+        ov.dst_as < 0 || static_cast<std::size_t>(ov.dst_as) >= ases_.size() ||
+        ov.use_link < 0 ||
+        static_cast<std::size_t>(ov.use_link) >= links_.size() ||
+        link(ov.use_link).src != ov.at) {
+      return util::Status::failure(
+          "override with a bad id or a link not leaving its router");
     }
   }
   return util::Status::success();
@@ -214,6 +237,11 @@ LinkId Topology::Builder::add_duplex_geo(NodeId a, NodeId b,
       topo_.nodes_.at(static_cast<std::size_t>(a)).coord,
       topo_.nodes_.at(static_cast<std::size_t>(b)).coord);
   return add_duplex(a, b, capacity_mbps, delay, opts);
+}
+
+Topology::Builder& Topology::Builder::add_override(EgressOverride ov) {
+  topo_.overrides_.push_back(std::move(ov));
+  return *this;
 }
 
 util::Result<Topology> Topology::Builder::build() && {

@@ -49,6 +49,23 @@ struct Node {
   double middlebox_per_flow_mbps = 0.0;
 };
 
+/// Policy-routing exception installed at one router: traffic from a matching
+/// source toward `dst_as` leaves `at` through `use_link` instead of the
+/// BGP-selected egress (see routing.h). A source matches when its tag equals
+/// `src_tag` (if set) OR its address falls inside `src_prefix`/
+/// `src_prefix_bits` (if prefix_bits > 0) — real policy routing matches on
+/// source prefixes; tags are the scenario-authoring shorthand.
+struct EgressOverride {
+  NodeId at = kInvalidNode;     // router applying the policy
+  std::string src_tag;          // matches Node::tag of the flow source
+  geo::Ipv4 src_prefix{};       // alternative matcher: source address prefix
+  int src_prefix_bits = 0;      // 0 = prefix matching disabled
+  AsId dst_as = kInvalidAs;     // destination AS the policy applies to
+  LinkId use_link = kInvalidLink;  // forced egress link from `at`
+
+  bool matches_source(const Node& source) const;
+};
+
 struct As {
   AsId id = kInvalidAs;
   std::string name;  // e.g. "CANARIE", "PacificWave", "GoogleAS"
@@ -101,6 +118,9 @@ class Topology {
   };
   const std::vector<AsAdjacency>& as_adjacencies() const { return as_adj_; }
 
+  /// Policy-routing exceptions, in declaration order.
+  const std::vector<EgressOverride>& overrides() const { return overrides_; }
+
   /// Administrative link control for failure injection. Affects new route
   /// computations; Fabric additionally kills flows on disabled links.
   [[nodiscard]] util::Status set_link_enabled(LinkId id, bool enabled);
@@ -132,6 +152,7 @@ class Topology {
   std::vector<As> ases_;
   std::vector<std::vector<LinkId>> out_links_;
   std::vector<AsAdjacency> as_adj_;
+  std::vector<EgressOverride> overrides_;
   geo::Registry registry_;
 };
 
@@ -173,6 +194,10 @@ class Topology::Builder {
   /// coordinates (great-circle x inflation).
   LinkId add_duplex_geo(NodeId a, NodeId b, double capacity_mbps,
                         LinkOpts opts = {});
+
+  /// Installs a policy-routing exception; build() checks that its ids exist
+  /// and that `use_link` leaves `at`.
+  Builder& add_override(EgressOverride ov);
 
   [[nodiscard]] util::Result<Topology> build() &&;
 

@@ -1,11 +1,15 @@
 #include "net/topology_io.h"
 
+#include <algorithm>
+#include <charconv>
 #include <cstdio>
 #include <map>
 #include <sstream>
+#include <string_view>
+#include <utility>
 #include <vector>
 
-#include "util/units.h"
+#include "check/contract.h"
 
 namespace droute::net {
 
@@ -17,7 +21,7 @@ util::Error line_error(int line, const std::string& message) {
 
 /// Splits a line into tokens, honouring double-quoted strings (quotes are
 /// stripped; they may appear inside key="..." values).
-std::vector<std::string> tokenize(const std::string& line) {
+std::vector<std::string> tokenize(std::string_view line) {
   std::vector<std::string> tokens;
   std::string current;
   bool in_quotes = false;
@@ -49,6 +53,54 @@ bool parse_double(const std::string& token, double* out) {
   return std::sscanf(token.c_str(), "%lf%c", out, &tail) == 1;
 }
 
+/// A millisecond token read straight into seconds by lowering its decimal
+/// exponent by 3 in the text ("21.87" -> "21.87e-3", "1e2" -> "1e-1"), so
+/// the result is the correctly rounded value of the written decimal with no
+/// second rounding from a division.
+bool parse_ms_as_seconds(const std::string& token, double* seconds) {
+  const std::size_t e = token.find_first_of("eE");
+  int exponent = 0;
+  if (e != std::string::npos) {
+    const char* first = token.data() + e + 1;
+    const char* last = token.data() + token.size();
+    // from_chars takes no '+'; skip one unless a '-' follows it.
+    if (last - first > 1 && *first == '+' && first[1] != '-') ++first;
+    const auto [end, error] = std::from_chars(first, last, exponent);
+    if (error != std::errc{} || end != last) return false;
+  }
+  return parse_double(
+      token.substr(0, e) + "e" + std::to_string(exponent - 3), seconds);
+}
+
+/// The shortest fixed-point text that parses back to exactly `value`.
+std::string number_text(double value) {
+  char buf[512];  // longest shortest-fixed double is ~330 chars
+  const auto end = std::to_chars(buf, buf + sizeof(buf), value,
+                                 std::chars_format::fixed).ptr;
+  return std::string(buf, end);
+}
+
+/// `seconds` written in milliseconds: number_text(seconds) with its decimal
+/// point moved three places right, which parse_ms_as_seconds() undoes
+/// exactly (multiplying by 1e3 would round).
+std::string ms_text(double seconds) {
+  std::string text = number_text(seconds);
+  std::size_t point = text.find('.');
+  if (point == std::string::npos) {
+    point = text.size();
+  } else {
+    text.erase(point, 1);
+  }
+  point += 3;
+  if (text.size() < point) text.append(point - text.size(), '0');
+  if (point < text.size()) text.insert(point, ".");
+  while (point > 1 && text[0] == '0') {  // "0021.87" -> "21.87"
+    text.erase(0, 1);
+    --point;
+  }
+  return text;
+}
+
 /// Splits "key=value" -> (key, value); plain flags yield (token, "").
 std::pair<std::string, std::string> split_kv(const std::string& token) {
   const auto eq = token.find('=');
@@ -62,11 +114,17 @@ util::Result<Topology> parse_topology(const std::string& text) {
   Topology::Builder builder;
   std::map<std::string, AsId> ases;
   std::map<std::string, NodeId> nodes;
+  // First link declared from each node to each next hop (override via=).
+  std::map<std::pair<NodeId, NodeId>, LinkId> links;
 
-  std::istringstream stream(text);
-  std::string line;
+  // Lines are split by hand: reading them through an istringstream would
+  // initialise the iostream locale, ~1 MB of resident memory in every
+  // process that builds a World.
   int line_no = 0;
-  while (std::getline(stream, line)) {
+  for (std::size_t begin = 0; begin < text.size();) {
+    const std::size_t newline = std::min(text.find('\n', begin), text.size());
+    const std::string_view line(text.data() + begin, newline - begin);
+    begin = newline + 1;
     ++line_no;
     const auto tokens = tokenize(line);
     if (tokens.empty()) continue;
@@ -146,7 +204,7 @@ util::Result<Topology> parse_topology(const std::string& text) {
       if (src == nodes.end() || dst == nodes.end()) {
         return line_error(line_no, "link references undeclared node");
       }
-      double cap = 0, delay_ms = -1;
+      double cap = 0, delay_s = -1;
       LinkOpts opts;
       bool duplex = false;
       for (std::size_t i = 3; i < tokens.size(); ++i) {
@@ -156,7 +214,7 @@ util::Result<Topology> parse_topology(const std::string& text) {
             return line_error(line_no, "bad cap");
           }
         } else if (key == "delay_ms") {
-          if (!parse_double(value, &delay_ms)) {
+          if (!parse_ms_as_seconds(value, &delay_s)) {
             return line_error(line_no, "bad delay_ms");
           }
         } else if (key == "loss") {
@@ -173,16 +231,59 @@ util::Result<Topology> parse_topology(const std::string& text) {
           return line_error(line_no, "unknown link option " + key);
         }
       }
-      if (cap <= 0 || delay_ms < 0) {
+      if (cap <= 0 || delay_s < 0) {
         return line_error(line_no, "link needs cap>0 and delay_ms>=0");
       }
+      links.try_emplace({src->second, dst->second},
+                        builder.add_link(src->second, dst->second, cap,
+                                         delay_s, opts));
       if (duplex) {
-        builder.add_duplex(src->second, dst->second, cap,
-                           util::ms(delay_ms), opts);
-      } else {
-        builder.add_link(src->second, dst->second, cap, util::ms(delay_ms),
-                         opts);
+        links.try_emplace({dst->second, src->second},
+                          builder.add_link(dst->second, src->second, cap,
+                                           delay_s, opts));
       }
+
+    } else if (directive == "override") {
+      if (tokens.size() < 2) {
+        return line_error(line_no,
+                          "override <at> src_tag=<tag> dst_as=<as> via=<node>");
+      }
+      const auto at = nodes.find(tokens[1]);
+      if (at == nodes.end()) {
+        return line_error(line_no, "override references undeclared node");
+      }
+      EgressOverride ov;
+      ov.at = at->second;
+      for (std::size_t i = 2; i < tokens.size(); ++i) {
+        const auto [key, value] = split_kv(tokens[i]);
+        if (key == "src_tag") {
+          ov.src_tag = value;
+        } else if (key == "dst_as") {
+          const auto as = ases.find(value);
+          if (as == ases.end()) {
+            return line_error(line_no, "override references undeclared AS");
+          }
+          ov.dst_as = as->second;
+        } else if (key == "via") {
+          const auto next = nodes.find(value);
+          if (next == nodes.end()) {
+            return line_error(line_no, "override references undeclared node");
+          }
+          const auto link = links.find({ov.at, next->second});
+          if (link == links.end()) {
+            return line_error(line_no, "via " + value +
+                                           " is not a link out of " + tokens[1]);
+          }
+          ov.use_link = link->second;
+        } else {
+          return line_error(line_no, "unknown override option " + key);
+        }
+      }
+      if (ov.src_tag.empty() || ov.dst_as == kInvalidAs ||
+          ov.use_link == kInvalidLink) {
+        return line_error(line_no, "override needs src_tag=, dst_as= and via=");
+      }
+      builder.add_override(std::move(ov));
 
     } else {
       return line_error(line_no, "unknown directive " + directive);
@@ -215,32 +316,40 @@ std::string serialize_topology(const Topology& topo) {
   }
   for (std::size_t i = 0; i < topo.node_count(); ++i) {
     const Node& node = topo.node(static_cast<NodeId>(i));
-    char coord[64];
-    std::snprintf(coord, sizeof(coord), "%.6f %.6f", node.coord.lat_deg,
-                  node.coord.lon_deg);
     out << "node " << node.name << " "
         << (node.kind == NodeKind::kHost ? "host" : "router") << " "
-        << topo.as_info(node.as_id).name << " " << coord;
+        << topo.as_info(node.as_id).name << " "
+        << number_text(node.coord.lat_deg) << " "
+        << number_text(node.coord.lon_deg);
     const auto location = topo.registry().lookup(node.name);
     if (location && location->city != "unknown") {
       out << " city=\"" << location->city << "\"";
     }
     if (!node.tag.empty()) out << " tag=" << node.tag;
     if (node.middlebox_per_flow_mbps > 0) {
-      out << " middlebox=" << node.middlebox_per_flow_mbps;
+      out << " middlebox=" << number_text(node.middlebox_per_flow_mbps);
     }
     out << "\n";
   }
   for (std::size_t i = 0; i < topo.link_count(); ++i) {
     const Link& link = topo.link(static_cast<LinkId>(i));
     out << "link " << topo.node(link.src).name << " "
-        << topo.node(link.dst).name << " cap=" << link.capacity_mbps
-        << " delay_ms=" << link.prop_delay_s * 1e3;
-    if (link.loss_rate > 0) out << " loss=" << link.loss_rate;
+        << topo.node(link.dst).name
+        << " cap=" << number_text(link.capacity_mbps)
+        << " delay_ms=" << ms_text(link.prop_delay_s);
+    if (link.loss_rate > 0) out << " loss=" << number_text(link.loss_rate);
     if (link.policer_per_flow_mbps > 0) {
-      out << " policer=" << link.policer_per_flow_mbps;
+      out << " policer=" << number_text(link.policer_per_flow_mbps);
     }
     out << "\n";
+  }
+  for (const EgressOverride& ov : topo.overrides()) {
+    DROUTE_CHECK(!ov.src_tag.empty() && ov.src_prefix_bits == 0,
+                 "serialize_topology: only tag-matched overrides have a file "
+                 "syntax");
+    out << "override " << topo.node(ov.at).name << " src_tag=" << ov.src_tag
+        << " dst_as=" << topo.as_info(ov.dst_as).name
+        << " via=" << topo.node(topo.link(ov.use_link).dst).name << "\n";
   }
   return out.str();
 }

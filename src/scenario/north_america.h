@@ -5,8 +5,10 @@
 // UAlberta (Edmonton). Providers: Dropbox (Ashburn VA), Google Drive
 // (Mountain View CA), OneDrive (Seattle WA).
 //
-// Calibration targets and the network causes behind them are documented in
-// DESIGN.md §5; the headline artifacts are
+// The network is data: data/north_america.topo, compiled in, parsed once
+// per process and copied into every World, which then jitters the
+// calibrated rates. Calibration targets and the network causes behind them
+// are documented in DESIGN.md §5; the headline artifacts are
 //   * a per-flow policed PacificWave egress that PlanetLab-tagged traffic
 //     from UBC is policy-routed onto toward Google (Figs 5/6),
 //   * PlanetLab slice shaping at each PlanetLab site,
@@ -140,7 +142,6 @@ class World {
 
  private:
   explicit World(const WorldConfig& config);
-  void build_topology();
   void wire_services();
   void start_cross_traffic();
   void warm_up();
@@ -165,7 +166,6 @@ class World {
   // Declared after the fabric: controllers stop() (cancelling probe flows)
   // before the fabric and simulator are torn down.
   std::vector<std::unique_ptr<ctrl::Controller>> controllers_;
-  std::map<std::string, net::NodeId> names_;
   bool warmed_up_ = false;
   std::uint64_t upload_counter_ = 0;
 };

@@ -193,17 +193,17 @@ TEST(NodeRouting, EgressOverrideDivertsTaggedSource) {
   b.add_duplex(r_pw, r_cl, 1000, 0.002);
   b.add_duplex(r_bb, r_cl, 1000, 0.001);
   b.add_duplex(r_cl, fe, 1000, 0.001);
-  auto built = std::move(b).build();
-  ASSERT_TRUE(built.ok()) << built.error().message;
-  Topology topo = std::move(built).value();
-
-  RouteTable routes(&topo);
   EgressOverride ov;
   ov.at = r_bb;
   ov.src_tag = "planetlab";
   ov.dst_as = cloud;
   ov.use_link = to_pwave;
-  routes.add_override(ov);
+  b.add_override(ov);
+  auto built = std::move(b).build();
+  ASSERT_TRUE(built.ok()) << built.error().message;
+  Topology topo = std::move(built).value();
+
+  RouteTable routes(&topo);
 
   const Route tagged_route = routes.route(tagged, fe).value();
   const Route plain_route = routes.route(plain, fe).value();
@@ -288,70 +288,55 @@ namespace {
 TEST(NodeRouting, PrefixBasedOverrideMatchesSubnet) {
   // Same world as the tag-based override test, but match on the source's
   // 10.<as>.0.0/16 prefix instead of a tag — real policy routing matches
-  // prefixes, not labels.
-  Topology::Builder b;
-  const AsId campus = b.add_as("Campus");
-  const AsId backbone = b.add_as("Backbone");
-  const AsId pwave = b.add_as("PWave");
-  const AsId cloud = b.add_as("Cloud");
-  b.relate(backbone, campus, AsRelation::kCustomer);
-  b.relate(backbone, cloud, AsRelation::kPeer);
-  b.relate(backbone, pwave, AsRelation::kPeer);
-  b.relate(pwave, cloud, AsRelation::kPeer);
-  const NodeId host = b.add_host(campus, "pl.host", at(49, -123));
-  const NodeId r_bb = b.add_router(backbone, "r-bb", at(49, -122));
-  const NodeId r_pw = b.add_router(pwave, "r-pw", at(47, -122));
-  const NodeId r_cl = b.add_router(cloud, "r-cl", at(47, -121));
-  const NodeId fe = b.add_host(cloud, "fe", at(37, -122));
-  b.add_duplex(host, r_bb, 1000, 0.001);
-  const LinkId to_pwave = b.add_duplex(r_bb, r_pw, 1000, 0.002);
-  b.add_duplex(r_pw, r_cl, 1000, 0.002);
-  b.add_duplex(r_bb, r_cl, 1000, 0.001);
-  b.add_duplex(r_cl, fe, 1000, 0.001);
-  auto built = std::move(b).build();
-  ASSERT_TRUE(built.ok());
-  Topology topo = std::move(built).value();
-
-  auto contains = [](const Route& r, NodeId n) {
-    return std::find(r.nodes.begin(), r.nodes.end(), n) != r.nodes.end();
+  // prefixes, not labels. Each case builds the world with one override.
+  struct PrefixWorld {
+    Topology topo;
+    NodeId host, r_pw, fe;
+  };
+  const auto build = [](const std::string& prefix, int bits) {
+    Topology::Builder b;
+    const AsId campus = b.add_as("Campus");
+    const AsId backbone = b.add_as("Backbone");
+    const AsId pwave = b.add_as("PWave");
+    const AsId cloud = b.add_as("Cloud");
+    b.relate(backbone, campus, AsRelation::kCustomer);
+    b.relate(backbone, cloud, AsRelation::kPeer);
+    b.relate(backbone, pwave, AsRelation::kPeer);
+    b.relate(pwave, cloud, AsRelation::kPeer);
+    const NodeId host = b.add_host(campus, "pl.host", at(49, -123));
+    const NodeId r_bb = b.add_router(backbone, "r-bb", at(49, -122));
+    const NodeId r_pw = b.add_router(pwave, "r-pw", at(47, -122));
+    const NodeId r_cl = b.add_router(cloud, "r-cl", at(47, -121));
+    const NodeId fe = b.add_host(cloud, "fe", at(37, -122));
+    b.add_duplex(host, r_bb, 1000, 0.001);
+    const LinkId to_pwave = b.add_duplex(r_bb, r_pw, 1000, 0.002);
+    b.add_duplex(r_pw, r_cl, 1000, 0.002);
+    b.add_duplex(r_bb, r_cl, 1000, 0.001);
+    b.add_duplex(r_cl, fe, 1000, 0.001);
+    EgressOverride ov;
+    ov.at = r_bb;
+    ov.src_prefix = geo::Ipv4::parse(prefix).value();
+    ov.src_prefix_bits = bits;
+    ov.dst_as = cloud;
+    ov.use_link = to_pwave;
+    b.add_override(ov);
+    return PrefixWorld{std::move(b).build().value(), host, r_pw, fe};
+  };
+  const auto diverted = [](const PrefixWorld& w) {
+    RouteTable routes(&w.topo);
+    const Route route = routes.route(w.host, w.fe).value();
+    return std::find(route.nodes.begin(), route.nodes.end(), w.r_pw) !=
+           route.nodes.end();
   };
 
+  // The campus AS is the first declared (id 0), so its host is 10.0.0.1.
+  ASSERT_EQ(build("10.0.0.0", 16).topo.node(0).ip.to_string(), "10.0.0.1");
   // Prefix covering the campus AS (10.<campus>.0.0/16): diverted.
-  {
-    RouteTable routes(&topo);
-    EgressOverride ov;
-    ov.at = r_bb;
-    ov.src_prefix = topo.node(host).ip;
-    ov.src_prefix_bits = 16;
-    ov.dst_as = cloud;
-    ov.use_link = to_pwave;
-    routes.add_override(ov);
-    EXPECT_TRUE(contains(routes.route(host, fe).value(), r_pw));
-  }
+  EXPECT_TRUE(diverted(build("10.0.0.0", 16)));
   // Prefix for a different /16: not diverted.
-  {
-    RouteTable routes(&topo);
-    EgressOverride ov;
-    ov.at = r_bb;
-    ov.src_prefix = geo::Ipv4::parse("10.99.0.0").value();
-    ov.src_prefix_bits = 16;
-    ov.dst_as = cloud;
-    ov.use_link = to_pwave;
-    routes.add_override(ov);
-    EXPECT_FALSE(contains(routes.route(host, fe).value(), r_pw));
-  }
+  EXPECT_FALSE(diverted(build("10.99.0.0", 16)));
   // /32 exact-host match.
-  {
-    RouteTable routes(&topo);
-    EgressOverride ov;
-    ov.at = r_bb;
-    ov.src_prefix = topo.node(host).ip;
-    ov.src_prefix_bits = 32;
-    ov.dst_as = cloud;
-    ov.use_link = to_pwave;
-    routes.add_override(ov);
-    EXPECT_TRUE(contains(routes.route(host, fe).value(), r_pw));
-  }
+  EXPECT_TRUE(diverted(build("10.0.0.1", 32)));
 }
 
 TEST(NodeRouting, OverrideMatcherSemantics) {

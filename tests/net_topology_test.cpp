@@ -77,6 +77,22 @@ TEST(TopologyBuilder, RejectsBadLinkParams) {
   }
 }
 
+TEST(TopologyBuilder, RejectsOverrideNotLeavingItsRouter) {
+  for (const bool leaves : {true, false}) {
+    Topology::Builder b;
+    const AsId a = b.add_as("A");
+    const NodeId n1 = b.add_host(a, "h1", here());
+    const NodeId n2 = b.add_host(a, "h2", here());
+    const LinkId forward = b.add_duplex(n1, n2, 10.0, 0.001);
+    EgressOverride ov;
+    ov.at = leaves ? n1 : n2;  // `forward` leaves n1 only
+    ov.dst_as = a;
+    ov.use_link = forward;
+    b.add_override(ov);
+    EXPECT_EQ(std::move(b).build().ok(), leaves);
+  }
+}
+
 TEST(Topology, RelationConverseIsRecorded) {
   Topology::Builder b;
   const AsId cust = b.add_as("Campus");

@@ -1,6 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <fstream>
+#include <sstream>
+#include <string>
+#include <vector>
+
 #include "measure/campaign.h"
+#include "net/topology_io.h"
 #include "scenario/north_america.h"
 #include "util/units.h"
 
@@ -210,6 +216,65 @@ TEST(Scenario, JitterCanBeDisabled) {
         .value();
   };
   EXPECT_DOUBLE_EQ(run(1), run(999));
+}
+
+TEST(Scenario, JitterTouchesOnlyCalibratedRates) {
+  // A seeded World differs from data/north_america.topo only at the 4
+  // PlanetLab middleboxes, the 8 directions of the 4 jittered capacity links
+  // and the 3 jittered policers. Delays, overrides and so every route are
+  // the file's, whatever the seed.
+  std::ifstream file(std::string(DROUTE_SOURCE_DIR) +
+                     "/data/north_america.topo");
+  std::ostringstream text;
+  text << file.rdbuf();
+  auto parsed = net::parse_topology(text.str());
+  ASSERT_TRUE(parsed.ok()) << parsed.error().message;
+  const net::Topology& base = parsed.value();
+
+  WorldConfig config;
+  config.seed = 7919;
+  config.cross_traffic = false;
+  auto world = World::create(config);
+  const net::Topology& live = world->topology();
+  ASSERT_EQ(live.node_count(), base.node_count());
+  ASSERT_EQ(live.link_count(), base.link_count());
+
+  std::vector<std::string> middleboxes;
+  for (std::size_t i = 0; i < base.node_count(); ++i) {
+    const auto id = static_cast<net::NodeId>(i);
+    if (live.node(id).middlebox_per_flow_mbps !=
+        base.node(id).middlebox_per_flow_mbps) {
+      middleboxes.push_back(base.node(id).name);
+    }
+  }
+  EXPECT_EQ(middleboxes,
+            (std::vector<std::string>{"cs-gw.net.ubc.ca", "pl-gw.umich.edu",
+                                      "pl-gw.purdue.edu", "pl-gw.ucla.edu"}));
+  int capacities = 0, policers = 0;
+  for (std::size_t i = 0; i < base.link_count(); ++i) {
+    const net::Link& a = live.link(static_cast<net::LinkId>(i));
+    const net::Link& b = base.link(static_cast<net::LinkId>(i));
+    capacities += a.capacity_mbps != b.capacity_mbps;
+    policers += a.policer_per_flow_mbps != b.policer_per_flow_mbps;
+    EXPECT_EQ(a.prop_delay_s, b.prop_delay_s) << "link " << i;
+    EXPECT_EQ(a.loss_rate, b.loss_rate) << "link " << i;
+  }
+  EXPECT_EQ(capacities, 8);
+  EXPECT_EQ(policers, 3);
+
+  net::RouteTable base_routes(&base);
+  for (std::size_t src = 0; src < base.node_count(); ++src) {
+    for (std::size_t dst = 0; dst < base.node_count(); ++dst) {
+      auto a = world->routes().route(static_cast<net::NodeId>(src),
+                                     static_cast<net::NodeId>(dst));
+      auto b = base_routes.route(static_cast<net::NodeId>(src),
+                                 static_cast<net::NodeId>(dst));
+      ASSERT_EQ(a.ok(), b.ok()) << src << " -> " << dst;
+      if (a.ok()) {
+        EXPECT_EQ(a.value().links, b.value().links) << src << " -> " << dst;
+      }
+    }
+  }
 }
 
 TEST(Scenario, UbcOutgoingBandwidthIsNotTheBottleneck) {
