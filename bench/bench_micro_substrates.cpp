@@ -1,106 +1,118 @@
-// google-benchmark microbenchmarks for the substrates: event kernel
-// throughput, rolling checksum / MD5 / delta scan rates, max-min allocator
-// cost, and BGP table construction.
-#include <benchmark/benchmark.h>
+// Substrate throughput cases -> BENCH_substrates.json.
+//
+// Rolling checksum, MD5 and delta-scan rates over a random buffer, the cost
+// of building the calibrated scenario World, and one full simulated 100 MB
+// upload. The byte cases and the upload report MB (10^6 bytes) per timed
+// iteration through set_events(), so events_per_sec reads as MB/s;
+// world_build counts Worlds built. --quick shrinks every input. Ungated: no
+// committed baseline, the nightly job only validates the report.
+#include <cstdint>
+#include <cstdio>
+#include <cstdlib>
+#include <memory>
+#include <span>
 
-#include "net/fabric.h"
+#include "harness.h"
 #include "rsyncx/checksum.h"
 #include "rsyncx/delta.h"
 #include "rsyncx/md5.h"
 #include "rsyncx/signature.h"
 #include "scenario/north_america.h"
-#include "sim/simulator.h"
 #include "util/blob.h"
 #include "util/rng.h"
 #include "util/units.h"
 
+namespace droute::bench {
 namespace {
 
-using namespace droute;
+// Results land here so the timed work cannot be optimized away.
+volatile std::uint64_t g_sink = 0;
 
-void BM_SimulatorScheduleRun(benchmark::State& state) {
-  const auto events = static_cast<std::uint64_t>(state.range(0));
-  for (auto _ : state) {
-    sim::Simulator simulator;
-    for (std::uint64_t i = 0; i < events; ++i) {
-      simulator.schedule_at(static_cast<double>(i % 97), [] {});
-    }
-    simulator.run();
-    benchmark::DoNotOptimize(simulator.executed_events());
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(events) *
-                          state.iterations());
+// 1 MiB random buffer (64 KiB under --quick) shared by the case's closure;
+// reports its size in MB.
+std::shared_ptr<const util::Blob> random_buffer(BenchContext& ctx,
+                                                std::uint64_t seed) {
+  util::Rng rng(seed);
+  auto data = std::make_shared<const util::Blob>(util::make_random_blob(
+      rng, ctx.quick() ? 64 * 1024 : 1024 * 1024));
+  ctx.set_events(static_cast<double>(data->size()) /
+                 static_cast<double>(util::kMB));
+  ctx.extra("bytes", static_cast<double>(data->size()));
+  return data;
 }
-BENCHMARK(BM_SimulatorScheduleRun)->Arg(1000)->Arg(100000);
 
-void BM_RollingChecksum(benchmark::State& state) {
-  util::Rng rng(1);
-  const util::Blob data =
-      util::make_random_blob(rng, static_cast<std::size_t>(state.range(0)));
-  for (auto _ : state) {
+DROUTE_BENCH(rolling_checksum, "ms") {
+  constexpr std::size_t kWindow = 700;
+  auto data = random_buffer(ctx, 1);
+  ctx.set_work([data] {
     rsyncx::RollingChecksum rc(
-        std::span<const std::uint8_t>(data).subspan(0, 700));
+        std::span<const std::uint8_t>(*data).subspan(0, kWindow));
     std::uint32_t accum = 0;
-    for (std::size_t i = 0; i + 700 < data.size(); ++i) {
-      rc.roll(data[i], data[i + 700]);
+    for (std::size_t i = 0; i + kWindow < data->size(); ++i) {
+      rc.roll((*data)[i], (*data)[i + kWindow]);
       accum ^= rc.digest();
     }
-    benchmark::DoNotOptimize(accum);
-  }
-  state.SetBytesProcessed(state.range(0) * state.iterations());
+    g_sink = accum;
+  });
 }
-BENCHMARK(BM_RollingChecksum)->Arg(1 << 20);
 
-void BM_Md5(benchmark::State& state) {
-  util::Rng rng(2);
-  const util::Blob data =
-      util::make_random_blob(rng, static_cast<std::size_t>(state.range(0)));
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(rsyncx::Md5::hash(data));
-  }
-  state.SetBytesProcessed(state.range(0) * state.iterations());
+DROUTE_BENCH(md5, "ms") {
+  auto data = random_buffer(ctx, 2);
+  ctx.set_work([data] { g_sink = rsyncx::Md5::hash(*data)[0]; });
 }
-BENCHMARK(BM_Md5)->Arg(1 << 20);
 
-void BM_DeltaScanIdentical(benchmark::State& state) {
-  util::Rng rng(3);
-  const util::Blob file =
-      util::make_random_blob(rng, static_cast<std::size_t>(state.range(0)));
-  const auto block = rsyncx::recommended_block_size(file.size());
-  const auto sig = rsyncx::compute_signature(file, block);
-  const rsyncx::SignatureIndex index(sig);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(rsyncx::compute_delta(file, index));
-  }
-  state.SetBytesProcessed(state.range(0) * state.iterations());
+DROUTE_BENCH(delta_scan, "ms") {
+  // Identical basis and target: every block matches, the scan's best case.
+  auto data = random_buffer(ctx, 3);
+  // The index points into the signature, so the closure keeps both alive.
+  auto signature = std::make_shared<const rsyncx::Signature>(
+      rsyncx::compute_signature(*data,
+                                rsyncx::recommended_block_size(data->size())));
+  auto index = std::make_shared<const rsyncx::SignatureIndex>(*signature);
+  ctx.set_work([data, signature, index] {
+    g_sink = rsyncx::compute_delta(*data, *index).copied_bytes();
+  });
 }
-BENCHMARK(BM_DeltaScanIdentical)->Arg(1 << 20);
 
-void BM_ScenarioWorldBuild(benchmark::State& state) {
-  for (auto _ : state) {
-    scenario::WorldConfig config;
-    config.cross_traffic = false;
-    benchmark::DoNotOptimize(scenario::World::create(config));
-  }
+DROUTE_BENCH(world_build, "ms") {
+  // One World takes tens of microseconds; build a batch per sample so the
+  // sample sits well above timer resolution.
+  const int worlds = ctx.quick() ? 1 : 20;
+  ctx.set_events(worlds);
+  ctx.set_work([worlds] {
+    for (int i = 0; i < worlds; ++i) {
+      scenario::WorldConfig config;
+      config.cross_traffic = false;
+      g_sink = scenario::World::create(config)->simulator().executed_events();
+    }
+  });
 }
-BENCHMARK(BM_ScenarioWorldBuild);
 
-void BM_ScenarioUpload(benchmark::State& state) {
-  // Cost of a full simulated 100 MB direct upload (world build + run):
-  // the unit of work every measurement campaign repeats hundreds of times.
-  for (auto _ : state) {
+DROUTE_BENCH(scenario_upload, "ms") {
+  // A full simulated direct upload (World build + warm-up + run): the unit
+  // of work every measurement campaign repeats hundreds of times.
+  const std::uint64_t bytes = (ctx.quick() ? 10 : 100) * util::kMB;
+  ctx.set_events(static_cast<double>(bytes / util::kMB));
+  ctx.set_work([bytes] {
     scenario::WorldConfig config;
     config.cross_traffic = true;
     config.seed = 42;
     auto world = scenario::World::create(config);
-    benchmark::DoNotOptimize(
+    const auto elapsed =
         world->run_upload(scenario::Client::kPurdue,
                           cloud::ProviderKind::kGoogleDrive,
-                          scenario::RouteChoice::kDirect, 100 * util::kMB));
-  }
+                          scenario::RouteChoice::kDirect, bytes);
+    if (!elapsed.ok()) {
+      std::fprintf(stderr, "scenario upload failed: %s\n",
+                   elapsed.error().message.c_str());
+      std::exit(1);
+    }
+  });
 }
-BENCHMARK(BM_ScenarioUpload);
 
 }  // namespace
+}  // namespace droute::bench
 
-BENCHMARK_MAIN();
+int main(int argc, char** argv) {
+  return droute::bench::bench_main(argc, argv, "BENCH_substrates.json");
+}

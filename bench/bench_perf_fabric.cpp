@@ -5,6 +5,8 @@
 // draining across many independent pods, the workload the incremental
 // allocator (DESIGN.md §12) exists for. The storm runs in both allocation
 // modes and reports `speedup_vs_full`; the rewrite was accepted at >= 5x.
+// fleet_10x runs 60 concurrent uploads inside one calibrated World, the
+// allocator on the paper topology rather than synthetic pods.
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
@@ -13,10 +15,12 @@
 #include <string>
 #include <vector>
 
+#include "cloud/provider.h"
 #include "harness.h"
 #include "net/fabric.h"
 #include "net/routing.h"
 #include "net/topology.h"
+#include "scenario/north_america.h"
 #include "sim/simulator.h"
 #include "util/rng.h"
 #include "util/units.h"
@@ -235,6 +239,62 @@ DROUTE_BENCH(churn_storm_100x, "ms") {
     std::uint64_t completed = 0;
     run_storm(fleet, generations, &completed);
   });
+}
+
+// Starts `fleet_flows` concurrent uploads spread over every client x
+// provider pair of a fresh calibrated World and runs the simulator until all
+// of them drain. Exercises the incremental allocator on the paper topology
+// (shared bottlenecks, policers, live cross traffic) rather than synthetic
+// pods.
+void run_fleet(std::uint64_t seed, int fleet_flows) {
+  scenario::WorldConfig config;
+  config.seed = seed;
+  auto world = scenario::World::create(config);
+  // Cross-traffic warm-up, same budget as run_upload's internal warm-up.
+  world->simulator().run_until(config.warmup_s);
+
+  const std::vector<scenario::Client> clients = scenario::all_clients();
+  const std::vector<cloud::ProviderKind> providers = cloud::all_providers();
+  net::FlowOptions options;
+  options.charge_slow_start = false;
+  options.label = "bench.fleet";
+  auto remaining = std::make_shared<int>(fleet_flows);
+  for (int i = 0; i < fleet_flows; ++i) {
+    const net::NodeId src =
+        world->client_node(clients[static_cast<std::size_t>(i) %
+                                   clients.size()]);
+    const net::NodeId dst = world->provider_node(
+        providers[(static_cast<std::size_t>(i) / clients.size()) %
+                  providers.size()]);
+    const std::uint64_t bytes = (10 + 5 * (i % 7)) * util::kMB;
+    auto flow = world->fabric().start_flow(
+        src, dst, bytes, [remaining](const net::FlowStats&) { --*remaining; },
+        options);
+    if (!flow.ok()) {
+      std::fprintf(stderr, "fleet start_flow failed: %s\n",
+                   flow.error().message.c_str());
+      std::exit(1);
+    }
+  }
+  // Cross-traffic sources schedule events forever, so the queue never
+  // drains; advance in slices until the fleet itself completes.
+  double horizon_s = config.warmup_s;
+  while (*remaining > 0) {
+    horizon_s += 60.0;
+    if (horizon_s > 1e6) {
+      std::fprintf(stderr, "fleet stalled with %d flow(s) unfinished\n",
+                   *remaining);
+      std::exit(1);
+    }
+    world->simulator().run_until(horizon_s);
+  }
+}
+
+DROUTE_BENCH(fleet_10x, "ms") {
+  const int fleet_flows = 60;  // 10x the paper's ~6 concurrent flows
+  ctx.set_events(fleet_flows);
+  ctx.extra("fleet_flows", fleet_flows);
+  ctx.set_work([fleet_flows] { run_fleet(2016, fleet_flows); });
 }
 
 }  // namespace

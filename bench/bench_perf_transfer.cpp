@@ -6,8 +6,8 @@
 //     batch layer + fluid flow machinery end to end in simulated time.
 //   * wire_* — WireTransport against a loopback wire::Sink; measures the
 //     same submit/settle path with real sockets and per-op worker threads.
-// Every case drives one full batch per timed iteration and hard-fails on
-// any non-completed request — a bench that drops requests measures a bug.
+// Every case drives full batches and hard-fails on any non-completed
+// request — a bench that drops requests measures a bug.
 #include <algorithm>
 #include <cstdint>
 #include <cstdio>
@@ -99,16 +99,25 @@ struct SimRig {
   }
 };
 
+// One simulated batch takes microseconds, below timer noise, so each timed
+// iteration runs batches back to back until kBlobsPerSample blobs have
+// moved (a millisecond or more per sample).
+constexpr int kBlobsPerSample = 2048;
+
 void sim_case(BenchContext& ctx, std::uint64_t blob_bytes, int num_blobs,
               std::size_t concurrency) {
   const int blobs = ctx.quick() ? std::min(num_blobs, 2) : num_blobs;
+  const int batches = ctx.quick() ? 1 : kBlobsPerSample / num_blobs;
   auto rig = std::make_shared<SimRig>();
-  ctx.set_events(blobs);
+  ctx.set_events(blobs * batches);
   ctx.extra("blob_bytes", static_cast<double>(blob_bytes));
   ctx.extra("num_blobs", static_cast<double>(blobs));
+  ctx.extra("batches", static_cast<double>(batches));
   ctx.extra("concurrency", static_cast<double>(concurrency));
-  ctx.set_work([rig, blob_bytes, blobs, concurrency] {
-    rig->run_batch(blob_bytes, blobs, concurrency);
+  ctx.set_work([rig, blob_bytes, blobs, batches, concurrency] {
+    for (int i = 0; i < batches; ++i) {
+      rig->run_batch(blob_bytes, blobs, concurrency);
+    }
   });
 }
 

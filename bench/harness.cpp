@@ -1,10 +1,10 @@
 #include "harness.h"
 
 #include <algorithm>
+#include <charconv>
 #include <chrono>
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <numeric>
 
@@ -60,6 +60,14 @@ int usage(const char* argv0) {
   return 2;
 }
 
+// The whole token must be a base-10 integer: "3x" and "abc" are rejected,
+// not read as 3 and 0.
+bool parse_int(const char* text, int* out) {
+  const char* end = text + std::strlen(text);
+  const auto [ptr, ec] = std::from_chars(text, end, *out);
+  return ec == std::errc() && ptr == end;
+}
+
 bool parse_args(int argc, char** argv, Options* options) {
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
@@ -76,12 +84,10 @@ bool parse_args(int argc, char** argv, Options* options) {
       options->filter = v;
     } else if (arg == "--repeats") {
       const char* v = next();
-      if (v == nullptr) return false;
-      options->repeats = std::atoi(v);
+      if (v == nullptr || !parse_int(v, &options->repeats)) return false;
     } else if (arg == "--warmup") {
       const char* v = next();
-      if (v == nullptr) return false;
-      options->warmup = std::atoi(v);
+      if (v == nullptr || !parse_int(v, &options->warmup)) return false;
     } else if (arg == "--json") {
       const char* v = next();
       if (v == nullptr) return false;

@@ -212,9 +212,11 @@ sim::Task<void> Controller::probe_path(net::NodeId client, PathSpec path) {
     obs::add(probes_failed_total_);
   }
   trace_.note_probe(client, path, ok, mbps, elapsed, launch_epoch);
-  obs::emit_span("ctrl.probe_transfer", obs::Clock::kSim, start,
-                 simulator_->now(),
-                 {{"path", path.label()}, {"ok", ok ? "1" : "0"}});
+  if (obs::enabled()) {
+    obs::emit_span("ctrl.probe_transfer", obs::Clock::kSim, start,
+                   simulator_->now(),
+                   {{"path", path.label()}, {"ok", ok ? "1" : "0"}});
+  }
   co_return;
 }
 

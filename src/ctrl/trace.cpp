@@ -1,5 +1,7 @@
 #include "ctrl/trace.h"
 
+#include <string_view>
+
 #include "util/fmt.h"
 
 namespace droute::ctrl {
@@ -71,11 +73,20 @@ std::string DecisionTrace::serialize() const {
 }
 
 std::uint64_t DecisionTrace::fnv1a() const {
-  const std::string text = serialize();
+  // Hashes the bytes serialize() would produce, in place: the header, then
+  // each line followed by '\n'.
   std::uint64_t hash = 1469598103934665603ULL;
-  for (const char c : text) {
-    hash ^= static_cast<unsigned char>(c);
-    hash *= 1099511628211ULL;
+  auto mix = [&hash](std::string_view text) {
+    for (const char c : text) {
+      hash ^= static_cast<unsigned char>(c);
+      hash *= 1099511628211ULL;
+    }
+  };
+  mix(kHeader);
+  mix("\n");
+  for (const std::string& line : lines_) {
+    mix(line);
+    mix("\n");
   }
   return hash;
 }

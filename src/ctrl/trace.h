@@ -35,7 +35,8 @@ class DecisionTrace {
   /// Full trace text: a version header plus one line per note.
   std::string serialize() const;
 
-  /// FNV-1a over serialize() — cheap byte-identity check for tests.
+  /// FNV-1a of serialize()'s bytes, hashed without building the string —
+  /// cheap byte-identity check for tests and the chaos digest.
   std::uint64_t fnv1a() const;
 
  private:

@@ -63,11 +63,13 @@ sim::Task<SteeredResult> SteeredUploadEngine::upload_task(
 
   steering_->observe_session(client, result.decision, file.bytes,
                              result.duration_s(), result.success);
-  obs::emit_span("transfer.steered_upload", obs::Clock::kSim,
-                 result.start_time, result.end_time,
-                 {{"path", result.decision.path.label()},
-                  {"bytes", std::to_string(result.payload_bytes)},
-                  {"ok", result.success ? "1" : "0"}});
+  if (obs::enabled()) {
+    obs::emit_span("transfer.steered_upload", obs::Clock::kSim,
+                   result.start_time, result.end_time,
+                   {{"path", result.decision.path.label()},
+                    {"bytes", std::to_string(result.payload_bytes)},
+                    {"ok", result.success ? "1" : "0"}});
+  }
   co_return result;
 }
 

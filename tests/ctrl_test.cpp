@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <memory>
 #include <optional>
 #include <string>
@@ -309,27 +310,39 @@ TEST(Policy, ResetClientForgetsTheIncumbent) {
 
 // ---------------------------------------------------------------- trace ----
 
+/// Reference 64-bit FNV-1a over a whole string.
+std::uint64_t fnv1a_of(const std::string& text) {
+  std::uint64_t hash = 1469598103934665603ULL;
+  for (const char c : text) {
+    hash ^= static_cast<unsigned char>(c);
+    hash *= 1099511628211ULL;
+  }
+  return hash;
+}
+
+/// One note of every line kind DecisionTrace writes.
+void fill_every_line_kind(DecisionTrace& trace) {
+  trace.note_epoch(1, 0.0, 3, 786432);
+  trace.note_probe(1, PathSpec{{9}}, true, 87.5, 0.125, 1);
+  trace.note_tiv(1, 2, PathSpec{{9}}, 87.5, 20.0, 1);
+  Decision decision;
+  decision.path = PathSpec{{9}};
+  decision.epoch = 1;
+  decision.at_s = 2.5;
+  decision.expected_mbps = 87.5;
+  decision.benefit_usd = 0.25;
+  decision.switched = true;
+  decision.reason = "relay significant and cost-positive; first decision";
+  trace.note_steer(1, 64 * util::kMB, decision);
+  trace.note_session(1, PathSpec{{9}}, true, 80.0, 6.7);
+  trace.note_event(3.25, "link_fail");
+}
+
 TEST(Trace, SerializesDeterministicallyAndDigestsByteIdentity) {
-  auto fill = [](DecisionTrace& trace) {
-    trace.note_epoch(1, 0.0, 3, 786432);
-    trace.note_probe(1, PathSpec{{9}}, true, 87.5, 0.125, 1);
-    trace.note_tiv(1, 2, PathSpec{{9}}, 87.5, 20.0, 1);
-    Decision decision;
-    decision.path = PathSpec{{9}};
-    decision.epoch = 1;
-    decision.at_s = 2.5;
-    decision.expected_mbps = 87.5;
-    decision.benefit_usd = 0.25;
-    decision.switched = true;
-    decision.reason = "relay significant and cost-positive; first decision";
-    trace.note_steer(1, 64 * util::kMB, decision);
-    trace.note_session(1, PathSpec{{9}}, true, 80.0, 6.7);
-    trace.note_event(3.25, "link_fail");
-  };
   DecisionTrace a;
   DecisionTrace b;
-  fill(a);
-  fill(b);
+  fill_every_line_kind(a);
+  fill_every_line_kind(b);
   EXPECT_EQ(a.lines(), 6u);
   EXPECT_EQ(a.serialize(), b.serialize());
   EXPECT_EQ(a.fnv1a(), b.fnv1a());
@@ -340,6 +353,13 @@ TEST(Trace, SerializesDeterministicallyAndDigestsByteIdentity) {
   // One diverging note changes the digest.
   b.note_event(4.0, "policer_rewrite");
   EXPECT_NE(a.fnv1a(), b.fnv1a());
+}
+
+TEST(Trace, DigestIsFnv1aOfSerializedText) {
+  DecisionTrace trace;
+  EXPECT_EQ(trace.fnv1a(), fnv1a_of(trace.serialize()));
+  fill_every_line_kind(trace);
+  EXPECT_EQ(trace.fnv1a(), fnv1a_of(trace.serialize()));
 }
 
 // ----------------------------------------------------------- controller ----
