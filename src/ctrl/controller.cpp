@@ -36,13 +36,51 @@ Controller::Controller(sim::Simulator& simulator, net::Fabric& fabric,
 
 Controller::~Controller() { stop(); }
 
+void Controller::set_provider(net::NodeId provider) {
+  DROUTE_CHECK(!frozen_, "Controller::set_provider after start()");
+  provider_ = provider;
+}
+
+void Controller::add_client(net::NodeId client) {
+  DROUTE_CHECK(!frozen_, "Controller::add_client after start()");
+  clients_.push_back(client);
+}
+
+void Controller::add_relay(net::NodeId relay) {
+  DROUTE_CHECK(!frozen_, "Controller::add_relay after start()");
+  relays_.push_back(relay);
+}
+
 void Controller::start() {
+  DROUTE_CHECK(!started_, "Controller::start: already started");
+  freeze();
+  started_ = true;
+  tick_event_ = simulator_->schedule_in(0.0, [this] { tick(); });
+}
+
+void Controller::freeze() {
+  if (frozen_) return;
   DROUTE_CHECK(provider_ != net::kInvalidNode,
                "Controller::start: set_provider first");
   DROUTE_CHECK(!clients_.empty(), "Controller::start: no clients registered");
-  DROUTE_CHECK(!started_, "Controller::start: already started");
-  started_ = true;
-  tick_event_ = simulator_->schedule_in(0.0, [this] { tick(); });
+  frozen_ = true;
+  table_begin_.reserve(clients_.size() + 1);
+  for (const net::NodeId client : clients_) {
+    table_begin_.push_back(table_.size());
+    for (const PathSpec& path : candidate_paths(client)) {
+      table_.push_back(estimator_.add_path(client, provider_, path));
+    }
+  }
+  table_begin_.push_back(table_.size());
+}
+
+void Controller::refresh_routability() {
+  if (routable_generation_ == routes_->generation()) return;
+  routable_generation_ = routes_->generation();
+  routable_.assign(estimator_.size(), 0);
+  for (const PathId id : table_) {
+    routable_[id] = path_routable(estimator_.client(id), estimator_.path(id));
+  }
 }
 
 void Controller::stop() {
@@ -117,6 +155,30 @@ bool Controller::path_routable(net::NodeId client, const PathSpec& path) const {
   return routes_->route(prev, provider_).ok();
 }
 
+void Controller::note_tivs() {
+  verdicts_.resize(estimator_.size());
+  for (const PathId id : estimator_.key_order()) {
+    const PathId direct = estimator_.direct_of(id);
+    if (direct == id) continue;  // a direct path is never a TIV
+    Verdict& verdict = verdicts_[id];
+    if (verdict.revision != estimator_.revision(id) ||
+        verdict.direct_revision != estimator_.revision(direct)) {
+      verdict.revision = estimator_.revision(id);
+      verdict.direct_revision = estimator_.revision(direct);
+      verdict.line_prefix =
+          estimator_.is_tiv(id, config_.policy.significance)
+              ? DecisionTrace::tiv_line_prefix(
+                    estimator_.client(id), provider_, estimator_.path(id),
+                    estimator_.stats(id).mean_mbps,
+                    estimator_.stats(direct).mean_mbps)
+              : std::string{};
+    }
+    if (verdict.line_prefix.empty()) continue;
+    trace_.note_tiv(verdict.line_prefix, epoch_);
+    obs::add(tivs_flagged_total_);
+  }
+}
+
 void Controller::tick() {
   ++epoch_;
   obs::add(epochs_total_);
@@ -126,43 +188,31 @@ void Controller::tick() {
   std::erase_if(probes_, [](const sim::Task<void>& t) { return t.done(); });
 
   // Flag throughput TIVs as of this epoch's estimates.
-  for (const TivFlag& flag :
-       estimator_.flag_tivs(config_.policy.significance)) {
-    trace_.note_tiv(flag.client, flag.provider, flag.path, flag.path_mbps,
-                    flag.direct_mbps, epoch_);
-    obs::add(tivs_flagged_total_);
-  }
+  note_tivs();
 
   // Spend the probe budget, stalest estimate first.
-  struct Work {
-    net::NodeId client;
-    PathSpec path;
-    std::uint64_t last_epoch;
-  };
-  std::vector<Work> work;
-  for (const net::NodeId client : clients_) {
-    for (PathSpec& path : candidate_paths(client)) {
-      if (!path_routable(client, path)) continue;
-      const PathStats* stats = estimator_.lookup(client, provider_, path);
-      work.push_back(
-          {client, std::move(path), stats == nullptr ? 0 : stats->last_epoch});
+  refresh_routability();
+  work_.clear();
+  for (const PathId id : table_) {
+    if (routable_[id] != 0) {
+      work_.push_back({id, estimator_.stats(id).last_epoch});
     }
   }
-  std::stable_sort(work.begin(), work.end(),
+  std::stable_sort(work_.begin(), work_.end(),
                    [](const Work& a, const Work& b) {
                      return a.last_epoch < b.last_epoch;
                    });
 
   std::uint64_t spent = 0;
   int launched = 0;
-  for (Work& item : work) {
+  for (const Work& item : work_) {
     const std::uint64_t cost =
         config_.probe_bytes *
-        static_cast<std::uint64_t>(item.path.relay_hops() + 1);
+        static_cast<std::uint64_t>(estimator_.path(item.id).relay_hops() + 1);
     if (spent + cost > config_.probe_budget_bytes) break;
     spent += cost;
     ++launched;
-    probes_.push_back(probe_path(item.client, std::move(item.path)));
+    probes_.push_back(probe_path(item.id));
   }
   obs::add(probes_launched_total_, static_cast<std::uint64_t>(launched));
   obs::observe(probe_budget_spent_bytes_, static_cast<double>(spent));
@@ -171,9 +221,12 @@ void Controller::tick() {
   tick_event_ = simulator_->schedule_in(config_.epoch_s, [this] { tick(); });
 }
 
-sim::Task<void> Controller::probe_path(net::NodeId client, PathSpec path) {
+sim::Task<void> Controller::probe_path(PathId id) {
   const double start = simulator_->now();
   const std::uint64_t launch_epoch = epoch_;
+  const net::NodeId client = estimator_.client(id);
+  // A copy: the probe outlives this epoch, and the label is traced at the end.
+  const PathSpec path = estimator_.path(id);
   std::vector<net::NodeId> hops;
   hops.push_back(client);
   hops.insert(hops.end(), path.relays.begin(), path.relays.end());
@@ -206,7 +259,7 @@ sim::Task<void> Controller::probe_path(net::NodeId client, PathSpec path) {
           ? static_cast<double>(config_.probe_bytes) * 8e-6 / elapsed
           : 0.0;
   if (ok) {
-    estimator_.observe(client, provider_, path, mbps, elapsed, launch_epoch);
+    estimator_.observe(id, mbps, elapsed, launch_epoch);
     obs::observe(probe_elapsed_s_, elapsed);
   } else {
     obs::add(probes_failed_total_);
@@ -221,13 +274,19 @@ sim::Task<void> Controller::probe_path(net::NodeId client, PathSpec path) {
 }
 
 Decision Controller::steer(net::NodeId client, std::uint64_t bytes) {
+  freeze();
+  const auto registered = std::find(clients_.begin(), clients_.end(), client);
+  DROUTE_CHECK(registered != clients_.end(),
+               "Controller::steer: unregistered client");
+  const auto index = static_cast<std::size_t>(registered - clients_.begin());
+  refresh_routability();
   std::vector<SteeringPolicy::Candidate> candidates;
-  for (PathSpec& path : candidate_paths(client)) {
-    SteeringPolicy::Candidate cand;
-    cand.routable = path_routable(client, path);
-    cand.stats = estimator_.lookup(client, provider_, path);
-    cand.path = std::move(path);
-    candidates.push_back(std::move(cand));
+  candidates.reserve(table_begin_[index + 1] - table_begin_[index]);
+  for (std::size_t k = table_begin_[index]; k < table_begin_[index + 1]; ++k) {
+    const PathId id = table_[k];
+    const PathStats& stats = estimator_.stats(id);
+    candidates.push_back({estimator_.path(id), routable_[id] != 0,
+                          stats.samples == 0 ? nullptr : &stats});
   }
   Decision decision = policy_.decide(client, bytes, candidates, epoch_,
                                      simulator_->now());

@@ -16,6 +16,15 @@
 // so two same-seed runs of the same scenario produce byte-identical
 // DecisionTrace output (asserted by ctrl_test).
 //
+// Epoch cost: an epoch costs what changed, not paths x routes. start()
+// enumerates every client's candidate paths once into a table of dense
+// PathEstimator ids (clients and relays are fixed from then on). Each
+// path's routability is one cached bit, recomputed only when the
+// RouteTable's generation() moves — which also catches route churn nobody
+// reports through on_network_event. Stats are read by id, and a path's TIV
+// verdict and trace-line text are recomputed only when its own stats or
+// its direct path's stats changed since they were last judged.
+//
 // Lifetime: probes are sim::Tasks; call stop() (cancelling the epoch timer
 // and all in-flight probes) before the Simulator is torn down or before
 // asserting quiescence. The destructor calls stop() as a backstop, which
@@ -24,6 +33,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -64,10 +74,11 @@ class Controller final : public Steering {
   Controller(const Controller&) = delete;
   Controller& operator=(const Controller&) = delete;
 
-  /// World wiring; call before start().
-  void set_provider(net::NodeId provider) { provider_ = provider; }
-  void add_client(net::NodeId client) { clients_.push_back(client); }
-  void add_relay(net::NodeId relay) { relays_.push_back(relay); }
+  /// World wiring; call before start() (checked): the candidate table is
+  /// built there, from the clients and relays registered so far.
+  void set_provider(net::NodeId provider);
+  void add_client(net::NodeId client);
+  void add_relay(net::NodeId relay);
 
   /// Schedules the first epoch (at the current sim time). Requires a
   /// provider and at least one client.
@@ -83,7 +94,7 @@ class Controller final : public Steering {
   /// EWMA), and re-learn from an immediate epoch.
   void on_network_event(const std::string& what);
 
-  // Steering interface.
+  // Steering interface. steer() requires a registered client (checked).
   Decision steer(net::NodeId client, std::uint64_t bytes) override;
   void observe_session(net::NodeId client, const Decision& decision,
                        std::uint64_t bytes, double elapsed_s,
@@ -102,16 +113,37 @@ class Controller final : public Steering {
 
   /// Deterministic candidate enumeration for `client`: direct first, then
   /// 1-hop relays in registration order, then ordered distinct chains of
-  /// increasing length up to max_relay_hops.
+  /// increasing length up to max_relay_hops. Computed afresh on each call;
+  /// the controller itself reads its candidate table.
   std::vector<PathSpec> candidate_paths(net::NodeId client) const;
 
   /// True when every leg of client -> relays... -> provider has a live
-  /// route (covers withdrawn routes and failed links).
+  /// route (covers withdrawn routes and failed links). Computed afresh on
+  /// each call; the controller itself reads its cached bits.
   bool path_routable(net::NodeId client, const PathSpec& path) const;
 
  private:
+  /// A cached TIV verdict of one estimator path, valid while the revisions
+  /// of the path and of its direct path are the ones it was judged at.
+  struct Verdict {
+    std::uint64_t revision = 0;
+    std::uint64_t direct_revision = 0;
+    // DecisionTrace::tiv_line_prefix of the flag; empty when not a TIV.
+    std::string line_prefix;
+  };
+  struct Work {
+    PathId id;
+    std::uint64_t last_epoch;
+  };
+
   void tick();
-  sim::Task<void> probe_path(net::NodeId client, PathSpec path);
+  /// Builds the candidate table (once; later calls are no-ops).
+  void freeze();
+  /// Recomputes routable_ when the route generation moved.
+  void refresh_routability();
+  /// Notes this epoch's TIV flags, in estimator key order.
+  void note_tivs();
+  sim::Task<void> probe_path(PathId id);
 
   sim::Simulator* simulator_;
   net::Fabric* fabric_;
@@ -123,6 +155,17 @@ class Controller final : public Steering {
   std::vector<net::NodeId> relays_;
 
   PathEstimator estimator_;
+  // The candidate table: estimator ids of candidate_paths(clients_[i]) are
+  // table_[table_begin_[i] .. table_begin_[i + 1]), in enumeration order.
+  std::vector<PathId> table_;
+  std::vector<std::size_t> table_begin_;
+  bool frozen_ = false;
+  // routable_[id]: path_routable() of table path `id` at route generation
+  // routable_generation_ (unset until first computed).
+  std::vector<char> routable_;
+  std::optional<std::uint64_t> routable_generation_;
+  std::vector<Verdict> verdicts_;  // indexed by estimator id
+  std::vector<Work> work_;         // tick() scratch, kept for its capacity
   SteeringPolicy policy_;
   DecisionTrace trace_;
   std::function<void(net::NodeId, const Decision&)> decision_hook_;

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <optional>
+#include <tuple>
 
 #include "check/contract.h"
 
@@ -11,12 +13,48 @@ stats::Interval PathStats::interval() const {
   return {mean_mbps, std::sqrt(std::max(0.0, var_mbps2))};
 }
 
-void PathEstimator::observe(net::NodeId client, net::NodeId provider,
-                            const PathSpec& path, double mbps,
-                            double elapsed_s, std::uint64_t epoch) {
+std::vector<PathId>::const_iterator PathEstimator::find_slot(
+    net::NodeId client, net::NodeId provider, const PathSpec& path) const {
+  return std::lower_bound(order_.begin(), order_.end(),
+                          std::tie(client, provider, path),
+                          [this](PathId id, const auto& key) {
+                            const Entry& e = entries_[id];
+                            return std::tie(e.client, e.provider, e.path) <
+                                   key;
+                          });
+}
+
+std::optional<PathId> PathEstimator::find(net::NodeId client,
+                                          net::NodeId provider,
+                                          const PathSpec& path) const {
+  const auto slot = find_slot(client, provider, path);
+  if (slot == order_.end()) return std::nullopt;
+  const Entry& e = entries_[*slot];
+  if (std::tie(e.client, e.provider, e.path) !=
+      std::tie(client, provider, path)) {
+    return std::nullopt;
+  }
+  return *slot;
+}
+
+PathId PathEstimator::add_path(net::NodeId client, net::NodeId provider,
+                               const PathSpec& path) {
+  if (const auto found = find(client, provider, path)) return *found;
+  const PathId direct = path.direct()
+                            ? static_cast<PathId>(entries_.size())
+                            : add_path(client, provider, PathSpec{});
+  const auto id = static_cast<PathId>(entries_.size());
+  order_.insert(find_slot(client, provider, path), id);
+  entries_.push_back({client, provider, path, direct, PathStats{}, 0});
+  return id;
+}
+
+void PathEstimator::observe(PathId id, double mbps, double elapsed_s,
+                            std::uint64_t epoch) {
   DROUTE_DCHECK(mbps >= 0.0 && elapsed_s >= 0.0,
                 "PathEstimator: negative sample");
-  PathStats& st = paths_[Key{client, provider, path}];
+  Entry& entry = entries_[id];
+  PathStats& st = entry.stats;
   if (st.samples == 0) {
     st.mean_mbps = mbps;
     st.var_mbps2 = 0.0;
@@ -34,32 +72,52 @@ void PathEstimator::observe(net::NodeId client, net::NodeId provider,
   }
   ++st.samples;
   st.last_epoch = epoch;
+  ++entry.revision;
 }
 
 const PathStats* PathEstimator::lookup(net::NodeId client,
                                        net::NodeId provider,
                                        const PathSpec& path) const {
-  const auto it = paths_.find(Key{client, provider, path});
-  return it == paths_.end() ? nullptr : &it->second;
+  const auto id = find(client, provider, path);
+  if (!id || entries_[*id].stats.samples == 0) return nullptr;
+  return &entries_[*id].stats;
+}
+
+bool PathEstimator::is_tiv(PathId id,
+                           const stats::SignificanceOptions& options) const {
+  const Entry& e = entries_[id];
+  if (e.path.direct() || e.stats.samples == 0) return false;
+  const PathStats& direct = entries_[e.direct].stats;
+  if (direct.samples == 0) return false;
+  return stats::judge_higher_better(e.stats.interval(), direct.interval(),
+                                    options)
+             .significance == stats::Significance::kCandidateBetter;
 }
 
 std::vector<TivFlag> PathEstimator::flag_tivs(
     const stats::SignificanceOptions& options) const {
   std::vector<TivFlag> flags;
-  for (const auto& [key, st] : paths_) {
-    if (key.path.direct() || st.samples == 0) continue;
-    const PathStats* direct =
-        lookup(key.client, key.provider, PathSpec{});
-    if (direct == nullptr || direct->samples == 0) continue;
-    const auto verdict =
-        stats::judge_higher_better(st.interval(), direct->interval(), options);
-    if (verdict.significance != stats::Significance::kCandidateBetter) {
-      continue;
-    }
-    flags.push_back({key.client, key.provider, key.path, st.mean_mbps,
-                     direct->mean_mbps});
+  for (const PathId id : order_) {
+    if (!is_tiv(id, options)) continue;
+    const Entry& e = entries_[id];
+    flags.push_back({e.client, e.provider, e.path, e.stats.mean_mbps,
+                     entries_[e.direct].stats.mean_mbps});
   }
   return flags;
+}
+
+void PathEstimator::reset() {
+  for (Entry& e : entries_) {
+    if (e.stats.samples == 0) continue;
+    e.stats = PathStats{};
+    ++e.revision;
+  }
+}
+
+std::size_t PathEstimator::tracked_paths() const {
+  return static_cast<std::size_t>(
+      std::count_if(entries_.begin(), entries_.end(),
+                    [](const Entry& e) { return e.stats.samples > 0; }));
 }
 
 }  // namespace droute::ctrl

@@ -9,10 +9,15 @@
 // campaign summaries. flag_tivs() lists the relay paths whose throughput is
 // significantly ABOVE direct — online throughput triangle-inequality
 // violations, the phenomenon the whole paper is about (Sec III).
+//
+// Storage is one vector indexed by a dense PathId, plus a permutation that
+// lists the ids in key order. The keyed observe/lookup/flag_tivs API finds a
+// key by binary search over that permutation; ctrl::Controller registers its
+// candidate paths once and addresses their stats by id.
 #pragma once
 
 #include <cstdint>
-#include <map>
+#include <optional>
 #include <vector>
 
 #include "ctrl/steering.h"
@@ -46,17 +51,56 @@ struct TivFlag {
   double direct_mbps = 0.0;
 };
 
+/// Dense handle of one (client, provider, path) key: an index into the
+/// estimator's storage. Ids are handed out in insertion order and stay
+/// valid for the estimator's lifetime (reset() keeps every key).
+using PathId = std::uint32_t;
+
 class PathEstimator {
  public:
   PathEstimator() = default;
   explicit PathEstimator(EstimatorConfig config) : config_(config) {}
 
-  /// Folds one throughput/latency sample into the (client, provider, path)
-  /// estimate. Deterministic: plain arithmetic, ordered storage.
-  void observe(net::NodeId client, net::NodeId provider, const PathSpec& path,
-               double mbps, double elapsed_s, std::uint64_t epoch);
+  // Dense API: the controller registers its candidate paths once and then
+  // addresses their stats by PathId.
 
-  /// The current estimate, or nullptr when the path was never sampled.
+  /// The id of (client, provider, path), adding a never-sampled entry when
+  /// the key is new. Adding a relay path also adds the pair's direct path.
+  PathId add_path(net::NodeId client, net::NodeId provider,
+                  const PathSpec& path);
+
+  /// Folds one throughput/latency sample into entry `id`. Deterministic:
+  /// plain arithmetic.
+  void observe(PathId id, double mbps, double elapsed_s, std::uint64_t epoch);
+
+  /// Entry `id`'s estimate; samples == 0 when never sampled since reset().
+  const PathStats& stats(PathId id) const { return entries_[id].stats; }
+  net::NodeId client(PathId id) const { return entries_[id].client; }
+  const PathSpec& path(PathId id) const { return entries_[id].path; }
+  /// The id of entry `id`'s (client, provider) direct path.
+  PathId direct_of(PathId id) const { return entries_[id].direct; }
+  /// Moves whenever stats(id) changes, so anything derived from stats(id)
+  /// may be cached until it does.
+  std::uint64_t revision(PathId id) const { return entries_[id].revision; }
+  /// Every id, sorted by key (client, provider, then path): the order
+  /// flag_tivs() reports in.
+  const std::vector<PathId>& key_order() const { return order_; }
+  std::size_t size() const { return entries_.size(); }
+
+  /// True when `id` is a sampled relay path whose throughput is
+  /// significantly better than its sampled direct path's under `options`.
+  bool is_tiv(PathId id, const stats::SignificanceOptions& options) const;
+
+  // Keyed API.
+
+  /// Folds one sample into the (client, provider, path) estimate.
+  void observe(net::NodeId client, net::NodeId provider, const PathSpec& path,
+               double mbps, double elapsed_s, std::uint64_t epoch) {
+    observe(add_path(client, provider, path), mbps, elapsed_s, epoch);
+  }
+
+  /// The current estimate, or nullptr when the path was never sampled
+  /// (since the last reset()). The pointer is valid until a key is added.
   const PathStats* lookup(net::NodeId client, net::NodeId provider,
                           const PathSpec& path) const;
 
@@ -66,28 +110,35 @@ class PathEstimator {
   std::vector<TivFlag> flag_tivs(
       const stats::SignificanceOptions& options = {}) const;
 
-  /// Forgets every estimate. The controller calls this on network events:
-  /// mixing pre- and post-event samples into one EWMA inflates the variance
-  /// until the overlap test can no longer distinguish anything.
-  void reset() { paths_.clear(); }
+  /// Forgets every estimate, in O(paths); keys and ids stay. The controller
+  /// calls this on network events: mixing pre- and post-event samples into
+  /// one EWMA inflates the variance until the overlap test can no longer
+  /// distinguish anything.
+  void reset();
 
-  std::size_t tracked_paths() const { return paths_.size(); }
+  /// Number of paths sampled since the last reset().
+  std::size_t tracked_paths() const;
 
  private:
-  struct Key {
+  struct Entry {
     net::NodeId client;
     net::NodeId provider;
     PathSpec path;
-
-    friend bool operator<(const Key& a, const Key& b) {
-      if (a.client != b.client) return a.client < b.client;
-      if (a.provider != b.provider) return a.provider < b.provider;
-      return a.path < b.path;
-    }
+    PathId direct;
+    PathStats stats;
+    std::uint64_t revision = 0;
   };
 
+  std::optional<PathId> find(net::NodeId client, net::NodeId provider,
+                             const PathSpec& path) const;
+  // Position in order_ where the key belongs (lower bound).
+  std::vector<PathId>::const_iterator find_slot(net::NodeId client,
+                                                net::NodeId provider,
+                                                const PathSpec& path) const;
+
   EstimatorConfig config_;
-  std::map<Key, PathStats> paths_;
+  std::vector<Entry> entries_;  // indexed by PathId
+  std::vector<PathId> order_;   // ids sorted by key
 };
 
 }  // namespace droute::ctrl

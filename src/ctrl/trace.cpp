@@ -29,13 +29,18 @@ void DecisionTrace::note_probe(net::NodeId client, const PathSpec& path,
                    std::to_string(epoch));
 }
 
-void DecisionTrace::note_tiv(net::NodeId client, net::NodeId provider,
-                             const PathSpec& path, double path_mbps,
-                             double direct_mbps, std::uint64_t epoch) {
-  lines_.push_back("tiv client=" + std::to_string(client) + " provider=" +
-                   std::to_string(provider) + " path=" + path.label() +
-                   " path_mbps=" + fd(path_mbps) + " direct_mbps=" +
-                   fd(direct_mbps) + " epoch=" + std::to_string(epoch));
+std::string DecisionTrace::tiv_line_prefix(net::NodeId client,
+                                           net::NodeId provider,
+                                           const PathSpec& path,
+                                           double path_mbps,
+                                           double direct_mbps) {
+  return "tiv client=" + std::to_string(client) + " provider=" +
+         std::to_string(provider) + " path=" + path.label() + " path_mbps=" +
+         fd(path_mbps) + " direct_mbps=" + fd(direct_mbps) + " epoch=";
+}
+
+void DecisionTrace::note_tiv(const std::string& prefix, std::uint64_t epoch) {
+  lines_.push_back(prefix + std::to_string(epoch));
 }
 
 void DecisionTrace::note_steer(net::NodeId client, std::uint64_t bytes,

@@ -22,8 +22,13 @@ class DecisionTrace {
                   std::uint64_t budget_spent_bytes);
   void note_probe(net::NodeId client, const PathSpec& path, bool ok,
                   double mbps, double elapsed_s, std::uint64_t epoch);
-  void note_tiv(net::NodeId client, net::NodeId provider, const PathSpec& path,
-                double path_mbps, double direct_mbps, std::uint64_t epoch);
+  /// A tiv line comes in two parts: the text up to and including
+  /// " epoch=", which a caller may cache while the flag's numbers hold, and
+  /// the epoch note_tiv appends.
+  static std::string tiv_line_prefix(net::NodeId client, net::NodeId provider,
+                                     const PathSpec& path, double path_mbps,
+                                     double direct_mbps);
+  void note_tiv(const std::string& prefix, std::uint64_t epoch);
   void note_steer(net::NodeId client, std::uint64_t bytes,
                   const Decision& decision);
   void note_session(net::NodeId client, const PathSpec& path, bool success,

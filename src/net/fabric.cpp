@@ -48,9 +48,9 @@ Fabric::Fabric(sim::Simulator* simulator, Topology* topo, RouteTable* routes)
 }
 
 util::Result<double> Fabric::rtt_s(NodeId a, NodeId b) const {
-  auto forward = routes_->route(a, b);
+  const auto& forward = routes_->route(a, b);
   if (!forward.ok()) return util::Error{forward.error()};
-  auto back = routes_->route(b, a);
+  const auto& back = routes_->route(b, a);
   if (!back.ok()) return util::Error{back.error()};
   return routes_->one_way_delay_s(forward.value()) +
          routes_->one_way_delay_s(back.value()) + base_rtt_s_;
@@ -66,9 +66,9 @@ util::Result<FlowId> Fabric::start_flow(NodeId src, NodeId dst,
                                         CompletionFn on_complete,
                                         FlowOptions options) {
   if (bytes == 0) return util::Error::make("start_flow: zero-byte flow");
-  auto route = routes_->route(src, dst);
+  const auto& route = routes_->route(src, dst);
   if (!route.ok()) return util::Error{route.error()};
-  auto rtt = rtt_s(src, dst);
+  const auto rtt = rtt_s(src, dst);
   if (!rtt.ok()) return util::Error{rtt.error()};
 
   const double loss = routes_->path_loss(route.value());
@@ -112,7 +112,7 @@ util::Result<FlowId> Fabric::start_flow(NodeId src, NodeId dst,
   flow.stats.start_time = simulator_->now();
   flow.stats.rtt_s = rtt.value();
   flow.stats.cap_mbps = cap_mbps;
-  flow.stats.route = std::move(route).value();
+  flow.stats.route = route.value();
   flow.on_complete = std::move(on_complete);
   flow.remaining_bytes = static_cast<double>(bytes);
   flow.last_advance_s = simulator_->now();

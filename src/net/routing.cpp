@@ -4,6 +4,7 @@
 #include <limits>
 #include <queue>
 #include <set>
+#include <tuple>
 
 #include "check/contract.h"
 
@@ -28,6 +29,7 @@ struct Candidate {
 }  // namespace
 
 void RouteTable::invalidate() {
+  ++generation_;
   bgp_cache_.clear();
   route_cache_.clear();
 }
@@ -253,12 +255,17 @@ util::Result<RouteTable::GatewayChoice> RouteTable::pick_gateway(
   return best;
 }
 
-util::Result<Route> RouteTable::route(NodeId src, NodeId dst) const {
-  const auto key = std::make_tuple(src, dst);
+const util::Result<Route>& RouteTable::route(NodeId src, NodeId dst) const {
+  const std::uint64_t key =
+      static_cast<std::uint64_t>(static_cast<std::uint32_t>(src)) << 32 |
+      static_cast<std::uint32_t>(dst);
   if (auto it = route_cache_.find(key); it != route_cache_.end()) {
     return it->second;
   }
+  return route_cache_.emplace(key, expand_route(src, dst)).first->second;
+}
 
+util::Result<Route> RouteTable::expand_route(NodeId src, NodeId dst) const {
   const AsId dst_as = topo_->node(dst).as_id;
 
   Route out;
@@ -276,10 +283,7 @@ util::Result<Route> RouteTable::route(NodeId src, NodeId dst) const {
   };
 
   for (int guard = 0; guard < 64; ++guard) {
-    if (cur == dst) {
-      route_cache_.emplace(key, out);
-      return out;
-    }
+    if (cur == dst) return out;
     const AsId cur_as = topo_->node(cur).as_id;
 
     // Source-tag policy overrides: fire when traffic with a matching tag is

@@ -24,6 +24,7 @@
 #include <cstdint>
 #include <map>
 #include <optional>
+#include <unordered_map>
 #include <vector>
 
 #include "net/topology.h"
@@ -63,12 +64,27 @@ class RouteTable {
   util::Result<RouteOrigin> route_origin(AsId as, AsId dst_as) const;
 
   /// Concrete node/link route from `src` to `dst`. Honors the source node's
-  /// policy tag for egress overrides. Cached; call invalidate() after any
-  /// set_link_enabled().
-  [[nodiscard]] util::Result<Route> route(NodeId src, NodeId dst) const;
+  /// policy tag for egress overrides.
+  ///
+  /// Cache contract: the first query of a pair expands it and caches the
+  /// outcome, failures included, so an unroutable pair is not re-expanded
+  /// (nor its error text rebuilt) on every call. The returned reference
+  /// points into that cache: it stays valid, and its value unchanged,
+  /// across further route() calls on any pair, until the next invalidate()
+  /// or the table's destruction. Bind it with `const auto&` and copy the
+  /// Route only where it must outlive an invalidate(). Answers change only
+  /// at invalidate(), so call it after any set_link_enabled().
+  [[nodiscard]]
+  const util::Result<Route>& route(NodeId src, NodeId dst) const;
 
-  /// Drops all cached routes and BGP tables (topology changed).
+  /// Drops all cached routes and BGP tables (topology changed) and bumps
+  /// generation().
   void invalidate();
+
+  /// Number of invalidate() calls so far. route() answers are fixed while
+  /// it stays put, so a caller may cache anything derived from them keyed
+  /// by this value.
+  std::uint64_t generation() const { return generation_; }
 
   /// One-way propagation delay along a route (sum of link delays).
   double one_way_delay_s(const Route& route) const;
@@ -111,9 +127,15 @@ class RouteTable {
   [[nodiscard]]
   util::Result<GatewayChoice> pick_gateway(NodeId cur, AsId to) const;
 
+  // The uncached expansion behind route().
+  [[nodiscard]] util::Result<Route> expand_route(NodeId src, NodeId dst) const;
+
   const Topology* topo_;
+  std::uint64_t generation_ = 0;
   mutable std::map<AsId, std::vector<BgpEntry>> bgp_cache_;
-  mutable std::map<std::tuple<NodeId, NodeId>, Route> route_cache_;
+  // Keyed by (src << 32 | dst). Node-based, so references handed out by
+  // route() survive later insertions.
+  mutable std::unordered_map<std::uint64_t, util::Result<Route>> route_cache_;
 };
 
 }  // namespace droute::net

@@ -9,7 +9,7 @@ namespace droute::trace {
 
 util::Result<TracerouteResult> Tracer::trace(net::NodeId src,
                                              net::NodeId dst) const {
-  auto route = routes_->route(src, dst);
+  const auto& route = routes_->route(src, dst);
   if (!route.ok()) return util::Error{route.error()};
 
   TracerouteResult result;

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <memory>
 #include <optional>
@@ -7,6 +8,7 @@
 #include <utility>
 #include <vector>
 
+#include "check/contract.h"
 #include "ctrl/controller.h"
 #include "ctrl/cost.h"
 #include "ctrl/estimator.h"
@@ -324,7 +326,8 @@ std::uint64_t fnv1a_of(const std::string& text) {
 void fill_every_line_kind(DecisionTrace& trace) {
   trace.note_epoch(1, 0.0, 3, 786432);
   trace.note_probe(1, PathSpec{{9}}, true, 87.5, 0.125, 1);
-  trace.note_tiv(1, 2, PathSpec{{9}}, 87.5, 20.0, 1);
+  trace.note_tiv(
+      DecisionTrace::tiv_line_prefix(1, 2, PathSpec{{9}}, 87.5, 20.0), 1);
   Decision decision;
   decision.path = PathSpec{{9}};
   decision.epoch = 1;
@@ -611,6 +614,165 @@ TEST(Controller, SilentBottleneckShiftMovesSteerOffTheRelay) {
   ASSERT_TRUE(direct_at.has_value());
   EXPECT_LE(*direct_at, fault_epoch + 3);
   controller.stop();
+}
+
+/// The trace's lines, header dropped.
+std::vector<std::string> trace_lines(const DecisionTrace& trace) {
+  std::vector<std::string> lines;
+  const std::string text = trace.serialize();
+  std::size_t start = text.find('\n') + 1;
+  while (start < text.size()) {
+    const std::size_t end = text.find('\n', start);
+    lines.push_back(text.substr(start, end - start));
+    start = end + 1;
+  }
+  return lines;
+}
+
+bool ends_with(const std::string& text, const std::string& suffix) {
+  return text.size() >= suffix.size() &&
+         text.compare(text.size() - suffix.size(), suffix.size(), suffix) == 0;
+}
+
+TEST(Controller, CachedEpochsMatchTheUncachedReference) {
+  // Route churn the controller is never told about (a link fail/restore
+  // through the fabric, then a route withdraw/announce straight on the
+  // topology), checked epoch by epoch against a reference rebuilt from the
+  // public oracles: candidate_paths(), path_routable() and the estimator's
+  // keyed lookup()/flag_tivs().
+  TriWorld world;
+  const ControllerConfig config = world.fast_config();
+  Controller controller(world.simulator, *world.fabric, world.routes, config);
+  controller.set_provider(world.provider);
+  controller.add_client(world.client);
+  controller.add_relay(world.relay);
+  controller.add_relay(world.relay2);
+  const auto relay_uplink = world.topo.find_link(world.relay, world.rr);
+  ASSERT_TRUE(relay_uplink.has_value());
+
+  struct Expected {
+    std::vector<std::string> probes;  // labels, stalest-first launch order
+    std::uint64_t spent = 0;
+    std::vector<std::string> tivs;    // tiv lines, in order
+  };
+  const auto reference = [&](std::uint64_t epoch) {
+    Expected out;
+    std::vector<std::pair<PathSpec, std::uint64_t>> work;
+    for (const PathSpec& path : controller.candidate_paths(world.client)) {
+      if (!controller.path_routable(world.client, path)) continue;
+      const PathStats* stats =
+          controller.estimator().lookup(world.client, world.provider, path);
+      work.emplace_back(path, stats == nullptr ? 0 : stats->last_epoch);
+    }
+    std::stable_sort(work.begin(), work.end(),
+                     [](const auto& a, const auto& b) {
+                       return a.second < b.second;
+                     });
+    for (const auto& [path, last_epoch] : work) {
+      (void)last_epoch;
+      const std::uint64_t cost =
+          config.probe_bytes *
+          static_cast<std::uint64_t>(path.relay_hops() + 1);
+      if (out.spent + cost > config.probe_budget_bytes) break;
+      out.spent += cost;
+      out.probes.push_back(path.label());
+    }
+    for (const TivFlag& flag :
+         controller.estimator().flag_tivs(config.policy.significance)) {
+      out.tivs.push_back(DecisionTrace::tiv_line_prefix(
+                             flag.client, flag.provider, flag.path,
+                             flag.path_mbps, flag.direct_mbps) +
+                         std::to_string(epoch));
+    }
+    return out;
+  };
+
+  constexpr std::uint64_t kEpochs = 12;
+  std::vector<Expected> expected;
+  std::size_t unroutable_epochs = 0;
+  for (std::uint64_t epoch = 1; epoch <= kEpochs; ++epoch) {
+    const double at = static_cast<double>(epoch - 1) * config.epoch_s;
+    if (epoch > 1) {
+      // Churn half an epoch before the tick, with no on_network_event.
+      world.simulator.run_until(at - 0.5 * config.epoch_s);
+      if (epoch == 4) world.fabric->fail_link(world.access);
+      if (epoch == 6) world.fabric->restore_link(world.access);
+      if (epoch == 8 || epoch == 10) {
+        ASSERT_TRUE(
+            world.topo.set_link_enabled(*relay_uplink, epoch == 10).ok());
+        world.routes.invalidate();
+      }
+      world.simulator.run_until(at - 0.1);
+    }
+    ASSERT_EQ(controller.epoch(), epoch - 1);
+    expected.push_back(reference(epoch));
+    if (expected.back().probes.empty()) ++unroutable_epochs;
+    if (epoch == 1) controller.start();  // epoch 1 runs at t = 0
+    world.simulator.run_until(at + 0.1);
+    ASSERT_EQ(controller.epoch(), epoch);
+  }
+  // Let the last epoch's probes land before the probe lines are compared.
+  world.simulator.run_until(static_cast<double>(kEpochs) * config.epoch_s -
+                            0.1);
+  controller.stop();
+  world.simulator.run();
+  EXPECT_GE(unroutable_epochs, 2u);
+
+  const std::vector<std::string> lines = trace_lines(controller.trace());
+  std::size_t tiv_lines = 0;
+  for (std::uint64_t epoch = 1; epoch <= kEpochs; ++epoch) {
+    SCOPED_TRACE("epoch " + std::to_string(epoch));
+    const Expected& want = expected[epoch - 1];
+    const std::string suffix = " epoch=" + std::to_string(epoch);
+    const std::string epoch_head = "epoch " + std::to_string(epoch) + " ";
+    std::vector<std::string> probes;
+    std::vector<std::string> tivs;
+    std::string epoch_line;
+    for (const std::string& line : lines) {
+      if (line.rfind(epoch_head, 0) == 0) epoch_line = line;
+      if (!ends_with(line, suffix)) continue;
+      if (line.rfind("tiv ", 0) == 0) tivs.push_back(line);
+      if (line.rfind("probe ", 0) == 0) {
+        const std::size_t from = line.find(" path=") + 6;
+        const std::size_t to = line.find(line.find(" ok ", from) ==
+                                                  std::string::npos
+                                              ? " fail "
+                                              : " ok ",
+                                          from);
+        probes.push_back(line.substr(from, to - from));
+      }
+    }
+    EXPECT_EQ(tivs, want.tivs);
+    tiv_lines += tivs.size();
+    EXPECT_NE(epoch_line.find(" probes=" + std::to_string(want.probes.size()) +
+                              " budget_spent=" + std::to_string(want.spent)),
+              std::string::npos)
+        << epoch_line;
+    // Probe lines land at completion; compare them as a multiset.
+    std::vector<std::string> launched = want.probes;
+    std::sort(launched.begin(), launched.end());
+    std::sort(probes.begin(), probes.end());
+    EXPECT_EQ(probes, launched);
+  }
+  EXPECT_GT(tiv_lines, 0u);
+}
+
+TEST(Controller, SteerForAnUnregisteredClientFailsItsCheck) {
+  TriWorld world;
+  Controller controller(world.simulator, *world.fabric, world.routes,
+                        world.fast_config());
+  controller.set_provider(world.provider);
+  controller.add_client(world.client);
+  controller.add_relay(world.relay);
+  controller.start();
+  EXPECT_THROW((void)controller.steer(world.relay, util::kMB),
+               check::CheckError);
+  // Clients and relays are fixed once the candidate table is built.
+  EXPECT_THROW(controller.add_client(world.relay2), check::CheckError);
+  EXPECT_THROW(controller.add_relay(world.relay2), check::CheckError);
+  EXPECT_TRUE(controller.steer(world.client, util::kMB).routable);
+  controller.stop();
+  world.simulator.run();
 }
 
 TEST(StaticSteering, PinsItsPath) {

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "check/contract.h"
 #include "check/valley_free.h"
 #include "net/routing.h"
@@ -163,6 +165,69 @@ TEST(NodeRouting, ReroutesAroundDisabledLink) {
   // The AS path Backbone->Cloud still exists in policy but has no enabled
   // gateway; expansion must report an error, not loop.
   EXPECT_FALSE(route.ok());
+}
+
+TEST(RouteCache, GenerationCountsInvalidations) {
+  PolicyWorld w = PolicyWorld::build();
+  RouteTable routes(&w.topo);
+  EXPECT_EQ(routes.generation(), 0u);
+  (void)routes.route(w.h1, w.cloud_fe);
+  EXPECT_EQ(routes.generation(), 0u);  // queries never move it
+  routes.invalidate();
+  EXPECT_EQ(routes.generation(), 1u);
+  routes.invalidate();
+  routes.invalidate();
+  EXPECT_EQ(routes.generation(), 3u);
+}
+
+TEST(RouteCache, UnroutablePairReturnsTheSameCachedError) {
+  PolicyWorld w = PolicyWorld::build();
+  const auto link = w.topo.find_link(w.r_bb, w.r_cloud);
+  ASSERT_TRUE(link.has_value());
+  ASSERT_TRUE(w.topo.set_link_enabled(link.value(), false).ok());
+  RouteTable routes(&w.topo);
+  const auto& first = routes.route(w.h1, w.cloud_fe);
+  ASSERT_FALSE(first.ok());
+  const std::string message = first.error().message;
+  EXPECT_FALSE(message.empty());
+  const auto& again = routes.route(w.h1, w.cloud_fe);
+  EXPECT_EQ(&first, &again);  // the cached entry, not a re-expansion
+  ASSERT_FALSE(again.ok());
+  EXPECT_EQ(again.error().message, message);
+}
+
+TEST(RouteCache, PairRoutesAgainOnlyAfterRestoreAndInvalidate) {
+  PolicyWorld w = PolicyWorld::build();
+  const auto link = w.topo.find_link(w.r_bb, w.r_cloud);
+  ASSERT_TRUE(link.has_value());
+  RouteTable routes(&w.topo);
+  ASSERT_TRUE(w.topo.set_link_enabled(link.value(), false).ok());
+  routes.invalidate();
+  EXPECT_FALSE(routes.route(w.h1, w.cloud_fe).ok());
+  ASSERT_TRUE(w.topo.set_link_enabled(link.value(), true).ok());
+  // The failure is cached until invalidate(), like a success would be.
+  EXPECT_FALSE(routes.route(w.h1, w.cloud_fe).ok());
+  routes.invalidate();
+  const auto& route = routes.route(w.h1, w.cloud_fe);
+  ASSERT_TRUE(route.ok()) << route.error().message;
+  EXPECT_EQ(route.value().nodes.back(), w.cloud_fe);
+}
+
+TEST(RouteCache, ReferenceSurvivesQueriesOfOtherPairs) {
+  PolicyWorld w = PolicyWorld::build();
+  RouteTable routes(&w.topo);
+  const auto& held = routes.route(w.h1, w.cloud_fe);
+  ASSERT_TRUE(held.ok());
+  const Route copy = held.value();
+  // Fill the cache well past its first buckets, failures included.
+  const auto n = static_cast<NodeId>(w.topo.node_count());
+  for (NodeId src = 0; src < n; ++src) {
+    for (NodeId dst = 0; dst < n; ++dst) (void)routes.route(src, dst);
+  }
+  ASSERT_TRUE(held.ok());
+  EXPECT_EQ(held.value().nodes, copy.nodes);
+  EXPECT_EQ(held.value().links, copy.links);
+  EXPECT_EQ(&held, &routes.route(w.h1, w.cloud_fe));
 }
 
 TEST(NodeRouting, EgressOverrideDivertsTaggedSource) {

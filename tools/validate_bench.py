@@ -22,6 +22,8 @@ the committed baseline (bench/baselines/): a case regresses when its
 median exceeds the baseline median by more than the regression budget —
 15 %, widened to the baseline's own relative sample spread when that is
 larger, so a case whose baseline run was noisy does not gate on noise.
+The spread ignores the one sample farthest from the median when there are
+four or more, so a single outlier cannot switch a gate off.
 A case present in the baseline but missing from the new report is an
 error (a silently dropped benchmark is how coverage rots); a new case
 absent from the baseline is reported informationally.
@@ -169,6 +171,28 @@ def _cases_by_name(path: Path) -> dict[str, dict] | None:
     }
 
 
+def baseline_spread(case: dict, median: float) -> float:
+    """The baseline case's relative sample spread, (max - min) / median.
+
+    With four or more samples the one farthest from the median is dropped
+    first: one 13.3 ms sample among 5.7-6.0 ms ones says the machine
+    hiccupped once, not that the case is 131% noisy. With fewer samples the
+    recorded min_ms/max_ms are used.
+    """
+    samples = case.get("samples_ms")
+    if (
+        isinstance(samples, list)
+        and len(samples) >= 4
+        and all(finite_number(s) for s in samples)
+    ):
+        kept = sorted(samples)
+        del kept[max(range(len(kept)), key=lambda i: abs(kept[i] - median))]
+        return (kept[-1] - kept[0]) / median
+    if finite_number(case.get("min_ms")) and finite_number(case.get("max_ms")):
+        return (case["max_ms"] - case["min_ms"]) / median
+    return 0.0
+
+
 def diff_against(baseline_path: Path, report_path: Path) -> list[str]:
     """Compares report medians to the committed baseline, case by case."""
     errors: list[str] = []
@@ -201,10 +225,7 @@ def diff_against(baseline_path: Path, report_path: Path) -> list[str]:
         # The baseline run's own relative spread is its noise band; a case
         # that jittered 40% when the baseline was recorded cannot be gated
         # at 15%.
-        spread = 0.0
-        if finite_number(base.get("min_ms")) and finite_number(base.get("max_ms")):
-            spread = (base["max_ms"] - base["min_ms"]) / base_median
-        budget = max(REGRESSION_BUDGET, spread)
+        budget = max(REGRESSION_BUDGET, baseline_spread(base, base_median))
         verdict = "OK"
         if regression > budget:
             verdict = "REGRESSED"
