@@ -30,7 +30,8 @@ int main() {
                        "effective Mbps", "note"});
   for (const int streams : {1, 2, 4, 8}) {
     auto world = scenario::World::create(config);
-    transfer::ParallelPushEngine engine(&world->fabric());
+    transfer::ParallelPushEngine engine(&world->fabric(),
+                                        world->transfer_engine());
     transfer::FileSpec file = transfer::make_file_mb(100, 1);
     auto task = engine.push_task(
         world->client_node(scenario::Client::kUBC),

@@ -29,11 +29,12 @@
 #include "ctrl/steering.h"
 #include "harness.h"
 #include "net/fabric.h"
-#include "net/fabric_await.h"
 #include "net/routing.h"
 #include "net/topology.h"
 #include "sim/simulator.h"
 #include "sim/task.h"
+#include "transfer/batch.h"
+#include "transfer/sim_transport.h"
 #include "util/units.h"
 
 namespace droute::bench {
@@ -53,6 +54,8 @@ struct RecoveryWorld {
   net::RouteTable routes{nullptr};
   sim::Simulator simulator;
   std::unique_ptr<net::Fabric> fabric;
+  std::unique_ptr<transfer::SimTransport> transport;
+  std::unique_ptr<transfer::TransferEngine> xfer;
   net::NodeId client, relay_a, relay_b, provider;
   net::LinkId direct_link, relay_a_leg, relay_b_leg;
 
@@ -85,6 +88,8 @@ struct RecoveryWorld {
     topo = std::move(built).value();
     routes = net::RouteTable(&topo);
     fabric = std::make_unique<net::Fabric>(&simulator, &topo, &routes);
+    transport = std::make_unique<transfer::SimTransport>(fabric.get());
+    xfer = std::make_unique<transfer::TransferEngine>(transport.get());
   }
 };
 
@@ -106,7 +111,8 @@ chaos::Plan storm(const RecoveryWorld& world) {
 /// One upload session: ask the steering source for a path at start_s, run
 /// the legs store-and-forward, record end-to-end goodput (0 on any failed
 /// leg) and feed the outcome back.
-sim::Task<void> session(sim::Simulator& simulator, net::Fabric& fabric,
+sim::Task<void> session(sim::Simulator& simulator,
+                        transfer::TransferEngine& xfer,
                         ctrl::Steering& steering, net::NodeId client,
                         net::NodeId provider, double start_s,
                         double* out_mbps) {
@@ -121,15 +127,13 @@ sim::Task<void> session(sim::Simulator& simulator, net::Fabric& fabric,
   hops.push_back(provider);
   bool ok = decision.routable;
   for (std::size_t i = 0; ok && i + 1 < hops.size(); ++i) {
-    net::FlowOptions options;
-    options.label = "bench.ctrl_session";
-    auto leg =
-        net::transfer(fabric, hops[i], hops[i + 1], kSessionBytes, options);
-    const auto stats = co_await leg;
-    if (!stats.ok() ||
-        stats.value().outcome != net::FlowOutcome::kCompleted) {
-      ok = false;
-    }
+    transfer::TransferRequest request;
+    request.source_node = hops[i];
+    request.target_id = xfer.ensure_node_segment(hops[i + 1]);
+    request.length = kSessionBytes;
+    request.label = "bench.ctrl_session";
+    auto leg = xfer.submit(std::move(request));
+    if (!co_await leg) ok = false;
   }
   const double elapsed = simulator.now() - start;
   *out_mbps = ok && elapsed > 0.0
@@ -168,7 +172,7 @@ std::vector<double> run_arm(Arm arm) {
       config.probe_budget_bytes = 16 * util::kMB;
       config.max_relay_hops = 1;
       controller = std::make_unique<ctrl::Controller>(
-          world.simulator, *world.fabric, world.routes, config);
+          world.simulator, *world.xfer, world.routes, config);
       controller->set_provider(world.provider);
       controller->add_client(world.client);
       controller->add_relay(world.relay_a);
@@ -190,7 +194,7 @@ std::vector<double> run_arm(Arm arm) {
   std::vector<sim::Task<void>> sessions;
   sessions.reserve(kSessions);
   for (int i = 0; i < kSessions; ++i) {
-    sessions.push_back(session(world.simulator, *world.fabric, *steering,
+    sessions.push_back(session(world.simulator, *world.xfer, *steering,
                                world.client, world.provider,
                                kFirstSessionS + kSessionSpacingS * i,
                                &mbps[static_cast<std::size_t>(i)]));

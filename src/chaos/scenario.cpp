@@ -23,6 +23,7 @@
 #include "transfer/detour.h"
 #include "transfer/parallel.h"
 #include "transfer/rsync_engine.h"
+#include "transfer/sim_transport.h"
 #include "transfer/steered.h"
 
 namespace droute::chaos {
@@ -288,14 +289,18 @@ RunReport run_case(const Case& c, const RunOptions& options) {
   if (options.full_recompute) {
     fabric.set_alloc_mode(net::Fabric::AllocMode::kFullRecompute);
   }
+  // The fabric's one batch layer: every engine and the controller below
+  // move their bytes through it (declared first, so destroyed last).
+  transfer::SimTransport transport(&fabric);
+  transfer::TransferEngine xfer(&transport);
   cloud::StorageServer server(
       cloud::ProviderKind::kGoogleDrive,
       cloud::default_profile(cloud::ProviderKind::kGoogleDrive));
   server.set_clock([&simulator] { return simulator.now(); });
-  transfer::ApiUploadEngine api(&fabric, &server, c.server_node);
-  transfer::DetourEngine detour(&fabric, &api);
-  transfer::RsyncEngine rsync(&fabric);
-  transfer::ParallelPushEngine parallel(&fabric);
+  transfer::ApiUploadEngine api(&fabric, xfer, &server, c.server_node);
+  transfer::DetourEngine detour(&fabric, xfer, &api);
+  transfer::RsyncEngine rsync(&fabric, xfer);
+  transfer::ParallelPushEngine parallel(&fabric, xfer);
 
   // kSteered work brings up the online control plane: the controller probes
   // candidate paths (every non-server host is a potential relay) and the
@@ -309,7 +314,7 @@ RunReport run_case(const Case& c, const RunOptions& options) {
   std::unique_ptr<ctrl::Controller> controller;
   std::unique_ptr<transfer::SteeredUploadEngine> steered;
   if (has_steered) {
-    controller = std::make_unique<ctrl::Controller>(simulator, fabric, routes);
+    controller = std::make_unique<ctrl::Controller>(simulator, xfer, routes);
     controller->set_provider(c.server_node);
     std::vector<int> steered_clients;
     for (const WorkItem& item : c.work) {
@@ -341,7 +346,7 @@ RunReport run_case(const Case& c, const RunOptions& options) {
           }
         });
     steered = std::make_unique<transfer::SteeredUploadEngine>(
-        &fabric, &api, controller.get());
+        &fabric, xfer, &api, controller.get());
     controller->start();
   }
 
@@ -429,16 +434,11 @@ RunReport run_case(const Case& c, const RunOptions& options) {
     fail("session_leak", std::to_string(server.open_sessions()) +
                              " upload sessions still open after drain");
   }
-  // Every engine's batch layer must have settled every BatchHandle: a
-  // cancelled or abandoned batch that failed to release its requests shows
-  // up here as a stuck transfer.batch_inflight count.
-  const std::size_t batch_leak =
-      api.batch_engine().batches_inflight() +
-      detour.batch_engine().batches_inflight() +
-      detour.rsync().batch_engine().batches_inflight() +
-      rsync.batch_engine().batches_inflight() +
-      parallel.batch_engine().batches_inflight() +
-      (steered ? steered->rsync().batch_engine().batches_inflight() : 0);
+  // The batch layer must have settled every BatchHandle — the engines' and
+  // the controller's probes alike: a cancelled or abandoned batch that
+  // failed to release its requests shows up here as a stuck
+  // transfer.batch_inflight count.
+  const std::size_t batch_leak = xfer.batches_inflight();
   if (batch_leak != 0) {
     fail("batch_leak", std::to_string(batch_leak) +
                            " transfer batches still inflight after drain");

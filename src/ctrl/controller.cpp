@@ -4,14 +4,14 @@
 #include <utility>
 
 #include "check/contract.h"
-#include "net/fabric_await.h"
 
 namespace droute::ctrl {
 
-Controller::Controller(sim::Simulator& simulator, net::Fabric& fabric,
+Controller::Controller(sim::Simulator& simulator,
+                       transfer::TransferEngine& xfer,
                        const net::RouteTable& routes, ControllerConfig config)
     : simulator_(&simulator),
-      fabric_(&fabric),
+      xfer_(&xfer),
       routes_(&routes),
       config_(config),
       estimator_(config.estimator),
@@ -234,18 +234,18 @@ sim::Task<void> Controller::probe_path(PathId id) {
 
   bool ok = true;
   for (std::size_t i = 0; i + 1 < hops.size(); ++i) {
-    net::FlowOptions options;
-    options.label = "ctrl.probe";
+    transfer::TransferRequest request;
+    request.source_node = hops[i];
+    request.target_id = xfer_->ensure_node_segment(hops[i + 1]);
+    request.length = config_.probe_bytes;
     // Probes estimate steady-state available bandwidth from a small
     // transfer; charging the TCP ramp would bias fast paths low (a 2 MB
     // probe over a Gbps leg measures mostly slow start) and the bias would
     // fight the session-goodput samples folded in by observe_session.
-    options.charge_slow_start = false;
-    auto leg = net::transfer(*fabric_, hops[i], hops[i + 1],
-                             config_.probe_bytes, options);
-    const auto stats = co_await leg;
-    if (!stats.ok() ||
-        stats.value().outcome != net::FlowOutcome::kCompleted) {
+    request.charge_slow_start = false;
+    request.label = "ctrl.probe";
+    auto leg = xfer_->submit(std::move(request));
+    if (!co_await leg) {
       ok = false;
       break;
     }

@@ -25,10 +25,14 @@
 // verdict and trace-line text are recomputed only when its own stats or
 // its direct path's stats changed since they were last judged.
 //
+// Probes ride the world's transfer::TransferEngine like every other byte:
+// each probe leg is a single-request batch, so the batch layer's inflight
+// count covers probes too.
+//
 // Lifetime: probes are sim::Tasks; call stop() (cancelling the epoch timer
 // and all in-flight probes) before the Simulator is torn down or before
 // asserting quiescence. The destructor calls stop() as a backstop, which
-// is only safe while the Simulator is still alive.
+// is only safe while the Simulator and the TransferEngine are still alive.
 #pragma once
 
 #include <cstdint>
@@ -42,11 +46,11 @@
 #include "ctrl/policy.h"
 #include "ctrl/steering.h"
 #include "ctrl/trace.h"
-#include "net/fabric.h"
 #include "net/routing.h"
 #include "obs/recorder.h"
 #include "sim/simulator.h"
 #include "sim/task.h"
+#include "transfer/batch.h"
 
 namespace droute::ctrl {
 
@@ -68,7 +72,8 @@ struct ControllerConfig {
 
 class Controller final : public Steering {
  public:
-  Controller(sim::Simulator& simulator, net::Fabric& fabric,
+  /// Probe legs are submitted to `xfer`, which must outlive the controller.
+  Controller(sim::Simulator& simulator, transfer::TransferEngine& xfer,
              const net::RouteTable& routes, ControllerConfig config = {});
   ~Controller() override;
   Controller(const Controller&) = delete;
@@ -146,7 +151,7 @@ class Controller final : public Steering {
   sim::Task<void> probe_path(PathId id);
 
   sim::Simulator* simulator_;
-  net::Fabric* fabric_;
+  transfer::TransferEngine* xfer_;
   const net::RouteTable* routes_;
   ControllerConfig config_;
 

@@ -193,6 +193,8 @@ std::unique_ptr<World> World::create(const WorldConfig& config) {
 
 void World::wire_services() {
   fabric_ = std::make_unique<net::Fabric>(&simulator_, &topo_, &routes_);
+  transport_ = std::make_unique<transfer::SimTransport>(fabric_.get());
+  xfer_ = std::make_unique<transfer::TransferEngine>(transport_.get());
   tracer_ = std::make_unique<trace::Tracer>(&topo_, &routes_);
   // The unknown hops of Figs 5/6: Google's peering edge and UAlberta's
   // private middle hop do not answer traceroute probes.
@@ -211,13 +213,13 @@ void World::wire_services() {
         kind, cloud::default_profile(kind));
     stack.server->set_clock([this] { return simulator_.now(); });
     stack.api = std::make_unique<transfer::ApiUploadEngine>(
-        fabric_.get(), stack.server.get(), stack.front_node);
-    stack.detour = std::make_unique<transfer::DetourEngine>(fabric_.get(),
-                                                            stack.api.get());
+        fabric_.get(), *xfer_, stack.server.get(), stack.front_node);
+    stack.detour = std::make_unique<transfer::DetourEngine>(
+        fabric_.get(), *xfer_, stack.api.get());
     stack.download = std::make_unique<transfer::ApiDownloadEngine>(
-        fabric_.get(), stack.server.get(), stack.front_node);
+        fabric_.get(), *xfer_, stack.server.get(), stack.front_node);
     stack.detour_download = std::make_unique<transfer::DetourDownloadEngine>(
-        fabric_.get(), stack.download.get());
+        fabric_.get(), *xfer_, stack.download.get());
     providers_.emplace(kind, std::move(stack));
   }
 }
@@ -430,7 +432,7 @@ util::Result<double> World::run_rsync(const std::string& src_node,
                                       const std::string& dst_node,
                                       std::uint64_t bytes) {
   warm_up();
-  transfer::RsyncEngine engine(fabric_.get());
+  transfer::RsyncEngine engine(fabric_.get(), *xfer_);
   transfer::FileSpec file = transfer::make_file_mb(1, config_.seed);
   file.bytes = bytes;
 
@@ -446,8 +448,8 @@ util::Result<double> World::run_rsync(const std::string& src_node,
 
 ctrl::Controller& World::make_controller(cloud::ProviderKind provider,
                                          ctrl::ControllerConfig config) {
-  auto controller = std::make_unique<ctrl::Controller>(simulator_, *fabric_,
-                                                       routes_, config);
+  auto controller =
+      std::make_unique<ctrl::Controller>(simulator_, *xfer_, routes_, config);
   controller->set_provider(provider_node(provider));
   for (const Client client : all_clients()) {
     controller->add_client(client_node(client));
@@ -469,8 +471,8 @@ util::Result<double> World::run_steered_upload(cloud::ProviderKind provider,
       config_.seed ^ ++upload_counter_);
   file.bytes = bytes;
 
-  transfer::SteeredUploadEngine engine(fabric_.get(), &api_engine(provider),
-                                       &steering);
+  transfer::SteeredUploadEngine engine(fabric_.get(), *xfer_,
+                                       &api_engine(provider), &steering);
   util::Result<double> elapsed =
       util::Error::make("steered upload did not finish (deadline)");
   auto task = engine.upload_task(src, file);

@@ -39,6 +39,7 @@
 #include "transfer/api_upload.h"
 #include "transfer/detour.h"
 #include "transfer/detour_download.h"
+#include "transfer/sim_transport.h"
 #include "util/result.h"
 
 namespace droute::scenario {
@@ -83,6 +84,9 @@ class World {
   net::Topology& topology() { return topo_; }
   net::RouteTable& routes() { return routes_; }
   net::Fabric& fabric() { return *fabric_; }
+  /// The fabric's one batch layer; every engine and controller of this
+  /// world moves its bytes through it.
+  transfer::TransferEngine& transfer_engine() { return *xfer_; }
   trace::Tracer& tracer() { return *tracer_; }
   const geo::Registry& registry() const { return topo_.registry(); }
 
@@ -151,6 +155,10 @@ class World {
   net::Topology topo_;
   net::RouteTable routes_;
   std::unique_ptr<net::Fabric> fabric_;
+  // Declared before every engine and controller that borrows them, so
+  // they are destroyed after all of those.
+  std::unique_ptr<transfer::SimTransport> transport_;
+  std::unique_ptr<transfer::TransferEngine> xfer_;
   std::unique_ptr<trace::Tracer> tracer_;
 
   struct ProviderStack {
@@ -163,8 +171,8 @@ class World {
   };
   std::map<cloud::ProviderKind, ProviderStack> providers_;
   std::vector<std::unique_ptr<net::CrossTrafficSource>> cross_;
-  // Declared after the fabric: controllers stop() (cancelling probe flows)
-  // before the fabric and simulator are torn down.
+  // Declared after the fabric and its batch layer: controllers stop()
+  // (cancelling probe batches) before those and the simulator go.
   std::vector<std::unique_ptr<ctrl::Controller>> controllers_;
   bool warmed_up_ = false;
   std::uint64_t upload_counter_ = 0;

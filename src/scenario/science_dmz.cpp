@@ -68,13 +68,15 @@ void ScienceDmzWorld::build() {
   routes_.invalidate();
 
   fabric_ = std::make_unique<net::Fabric>(&simulator_, &topo_, &routes_);
+  transport_ = std::make_unique<transfer::SimTransport>(fabric_.get());
+  xfer_ = std::make_unique<transfer::TransferEngine>(transport_.get());
   server_ = std::make_unique<cloud::StorageServer>(
       cloud::ProviderKind::kGoogleDrive,
       cloud::default_profile(cloud::ProviderKind::kGoogleDrive));
   server_->set_clock([this] { return simulator_.now(); });
-  api_ = std::make_unique<transfer::ApiUploadEngine>(fabric_.get(),
+  api_ = std::make_unique<transfer::ApiUploadEngine>(fabric_.get(), *xfer_,
                                                      server_.get(), front_);
-  detour_ = std::make_unique<transfer::DetourEngine>(fabric_.get(),
+  detour_ = std::make_unique<transfer::DetourEngine>(fabric_.get(), *xfer_,
                                                      api_.get());
 }
 

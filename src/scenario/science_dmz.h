@@ -30,6 +30,7 @@
 #include "sim/simulator.h"
 #include "transfer/api_upload.h"
 #include "transfer/detour.h"
+#include "transfer/sim_transport.h"
 #include "util/result.h"
 
 namespace droute::scenario {
@@ -74,6 +75,9 @@ class ScienceDmzWorld {
   net::Topology topo_;
   net::RouteTable routes_;
   std::unique_ptr<net::Fabric> fabric_;
+  // The fabric's one batch layer; declared before the engines borrowing it.
+  std::unique_ptr<transfer::SimTransport> transport_;
+  std::unique_ptr<transfer::TransferEngine> xfer_;
   std::unique_ptr<cloud::StorageServer> server_;
   std::unique_ptr<transfer::ApiUploadEngine> api_;
   std::unique_ptr<transfer::DetourEngine> detour_;

@@ -3,10 +3,11 @@
 // sim::Task<T> is a value-returning, joinable, cancellable coroutine. A
 // multi-leg transfer reads top-to-bottom:
 //
-//   sim::Task<double> detour(net::Fabric& fabric, ...) {
-//     auto leg1 = net::transfer(fabric, client, dtn, bytes);
-//     const auto stats = co_await leg1;              // Result<FlowStats>
-//     if (!stats.ok()) co_return stats.error();      // maps into the Result
+//   sim::Task<double> detour(transfer::TransferEngine& xfer, ...) {
+//     auto leg1 = xfer.submit(std::move(request));   // one-request batch
+//     if (!co_await leg1) {                          // true: completed
+//       co_return util::Error::make(leg1.status(0).error);  // into the Result
+//     }
 //     ...
 //     co_return elapsed;
 //   }
@@ -24,10 +25,11 @@
 //     event), or run it from plain code with drive(simulator, task, dt).
 //   * Cancellation is cooperative: cancel() sets a flag and cancels the
 //     awaitable the task is currently parked on (pending sim event,
-//     in-flight fabric flow, Notify wait). The body resumes, observes the
-//     failure (delay() and Notify::wait() return false; a cancelled flow
-//     completes with kAborted), runs its cleanup, and co_returns normally
-//     — frames are never destroyed mid-body, so RAII cleanup always runs.
+//     in-flight transfer batch, Notify wait). The body resumes, observes
+//     the failure (delay() and Notify::wait() return false; a cancelled
+//     batch's requests settle as aborted), runs its cleanup, and
+//     co_returns normally — frames are never destroyed mid-body, so RAII
+//     cleanup always runs.
 //   * Lifetime: every pending resume lives in the simulator's queue, so a
 //     Task must not outlive its Simulator (cancel() it and drain first if
 //     tearing down early; drive() does both when the task misses its
@@ -204,7 +206,7 @@ class Task {
   }
 
   /// Requests cooperative cancellation: the pending awaitable (sim event,
-  /// fabric flow, Notify wait) is cancelled and the body unwinds through
+  /// transfer batch, Notify wait) is cancelled and the body unwinds through
   /// its normal failure paths. No-op on a finished task.
   void cancel() {
     if (state_ != nullptr) detail::request_cancel(*state_);

@@ -9,10 +9,11 @@
 namespace droute::transfer {
 
 ApiDownloadEngine::ApiDownloadEngine(net::Fabric* fabric,
+                                     TransferEngine& xfer,
                                      cloud::StorageServer* server,
                                      net::NodeId server_node)
     : fabric_(fabric), server_(server), server_node_(server_node),
-      transport_(fabric), xfer_(&transport_) {
+      xfer_(xfer) {
   DROUTE_CHECK(fabric_ && server_, "ApiDownloadEngine: null dependency");
   server_segment_ = xfer_.ensure_node_segment(server_node_);
 }

@@ -11,7 +11,6 @@
 #include "net/fabric.h"
 #include "sim/task.h"
 #include "transfer/batch.h"
-#include "transfer/sim_transport.h"
 
 namespace droute::transfer {
 
@@ -34,8 +33,9 @@ struct ApiDownloadOptions {
 
 class ApiDownloadEngine {
  public:
-  ApiDownloadEngine(net::Fabric* fabric, cloud::StorageServer* server,
-                    net::NodeId server_node);
+  /// Ranged GETs ride `xfer`, the batch layer of `fabric`'s world.
+  ApiDownloadEngine(net::Fabric* fabric, TransferEngine& xfer,
+                    cloud::StorageServer* server, net::NodeId server_node);
 
   net::NodeId server_node() const { return server_node_; }
   cloud::StorageServer* server() const { return server_; }
@@ -45,15 +45,11 @@ class ApiDownloadEngine {
   sim::Task<DownloadResult> download_task(net::NodeId client, std::string name,
                                           ApiDownloadOptions options = {});
 
-  /// The batched submission layer every ranged GET routes through.
-  TransferEngine& batch_engine() { return xfer_; }
-
  private:
   net::Fabric* fabric_;
   cloud::StorageServer* server_;
   net::NodeId server_node_;
-  SimTransport transport_;
-  TransferEngine xfer_;
+  TransferEngine& xfer_;
   SegmentId server_segment_ = kInvalidSegment;
 };
 

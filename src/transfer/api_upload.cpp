@@ -26,11 +26,10 @@ void emit_upload_span(const UploadResult& result) {
 // clients surface the error to the user at a similar depth).
 constexpr int kMaxThrottleRetries = 8;
 
-ApiUploadEngine::ApiUploadEngine(net::Fabric* fabric,
+ApiUploadEngine::ApiUploadEngine(net::Fabric* fabric, TransferEngine& xfer,
                                  cloud::StorageServer* server,
                                  net::NodeId server_node)
-    : fabric_(fabric), server_(server), server_node_(server_node),
-      transport_(fabric), xfer_(&transport_) {
+    : fabric_(fabric), server_(server), server_node_(server_node), xfer_(xfer) {
   DROUTE_CHECK(fabric_ && server_, "ApiUploadEngine: null dependency");
   server_segment_ = xfer_.ensure_node_segment(server_node_);
   obs_throttle_retries_ = obs::counter("transfer.throttle_retries_total");
@@ -96,74 +95,15 @@ sim::Task<UploadResult> ApiUploadEngine::upload_task(net::NodeId client,
 
   cloud::ChunkDigester digester;
   std::uint64_t offset = 0;
-  int attempts_this_chunk = 0;
-  for (std::size_t next_chunk = 0; next_chunk < chunks.size();) {
-    const double chunk_start = simulator.now();
-    const std::uint64_t chunk_bytes = chunks[next_chunk];
-    const std::uint64_t wire =
-        chunk_bytes + server_->profile().per_chunk_header_bytes;
-    TransferRequest put_request;
-    put_request.opcode = Opcode::kWrite;
-    put_request.source_node = client;
-    put_request.target_id = server_segment_;
-    put_request.target_offset = offset;
-    put_request.length = wire;
-    // The HTTP connection persists across chunks; only the first chunk pays
-    // the slow-start ramp.
-    put_request.charge_slow_start = next_chunk == 0;
-    put_request.label = "api-chunk";
-
-    auto put = xfer_.submit(std::move(put_request));
-    if (!co_await put) {
-      const RequestStatus& st = put.status(0);
-      if (st.rejected()) {
-        co_return fail("chunk flow rejected: " + st.error);
-      }
-      co_return fail(st.state == RequestState::kLinkFailed
-                         ? "link failed mid-chunk"
-                         : "chunk flow aborted");
-    }
-
-    const auto digest = file.chunk_digest(offset, chunk_bytes);
-    const auto append =
-        server_->append_chunk(session, offset, chunk_bytes, digest);
-    if (!append.ok()) {
-      if (append.error().code == 429 &&
-          attempts_this_chunk < kMaxThrottleRetries) {
-        // Honour Retry-After with exponential backoff, then resend the
-        // same chunk (its bytes are wasted — the real cost of being
-        // throttled mid-upload).
-        const double backoff =
-            server_->profile().retry_after_s *
-            static_cast<double>(1 << attempts_this_chunk);
-        ++attempts_this_chunk;
-        ++result.throttle_retries;
-        obs::add(obs_throttle_retries_);
-        obs::observe(obs_backoff_wait_, backoff);
-        if (obs::enabled()) {
-          obs::emit_span("transfer.chunk_put", obs::Clock::kSim, chunk_start,
-                         simulator.now(),
-                         {{"offset", std::to_string(offset)},
-                          {"status", "429"}});
-        }
-        auto wait = sim::delay(simulator, backoff);
-        if (!co_await wait) {
-          co_return fail("upload cancelled during throttle backoff");
-        }
-        continue;
-      }
-      co_return fail("append rejected: " + append.error().message);
-    }
-    if (obs::enabled()) {
-      obs::emit_span("transfer.chunk_put", obs::Clock::kSim, chunk_start,
-                     simulator.now(),
-                     {{"offset", std::to_string(offset)}, {"status", "ok"}});
-    }
-    attempts_this_chunk = 0;
+  for (std::size_t i = 0; i < chunks.size(); ++i) {
+    const auto digest = file.chunk_digest(offset, chunks[i]);
+    auto put = put_chunk(client, session, offset, chunks[i], digest, i == 0,
+                         &result.throttle_retries);
+    const auto wire = co_await put;
+    if (!wire.ok()) co_return fail(wire.error().message);
     digester.add_chunk(digest);
-    result.wire_bytes += put.status(0).bytes;
-    offset += chunk_bytes;
-    ++next_chunk;
+    result.wire_bytes += wire.value();
+    offset += chunks[i];
     ++result.chunks;
     // Chunk ack turnaround before the next request is issued.
     auto turnaround =
@@ -189,6 +129,69 @@ sim::Task<UploadResult> ApiUploadEngine::upload_task(net::NodeId client,
   result.end_time = simulator.now();
   emit_upload_span(result);
   co_return result;
+}
+
+sim::Task<std::uint64_t> ApiUploadEngine::put_chunk(
+    net::NodeId source, cloud::SessionId session, std::uint64_t offset,
+    std::uint64_t chunk_bytes, rsyncx::Md5Digest digest, bool first_chunk,
+    int* throttle_retries) {
+  sim::Simulator& simulator = *fabric_->simulator();
+  const cloud::ApiProfile& profile = server_->profile();
+  for (int attempt = 0;; ++attempt) {
+    const double start = simulator.now();
+    TransferRequest put_request;
+    put_request.opcode = Opcode::kWrite;
+    put_request.source_node = source;
+    put_request.target_id = server_segment_;
+    put_request.target_offset = offset;
+    put_request.length = chunk_bytes + profile.per_chunk_header_bytes;
+    // The HTTP connection persists across chunks; only the first chunk pays
+    // the slow-start ramp.
+    put_request.charge_slow_start = first_chunk;
+    put_request.label = "api-chunk";
+    auto put = xfer_.submit(std::move(put_request));
+    if (!co_await put) {
+      const RequestStatus& st = put.status(0);
+      if (st.rejected()) {
+        co_return util::Error::make("chunk flow rejected: " + st.error);
+      }
+      co_return util::Error::make(st.state == RequestState::kLinkFailed
+                                      ? "link failed mid-chunk"
+                                      : "chunk flow aborted");
+    }
+
+    const auto append =
+        server_->append_chunk(session, offset, chunk_bytes, digest);
+    if (append.ok()) {
+      if (obs::enabled()) {
+        obs::emit_span("transfer.chunk_put", obs::Clock::kSim, start,
+                       simulator.now(),
+                       {{"offset", std::to_string(offset)}, {"status", "ok"}});
+      }
+      co_return put.status(0).bytes;
+    }
+    if (append.error().code != 429 || attempt >= kMaxThrottleRetries) {
+      co_return util::Error::make("append rejected: " +
+                                  append.error().message);
+    }
+    // Honour Retry-After with exponential backoff, then resend the same
+    // chunk (its bytes are wasted — the real cost of being throttled
+    // mid-upload).
+    const double backoff =
+        profile.retry_after_s * static_cast<double>(1 << attempt);
+    if (throttle_retries != nullptr) ++*throttle_retries;
+    obs::add(obs_throttle_retries_);
+    obs::observe(obs_backoff_wait_, backoff);
+    if (obs::enabled()) {
+      obs::emit_span("transfer.chunk_put", obs::Clock::kSim, start,
+                     simulator.now(),
+                     {{"offset", std::to_string(offset)}, {"status", "429"}});
+    }
+    auto wait = sim::delay(simulator, backoff);
+    if (!co_await wait) {
+      co_return util::Error::make("upload cancelled during throttle backoff");
+    }
+  }
 }
 
 }  // namespace droute::transfer

@@ -12,7 +12,6 @@
 #include "sim/task.h"
 #include "transfer/batch.h"
 #include "transfer/file_spec.h"
-#include "transfer/sim_transport.h"
 
 namespace droute::obs {
 class Counter;
@@ -41,11 +40,12 @@ struct ApiUploadOptions {
   cloud::OAuthSession* oauth = nullptr;
 };
 
-/// Asynchronous engine bound to one provider front-end node.
+/// Asynchronous engine bound to one provider front-end node. Its chunk
+/// PUTs ride `xfer`, the batch layer of `fabric`'s world.
 class ApiUploadEngine {
  public:
-  ApiUploadEngine(net::Fabric* fabric, cloud::StorageServer* server,
-                  net::NodeId server_node);
+  ApiUploadEngine(net::Fabric* fabric, TransferEngine& xfer,
+                  cloud::StorageServer* server, net::NodeId server_node);
 
   net::NodeId server_node() const { return server_node_; }
   cloud::StorageServer* server() const { return server_; }
@@ -57,16 +57,26 @@ class ApiUploadEngine {
   sim::Task<UploadResult> upload_task(net::NodeId client, FileSpec file,
                                       ApiUploadOptions options = {});
 
-  /// The batched submission layer every chunk PUT routes through (chaos
-  /// leak audits poll batches_inflight() here).
-  TransferEngine& batch_engine() { return xfer_; }
+  /// One chunk of an open upload `session`: PUT `chunk_bytes` (plus the
+  /// per-chunk header) from `source`, then append it. An HTTP 429 honours
+  /// Retry-After with exponential backoff and resends the chunk, at most
+  /// 8 times (kMaxThrottleRetries), counting each resend in
+  /// *throttle_retries when given. Yields the accepted PUT's wire bytes,
+  /// or why the chunk failed. The direct upload and the pipelined detour's
+  /// provider leg both send every chunk through it; each keeps its own
+  /// per-chunk turnaround.
+  sim::Task<std::uint64_t> put_chunk(net::NodeId source,
+                                     cloud::SessionId session,
+                                     std::uint64_t offset,
+                                     std::uint64_t chunk_bytes,
+                                     rsyncx::Md5Digest digest,
+                                     bool first_chunk, int* throttle_retries);
 
  private:
   net::Fabric* fabric_;
   cloud::StorageServer* server_;
   net::NodeId server_node_;
-  SimTransport transport_;
-  TransferEngine xfer_;
+  TransferEngine& xfer_;
   SegmentId server_segment_ = kInvalidSegment;
   // obs handles (null when recording is disabled at construction).
   obs::Counter* obs_throttle_retries_ = nullptr;

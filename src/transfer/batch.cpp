@@ -1,5 +1,7 @@
 #include "transfer/batch.h"
 
+#include <utility>
+
 #include "check/contract.h"
 #include "obs/recorder.h"
 #include "sim/task.h"
@@ -8,23 +10,33 @@ namespace droute::transfer {
 namespace detail {
 
 namespace {
-// Reason stamped on requests a batch never handed to the transport. Matches
-// net::TransferAwaitable's pre-start guard so legacy "<leg> flow rejected: "
-// compositions stay byte-identical through the batch layer.
+// Reason stamped on requests a batch never handed to the transport; engines
+// compose it into their "<leg> flow rejected: " errors.
 constexpr const char* kCancelledBeforeStart = "transfer cancelled before start";
 }  // namespace
 
 BatchState::BatchState(TransferEngine* engine, Transport* transport,
-                       std::vector<TransferRequest> requests,
-                       BatchOptions options)
+                       std::size_t size, BatchOptions options)
     : engine_(engine), transport_(transport), options_(options) {
-  DROUTE_CHECK(!requests.empty(), "batch must contain at least one request");
-  slots_.reserve(requests.size());
-  for (TransferRequest& request : requests) {
-    Slot slot;
-    slot.request = std::move(request);
-    slots_.push_back(std::move(slot));
+  DROUTE_CHECK(size > 0, "batch must contain at least one request");
+  if (size > 1) many_.reserve(size);
+}
+
+void BatchState::release(BatchState* state) {
+  if (--state->refs_ == 0) delete state;  // lint: allow(raw-new) — counted ownership, see BatchState
+}
+
+void BatchState::add(TransferRequest request) {
+  DROUTE_CHECK(!launched_, "request added to a launched batch");
+  if (many_.capacity() == 0) {  // a one-request batch keeps its slot inline
+    DROUTE_CHECK(slots_.empty(), "one-request batch got a second request");
+    one_.request = std::move(request);
+    slots_ = std::span<Slot>(&one_, 1);
+    return;
   }
+  DROUTE_CHECK(many_.size() < many_.capacity(), "batch over its size");
+  many_.push_back(Slot{std::move(request), {}, Transport::kNoOp});
+  slots_ = many_;
 }
 
 const RequestStatus& BatchState::status(std::size_t i) const {
@@ -57,14 +69,8 @@ void BatchState::start_one(std::size_t i) {
     return;
   }
   slot.status.start_s = transport_->now();
-  // The completion holds the batch alive: a dropped BatchHandle still
-  // settles (and releases the engine's inflight accounting) once every
-  // started request finishes.
-  std::shared_ptr<BatchState> self = shared_from_this();
-  auto op = transport_->start(
-      *target, slot.request, [self, i](const Transport::Completion& done) {
-        self->on_complete(i, done);
-      });
+  auto op = transport_->start(*target, slot.request,
+                              Transport::CompletionFn{this, i});
   if (!op.ok()) {
     settle(i, RequestState::kRejected, op.error().message, 0);
     if (options_.fail_fast) trip_fail_fast();
@@ -72,14 +78,18 @@ void BatchState::start_one(std::size_t i) {
   }
   slot.op = op.value();
   slot.status.state = RequestState::kInFlight;
-  ++in_flight_;
+  // A dropped BatchHandle still settles (and releases the engine's inflight
+  // accounting) once every started request finishes.
+  if (in_flight_++ == 0) retain();
 }
 
 void BatchState::on_complete(std::size_t i, const Transport::Completion& done) {
   Slot& slot = slots_[i];
   if (slot.status.settled()) return;  // already cancelled pre-delivery
+  // Held for this call: resuming the waiter below may drop the last handle.
+  const BatchHandle hold(this);
   slot.op = Transport::kNoOp;
-  --in_flight_;
+  if (--in_flight_ == 0) release(this);  // the in-flight self-reference
   switch (done.fate) {
     case TransferFate::kCompleted:
       settle(i, RequestState::kCompleted, done.error, done.bytes);
@@ -114,9 +124,8 @@ void BatchState::trip_fail_fast() {
   if (tripped_) return;
   tripped_ = true;
   // Requests never handed to the transport settle as cancelled; in-flight
-  // ones keep running detached (the completion lambdas keep `this` alive)
-  // so their bytes still drain through the fabric exactly as the legacy
-  // detached stripe frames did.
+  // ones keep running detached (the state's own reference keeps it alive)
+  // so their bytes still drain through the fabric.
   for (std::size_t i = next_to_start_; i < slots_.size(); ++i) {
     if (!slots_[i].status.settled()) {
       settle(i, RequestState::kCancelled, kCancelledBeforeStart, 0);
@@ -132,9 +141,12 @@ void BatchState::cancel() {
     cancel_before_start_locked();
     return;
   }
+  // The aborts below resume the awaiter, whose frame may drop the last
+  // handle before this function is done.
+  const BatchHandle hold(this);
   // Index order: first settle everything not yet started (so completions
   // delivered during the aborts cannot start new work), then abort the
-  // in-flight requests the way the legacy all_of cascade unwound stripes.
+  // in-flight requests.
   for (std::size_t i = next_to_start_; i < slots_.size(); ++i) {
     if (!slots_[i].status.settled()) {
       settle(i, RequestState::kCancelled, kCancelledBeforeStart, 0);
@@ -169,13 +181,12 @@ void BatchState::cancel_before_start_locked() {
   maybe_finish();
 }
 
-void BatchState::set_waiter(std::function<void()> waiter) {
+void BatchState::set_waiter(std::coroutine_handle<> waiter,
+                            sim::TaskPromiseBase* promise) {
   DROUTE_CHECK(!waiter_, "batch already has a waiter");
-  if (resume_ready()) {
-    waiter();
-    return;
-  }
-  waiter_ = std::move(waiter);
+  DROUTE_CHECK(!resume_ready(), "waiter set on a batch ready to resume");
+  waiter_ = waiter;
+  waiter_promise_ = promise;
 }
 
 void BatchState::maybe_finish() {
@@ -185,9 +196,11 @@ void BatchState::maybe_finish() {
     engine_->on_batch_settled();
   }
   if (resume_ready() && waiter_) {
-    auto waiter = std::move(waiter_);
-    waiter_ = nullptr;
-    waiter();
+    const std::coroutine_handle<> waiter = std::exchange(waiter_, nullptr);
+    if (waiter_promise_ != nullptr) {
+      std::exchange(waiter_promise_, nullptr)->disarm_canceller();
+    }
+    waiter.resume();
   }
 }
 
@@ -222,13 +235,15 @@ SegmentId TransferEngine::register_segment(Segment segment) {
 }
 
 SegmentId TransferEngine::ensure_node_segment(net::NodeId node) {
-  const auto it = node_segments_.find(node);
-  if (it != node_segments_.end()) return it->second;
+  DROUTE_CHECK(node >= 0, "ensure_node_segment: invalid node");
+  const auto index = static_cast<std::size_t>(node);
+  if (index >= node_segments_.size()) node_segments_.resize(index + 1);
+  SegmentId& id = node_segments_[index];
+  if (id != kInvalidSegment) return id;
   Segment segment;
   segment.name = "node-" + std::to_string(node);
   segment.node = node;
-  const SegmentId id = register_segment(std::move(segment));
-  node_segments_.emplace(node, id);
+  id = register_segment(std::move(segment));
   return id;
 }
 
@@ -237,21 +252,30 @@ const Segment* TransferEngine::segment(SegmentId id) const {
   return &segments_[id - 1];
 }
 
-BatchHandle TransferEngine::submit_batch(std::vector<TransferRequest> requests,
-                                         BatchOptions options) {
+BatchHandle TransferEngine::open_batch(std::size_t size,
+                                       BatchOptions options) {
+  BatchHandle batch(new detail::BatchState(this, transport_, size, options));  // lint: allow(raw-new) — counted ownership, see BatchState
   obs::add(obs_batches_);
-  obs::add(obs_requests_, requests.size());
+  obs::add(obs_requests_, size);
   ++batches_inflight_;
   obs::add(obs_inflight_, 1.0);
-  return BatchHandle(std::make_shared<detail::BatchState>(
-      this, transport_, std::move(requests), options));
+  return batch;
+}
+
+BatchHandle TransferEngine::submit_batch(std::vector<TransferRequest> requests,
+                                         BatchOptions options) {
+  BatchHandle batch = open_batch(requests.size(), options);
+  for (TransferRequest& request : requests) {
+    batch.state_->add(std::move(request));
+  }
+  return batch;
 }
 
 BatchHandle TransferEngine::submit(TransferRequest request,
                                    BatchOptions options) {
-  std::vector<TransferRequest> requests;
-  requests.push_back(std::move(request));
-  return submit_batch(std::move(requests), options);
+  BatchHandle batch = open_batch(1, options);
+  batch.state_->add(std::move(request));
+  return batch;
 }
 
 void TransferEngine::on_batch_settled() {

@@ -1,5 +1,5 @@
 // Batched transfer engine (DESIGN.md §15): one submission API over every
-// backend.
+// backend, and the only way simulated bytes move.
 //
 // A TransferEngine owns a registry of Segments (named remote endpoints) and
 // turns a vector of TransferRequests into one awaitable BatchHandle:
@@ -13,23 +13,20 @@
 // the batch as a whole settles when the last request does.
 //
 // Launch is deferred: requests hit the Transport inside the awaiter's
-// await_suspend (or an explicit start()/wait()), never at submit time. This
-// is what keeps every engine event-schedule-identical to its pre-batch
-// form — a single-request batch starts its flow at exactly the
-// co_await point where `co_await net::transfer(...)` used to start it, the
-// completion resumes the awaiter in the same sim event the flow callback
-// used to, and a parent task cancelled before the co_await never touches
-// the fabric at all (every request settles as kCancelled with the legacy
-// "transfer cancelled before start" reason).
+// await_suspend (or an explicit start()/wait()), never at submit time. A
+// single-request batch therefore starts its flow at exactly the co_await
+// point, its completion resumes the awaiter in the same sim event the flow
+// finishes in, and a parent task cancelled before the co_await never
+// touches the fabric at all (every request settles as kCancelled with the
+// reason "transfer cancelled before start").
 //
 // Cancellation is cooperative via sim::Task: cancelling the awaiting task
-// cancels the batch, which aborts in-flight requests in index order (the
-// same order the old sim::all_of cascade unwound stripe joins) and settles
-// unstarted ones without touching the transport. A cancelled batch releases
-// every per-request resource synchronously on sim transports — no pending
-// sim events, no live flows — and always decrements transfer.batch_inflight
-// exactly once, even when the handle itself is dropped (the chaos harness
-// audits this).
+// cancels the batch, which aborts in-flight requests in index order and
+// settles unstarted ones without touching the transport. A cancelled batch
+// releases every per-request resource synchronously on sim transports — no
+// pending sim events, no live flows — and always decrements
+// transfer.batch_inflight exactly once, even when the handle itself is
+// dropped (the chaos harness audits this).
 //
 // Awaiting is lvalue-only (&-qualified awaiter methods), matching the rest
 // of the Task layer (GCC PR 99576 family).
@@ -37,9 +34,7 @@
 
 #include <coroutine>
 #include <cstdint>
-#include <functional>
-#include <map>
-#include <memory>
+#include <span>
 #include <string>
 #include <type_traits>
 #include <utility>
@@ -145,13 +140,22 @@ class TransferEngine;
 
 namespace detail {
 
-/// Shared batch bookkeeping. Held by shared_ptr from the BatchHandle and
-/// from every in-flight transport completion callback, so a dropped handle
-/// cannot strand settlement (or the inflight gauge).
-class BatchState : public std::enable_shared_from_this<BatchState> {
+/// Batch bookkeeping, owned by a reference count: one reference per
+/// BatchHandle, plus one the state holds on itself while any request is in
+/// flight, so a dropped handle cannot strand settlement (or the inflight
+/// gauge). The batch layer is single-threaded (transport.h), so the count
+/// is a plain integer.
+class BatchState final : public Transport::Sink {
  public:
-  BatchState(TransferEngine* engine, Transport* transport,
-             std::vector<TransferRequest> requests, BatchOptions options);
+  BatchState(TransferEngine* engine, Transport* transport, std::size_t size,
+             BatchOptions options);
+
+  void retain() { ++refs_; }
+  /// Drops one reference; the last one deletes the state.
+  static void release(BatchState* state);
+
+  /// Appends a request; only before launch.
+  void add(TransferRequest request);
 
   /// Hands requests to the transport (respecting the concurrency cap).
   /// Idempotent; a no-op after cancel_before_start().
@@ -163,7 +167,7 @@ class BatchState : public std::enable_shared_from_this<BatchState> {
   void cancel();
 
   /// The awaiting task was cancelled before the batch launched: settle
-  /// every request as kCancelled with the legacy pre-start reason, without
+  /// every request as kCancelled with the pre-start reason, without
   /// touching the transport.
   void cancel_before_start();
 
@@ -176,11 +180,18 @@ class BatchState : public std::enable_shared_from_this<BatchState> {
   std::size_t size() const { return slots_.size(); }
   const RequestStatus& status(std::size_t i) const;
 
-  /// Registers the one-shot resume hook; fires as soon as resume_ready().
-  void set_waiter(std::function<void()> waiter);
+  /// Registers the one-shot resume of a suspended awaiter; it fires as
+  /// soon as resume_ready(), disarming `promise`'s canceller first when the
+  /// awaiter is a sim::Task.
+  void set_waiter(std::coroutine_handle<> waiter,
+                  sim::TaskPromiseBase* promise);
 
   /// Pumps a blocking transport until this batch fully settles.
   void drain_blocking();
+
+  /// Transport::Sink: request `i` ended.
+  void on_complete(std::size_t i,
+                   const Transport::Completion& completion) override;
 
  private:
   struct Slot {
@@ -191,7 +202,6 @@ class BatchState : public std::enable_shared_from_this<BatchState> {
 
   void pump();                     // launch while the cap allows
   void start_one(std::size_t i);
-  void on_complete(std::size_t i, const Transport::Completion& completion);
   void settle(std::size_t i, RequestState state, std::string error,
               std::uint64_t bytes);
   void trip_fail_fast();
@@ -201,7 +211,12 @@ class BatchState : public std::enable_shared_from_this<BatchState> {
   TransferEngine* engine_;
   Transport* transport_;
   BatchOptions options_;
-  std::vector<Slot> slots_;
+  // The requests, viewed through slots_: a one-request batch (every leg of
+  // a sequential engine or probe) keeps its slot inline, so it costs one
+  // allocation; larger batches use many_.
+  Slot one_;
+  std::vector<Slot> many_;
+  std::span<Slot> slots_;
   std::size_t next_to_start_ = 0;
   std::size_t in_flight_ = 0;
   std::size_t settled_ = 0;
@@ -210,7 +225,9 @@ class BatchState : public std::enable_shared_from_this<BatchState> {
   bool cancelled_ = false;
   bool tripped_ = false;
   bool finished_ = false;  // engine notified (inflight gauge decremented)
-  std::function<void()> waiter_;
+  std::size_t refs_ = 0;
+  std::coroutine_handle<> waiter_;
+  sim::TaskPromiseBase* waiter_promise_ = nullptr;
 };
 
 }  // namespace detail
@@ -220,8 +237,17 @@ class BatchState : public std::enable_shared_from_this<BatchState> {
 /// cancelling the awaiting task cancels the batch.
 class BatchHandle {
  public:
-  explicit BatchHandle(std::shared_ptr<detail::BatchState> state)
-      : state_(std::move(state)) {}
+  explicit BatchHandle(detail::BatchState* state) : state_(state) {
+    state_->retain();
+  }
+  BatchHandle(const BatchHandle& other) : BatchHandle(other.state_) {}
+  BatchHandle& operator=(const BatchHandle& other) {
+    other.state_->retain();
+    detail::BatchState::release(state_);
+    state_ = other.state_;
+    return *this;
+  }
+  ~BatchHandle() { detail::BatchState::release(state_); }
 
   /// Explicitly launches the batch (polling / blocking drivers; co_await
   /// launches implicitly). Idempotent.
@@ -253,8 +279,7 @@ class BatchHandle {
   bool await_suspend(std::coroutine_handle<Promise> handle) & {
     if constexpr (std::is_base_of_v<sim::TaskPromiseBase, Promise>) {
       if (handle.promise().cancel_requested() && !state_->launched()) {
-        // Task already cancelled: do not put bytes on the wire. Mirrors the
-        // legacy TransferAwaitable guard, reason string included.
+        // Task already cancelled: do not put bytes on the wire.
         state_->cancel_before_start();
         return false;  // resume immediately
       }
@@ -262,14 +287,13 @@ class BatchHandle {
     state_->launch();
     if (state_->resume_ready()) return false;  // settled synchronously
     if constexpr (std::is_base_of_v<sim::TaskPromiseBase, Promise>) {
-      state_->set_waiter([handle] {
-        handle.promise().disarm_canceller();
-        handle.resume();
-      });
-      std::shared_ptr<detail::BatchState> state = state_;
+      state_->set_waiter(handle, &handle.promise());
+      // The suspended frame's handle owns the state, and cancel() holds
+      // it across the resume that may destroy that frame.
+      detail::BatchState* state = state_;
       handle.promise().arm_canceller([state] { state->cancel(); });
     } else {
-      state_->set_waiter([handle] { handle.resume(); });
+      state_->set_waiter(handle, nullptr);
     }
     return true;
   }
@@ -278,11 +302,13 @@ class BatchHandle {
   bool await_resume() const& { return state_->all_completed(); }
 
  private:
-  std::shared_ptr<detail::BatchState> state_;
+  friend class TransferEngine;  // fills the batch it opened
+  detail::BatchState* state_;
 };
 
 /// The batched transfer engine: segment registry + batch submission over
-/// one Transport backend. Engines embed one per backend; it must outlive
+/// one Transport backend. A simulated world owns one, next to its fabric,
+/// and every transfer engine and the controller borrow it; it must outlive
 /// every batch it submitted (and, for detached fail-fast batches, the
 /// transport events that settle them).
 class TransferEngine {
@@ -317,11 +343,12 @@ class TransferEngine {
 
  private:
   friend class detail::BatchState;
+  BatchHandle open_batch(std::size_t size, BatchOptions options);
   void on_batch_settled();
 
   Transport* transport_;
   std::vector<Segment> segments_;  // id - 1 indexed
-  std::map<net::NodeId, SegmentId> node_segments_;
+  std::vector<SegmentId> node_segments_;  // by node id; 0 = none yet
   std::size_t batches_inflight_ = 0;
   // obs handles (null when recording is disabled at construction).
   obs::Counter* obs_batches_ = nullptr;

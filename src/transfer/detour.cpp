@@ -106,9 +106,8 @@ namespace {
 struct PipelineShared {
   net::Fabric* fabric = nullptr;
   ApiUploadEngine* api = nullptr;
-  TransferEngine* xfer = nullptr;      // the relay hops' batch layer
+  TransferEngine* xfer = nullptr;      // leg 1's batch layer
   SegmentId dtn_segment = kInvalidSegment;
-  SegmentId server_segment = kInvalidSegment;
   const FileSpec* file = nullptr;
   const std::vector<std::uint64_t>* chunks = nullptr;
   net::NodeId client = net::kInvalidNode;
@@ -168,8 +167,10 @@ sim::Task<bool> pipeline_leg1(PipelineShared& sh) {  // NOLINT(cppcoreguidelines
   co_return true;
 }
 
-/// Leg 2: drains arrived chunks DTN -> provider sequentially, finalizes.
-/// Same lifetime argument as leg 1: the parent frame owns `sh` and joins.
+/// Leg 2: drains arrived chunks DTN -> provider sequentially (each through
+/// the API engine's put_chunk, so a 429 backs off and resends like the
+/// direct upload), finalizes. Same lifetime argument as leg 1: the parent
+/// frame owns `sh` and joins.
 sim::Task<bool> pipeline_leg2(PipelineShared& sh) {  // NOLINT(cppcoreguidelines-avoid-reference-coroutine-parameters)
   sim::Simulator& simulator = *sh.fabric->simulator();
   const cloud::ApiProfile& profile = sh.api->server()->profile();
@@ -182,30 +183,12 @@ sim::Task<bool> pipeline_leg2(PipelineShared& sh) {  // NOLINT(cppcoreguidelines
       continue;  // re-check: a notify is a hint
     }
     const std::uint64_t chunk = (*sh.chunks)[next];
-    const std::uint64_t wire = chunk + profile.per_chunk_header_bytes;
-    TransferRequest hop_request;
-    hop_request.opcode = Opcode::kWrite;
-    hop_request.source_node = sh.intermediate;
-    hop_request.target_id = sh.server_segment;
-    hop_request.target_offset = offset;
-    hop_request.length = wire;
-    hop_request.charge_slow_start = next == 0;
-    hop_request.label = "relay-leg2";
-    auto hop = sh.xfer->submit(std::move(hop_request));
-    if (!co_await hop) {
-      const RequestStatus& st = hop.status(0);
-      if (st.rejected()) {
-        sh.note_failure("pipelined leg 2 rejected: " + st.error);
-      } else {
-        sh.note_failure("pipelined leg 2 flow failed");
-      }
-      co_return false;
-    }
     const auto digest = sh.file->chunk_digest(offset, chunk);
-    const auto append =
-        sh.api->server()->append_chunk(sh.session, offset, chunk, digest);
-    if (!append.ok()) {
-      sh.note_failure("pipelined append: " + append.error().message);
+    auto put = sh.api->put_chunk(sh.intermediate, sh.session, offset, chunk,
+                                 digest, next == 0, nullptr);
+    const auto wire = co_await put;
+    if (!wire.ok()) {
+      sh.note_failure("pipelined leg 2: " + wire.error().message);
       co_return false;
     }
     sh.digester.add_chunk(digest);
@@ -249,7 +232,6 @@ sim::Task<DetourResult> DetourEngine::pipelined_task(net::NodeId client,
   sh.api = api_;
   sh.xfer = &xfer_;
   sh.dtn_segment = xfer_.ensure_node_segment(intermediate);
-  sh.server_segment = xfer_.ensure_node_segment(api_->server_node());
   sh.file = &file;
   sh.client = client;
   sh.intermediate = intermediate;

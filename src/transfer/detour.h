@@ -42,10 +42,10 @@ struct DetourOptions {
 
 class DetourEngine {
  public:
-  /// `api` is bound to the destination provider's front-end node.
-  DetourEngine(net::Fabric* fabric, ApiUploadEngine* api)
-      : fabric_(fabric), api_(api), rsync_(fabric), transport_(fabric),
-        xfer_(&transport_) {}
+  /// `api` is bound to the destination provider's front-end node; every
+  /// leg rides `xfer`, the batch layer of `fabric`'s world.
+  DetourEngine(net::Fabric* fabric, TransferEngine& xfer, ApiUploadEngine* api)
+      : fabric_(fabric), api_(api), rsync_(fabric, xfer), xfer_(xfer) {}
 
   /// Coroutine form: moves `file` from `client` to the provider via
   /// `intermediate`. Domain failures land inside DetourResult — including
@@ -55,12 +55,6 @@ class DetourEngine {
                                         net::NodeId intermediate,
                                         FileSpec file,
                                         DetourOptions options = {});
-
-  /// The batched submission layer the pipelined relay hops route through
-  /// (store-and-forward legs go through rsync()/the API engine instead).
-  TransferEngine& batch_engine() { return xfer_; }
-  /// The embedded client -> DTN rsync engine (leg 1 of store-and-forward).
-  RsyncEngine& rsync() { return rsync_; }
 
  private:
   sim::Task<DetourResult> store_and_forward_task(net::NodeId client,
@@ -74,9 +68,8 @@ class DetourEngine {
 
   net::Fabric* fabric_;
   ApiUploadEngine* api_;
-  RsyncEngine rsync_;
-  SimTransport transport_;
-  TransferEngine xfer_;
+  RsyncEngine rsync_;  // leg 1 of store-and-forward
+  TransferEngine& xfer_;
 };
 
 }  // namespace droute::transfer

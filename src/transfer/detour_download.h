@@ -26,22 +26,20 @@ struct DownloadDetourResult {
 
 class DetourDownloadEngine {
  public:
-  DetourDownloadEngine(net::Fabric* fabric, ApiDownloadEngine* api)
-      : fabric_(fabric), api_(api), rsync_(fabric) {}
+  /// Both legs ride `xfer`, the batch layer of `fabric`'s world.
+  DetourDownloadEngine(net::Fabric* fabric, TransferEngine& xfer,
+                       ApiDownloadEngine* api)
+      : fabric_(fabric), api_(api), rsync_(fabric, xfer) {}
 
   /// Coroutine form: fetches `name` to `client` via `intermediate`.
   sim::Task<DownloadDetourResult> download_task(net::NodeId client,
                                                 net::NodeId intermediate,
                                                 std::string name);
 
-  /// The embedded DTN -> client rsync engine (leg 2); its flows and the
-  /// API leg's all route through per-engine batch layers.
-  RsyncEngine& rsync() { return rsync_; }
-
  private:
   net::Fabric* fabric_;
   ApiDownloadEngine* api_;
-  RsyncEngine rsync_;
+  RsyncEngine rsync_;  // leg 2: DTN -> client
 };
 
 }  // namespace droute::transfer

@@ -17,7 +17,6 @@
 #include "sim/task.h"
 #include "transfer/batch.h"
 #include "transfer/file_spec.h"
-#include "transfer/sim_transport.h"
 
 namespace droute::transfer {
 
@@ -35,8 +34,9 @@ struct ParallelPushResult {
 
 class ParallelPushEngine {
  public:
-  explicit ParallelPushEngine(net::Fabric* fabric)
-      : fabric_(fabric), transport_(fabric), xfer_(&transport_) {}
+  /// The stripe fan-out rides `xfer`, the batch layer of `fabric`'s world.
+  ParallelPushEngine(net::Fabric* fabric, TransferEngine& xfer)
+      : fabric_(fabric), xfer_(xfer) {}
 
   /// Coroutine form: pushes `file` from src to dst over `streams`
   /// concurrent flows — one fail-fast batch with one WRITE request per
@@ -44,13 +44,9 @@ class ParallelPushEngine {
   sim::Task<ParallelPushResult> push_task(net::NodeId src, net::NodeId dst,
                                           FileSpec file, int streams);
 
-  /// The batched submission layer the stripe fan-out routes through.
-  TransferEngine& batch_engine() { return xfer_; }
-
  private:
   net::Fabric* fabric_;
-  SimTransport transport_;
-  TransferEngine xfer_;
+  TransferEngine& xfer_;
 };
 
 }  // namespace droute::transfer

@@ -17,7 +17,6 @@
 #include "sim/task.h"
 #include "transfer/batch.h"
 #include "transfer/file_spec.h"
-#include "transfer/sim_transport.h"
 
 namespace droute::transfer {
 
@@ -45,8 +44,9 @@ struct RsyncOptions {
 
 class RsyncEngine {
  public:
-  explicit RsyncEngine(net::Fabric* fabric)
-      : fabric_(fabric), transport_(fabric), xfer_(&transport_) {}
+  /// Both session legs ride `xfer`, the batch layer of `fabric`'s world.
+  RsyncEngine(net::Fabric* fabric, TransferEngine& xfer)
+      : fabric_(fabric), xfer_(xfer) {}
 
   /// Coroutine form: pushes `file` from `src` to `dst` (rsync "push" mode,
   /// as the paper's user machine pushes to the intermediate node). Domain
@@ -55,13 +55,9 @@ class RsyncEngine {
   sim::Task<RsyncResult> push_task(net::NodeId src, net::NodeId dst,
                                    FileSpec file, RsyncOptions options = {});
 
-  /// The batched submission layer both session legs route through.
-  TransferEngine& batch_engine() { return xfer_; }
-
  private:
   net::Fabric* fabric_;
-  SimTransport transport_;
-  TransferEngine xfer_;
+  TransferEngine& xfer_;
 };
 
 }  // namespace droute::transfer

@@ -1,12 +1,14 @@
-// SimTransport: the event-driven Transport over net::Fabric flows.
+// SimTransport: the event-driven Transport over net::Fabric flows, and the
+// one place outside src/net/ that starts a fabric flow.
 //
 // One TransferRequest maps to exactly one fabric flow — WRITE flows
 // source_node -> segment.node, READ the reverse — started at start() time
 // (never earlier: the batch layer defers to the awaiter, which is what
 // keeps flow-id allocation order, and therefore the whole event schedule,
-// identical to the pre-batch engines). cancel() is Fabric::abort_flow,
-// which fires the completion synchronously with kAborted, so a cancelled
-// batch settles before cancel() returns and leaves no pending sim events.
+// tied to the co_await points of the engines). cancel() is
+// Fabric::abort_flow, which fires the completion synchronously with
+// kAborted, so a cancelled batch settles before cancel() returns and
+// leaves no pending sim events.
 #pragma once
 
 #include "net/fabric.h"

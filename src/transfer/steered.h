@@ -44,25 +44,23 @@ struct SteeredOptions {
 class SteeredUploadEngine {
  public:
   /// `api` is bound to the destination provider's front-end; `steering`
-  /// must outlive the engine and every in-flight upload.
-  SteeredUploadEngine(net::Fabric* fabric, ApiUploadEngine* api,
-                      ctrl::Steering* steering)
-      : fabric_(fabric), api_(api), steering_(steering), rsync_(fabric) {}
+  /// must outlive the engine and every in-flight upload. Relay legs ride
+  /// `xfer`, the batch layer of `fabric`'s world.
+  SteeredUploadEngine(net::Fabric* fabric, TransferEngine& xfer,
+                      ApiUploadEngine* api, ctrl::Steering* steering)
+      : fabric_(fabric), api_(api), steering_(steering),
+        rsync_(fabric, xfer) {}
 
   /// Coroutine form: steers, executes the chain, reports back. Domain
   /// failures (unroutable leg, API rejection) land inside SteeredResult.
   sim::Task<SteeredResult> upload_task(net::NodeId client, FileSpec file,
                                        SteeredOptions options = {});
 
-  /// The embedded per-relay-leg rsync engine; every steered leg's flows
-  /// route through its batch layer (the API leg through `api`'s).
-  RsyncEngine& rsync() { return rsync_; }
-
  private:
   net::Fabric* fabric_;
   ApiUploadEngine* api_;
   ctrl::Steering* steering_;
-  RsyncEngine rsync_;
+  RsyncEngine rsync_;  // one push per relay leg
 };
 
 }  // namespace droute::transfer

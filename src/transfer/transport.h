@@ -15,8 +15,8 @@
 // observes request statuses mutate.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
-#include <functional>
 #include <string>
 
 #include "util/result.h"
@@ -48,7 +48,27 @@ class Transport {
     std::uint64_t bytes = 0;  // wire bytes actually moved
     std::string error;        // detail for non-completed fates (may be empty)
   };
-  using CompletionFn = std::function<void(const Completion&)>;
+
+  /// Receives the settlements of the operations started on its behalf.
+  class Sink {
+   public:
+    virtual void on_complete(std::size_t index,
+                             const Completion& completion) = 0;
+
+   protected:
+    ~Sink() = default;
+  };
+
+  /// Where one started operation reports how it ended. Two words and
+  /// trivially copyable, so a transport carries it inside its own
+  /// completion closure without allocating.
+  struct CompletionFn {
+    Sink* sink = nullptr;
+    std::size_t index = 0;
+    void operator()(const Completion& completion) const {
+      sink->on_complete(index, completion);
+    }
+  };
 
   virtual ~Transport() = default;
 

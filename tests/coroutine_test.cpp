@@ -1,6 +1,6 @@
 // C++20 coroutine layer tests: sim::Task<T> (values, errors, cancellation,
-// combinators, sim::drive), Task<void> scripts, and the net::transfer
-// awaitable.
+// combinators, sim::drive), Task<void> scripts, and transfer legs awaited
+// through the world's TransferEngine.
 #include <gtest/gtest.h>
 
 #include <stdexcept>
@@ -8,9 +8,9 @@
 #include <utility>
 #include <vector>
 
-#include "net/fabric_await.h"
 #include "scenario/north_america.h"
 #include "sim/task.h"
+#include "transfer/batch.h"
 #include "transfer/detour.h"
 #include "transfer/rsync_engine.h"
 #include "util/units.h"
@@ -353,6 +353,18 @@ namespace {
 using scenario::World;
 using scenario::WorldConfig;
 
+/// One WRITE leg src -> dst on the world's batch layer; bind the handle to
+/// a local, then co_await it.
+transfer::BatchHandle submit_leg(World& world, NodeId src, NodeId dst,
+                                 std::uint64_t bytes) {
+  transfer::TransferEngine& xfer = world.transfer_engine();
+  transfer::TransferRequest request;
+  request.source_node = src;
+  request.target_id = xfer.ensure_node_segment(dst);
+  request.length = bytes;
+  return xfer.submit(std::move(request));
+}
+
 sim::Task<void> detour_script(World& world, double& leg1_s, double& leg2_s,
                               bool& ok) {
   // The paper's store-and-forward detour as a straight-line script:
@@ -361,20 +373,18 @@ sim::Task<void> detour_script(World& world, double& leg1_s, double& leg2_s,
   const auto ua = world.intermediate_node(scenario::Intermediate::kUAlberta);
   const auto fe = world.provider_node(cloud::ProviderKind::kGoogleDrive);
 
-  auto leg1_awaitable = transfer(world.fabric(), ubc, ua, 50 * util::kMB);
-  auto leg1 = co_await leg1_awaitable;
-  if (!leg1.ok()) {
+  auto leg1 = submit_leg(world, ubc, ua, 50 * util::kMB);
+  if (!co_await leg1) {
     ok = false;
     co_return;
   }
-  leg1_s = leg1.value().duration_s();
-  auto leg2_awaitable = transfer(world.fabric(), ua, fe, 50 * util::kMB);
-  auto leg2 = co_await leg2_awaitable;
-  if (!leg2.ok()) {
+  leg1_s = leg1.status(0).duration_s();
+  auto leg2 = submit_leg(world, ua, fe, 50 * util::kMB);
+  if (!co_await leg2) {
     ok = false;
     co_return;
   }
-  leg2_s = leg2.value().duration_s();
+  leg2_s = leg2.status(0).duration_s();
   ok = true;
 }
 
@@ -406,21 +416,26 @@ TEST(TransferAwait, RejectedFlowResumesWithError) {
                      world->node("pl-gw.ucla.edu"))
           .value());
   bool reached_end = false;
-  bool got_stats = true;
+  bool completed = true;
+  transfer::RequestState state = transfer::RequestState::kPending;
   std::string error;
-  [](World& w, bool& end, bool& stats, std::string& err) -> sim::Task<void> {
-    auto awaitable = transfer(
-        w.fabric(), w.client_node(scenario::Client::kUCLA),
-        w.provider_node(cloud::ProviderKind::kDropbox), util::kMB);
-    auto result = co_await awaitable;
-    stats = result.ok();
-    if (!result.ok()) err = result.error().message;
+  [](World& w, bool& end, bool& done, transfer::RequestState& st,
+     std::string& err) -> sim::Task<void> {
+    auto leg = submit_leg(w, w.client_node(scenario::Client::kUCLA),
+                          w.provider_node(cloud::ProviderKind::kDropbox),
+                          util::kMB);
+    done = co_await leg;
+    st = leg.status(0).state;
+    err = leg.status(0).error;
     end = true;
-  }(*world, reached_end, got_stats, error);
+  }(*world, reached_end, completed, state, error);
   // The rejection path never suspends, so the script is already finished.
   EXPECT_TRUE(reached_end);
-  EXPECT_FALSE(got_stats);
+  EXPECT_FALSE(completed);
+  EXPECT_EQ(state, transfer::RequestState::kRejected);
   EXPECT_FALSE(error.empty());
+  EXPECT_EQ(world->transfer_engine().batches_inflight(), 0u);
+  EXPECT_EQ(world->fabric().active_flow_count(), 0u);
 }
 
 TEST(TransferAwait, ConcurrentScriptsShareTheFabric) {
@@ -433,12 +448,11 @@ TEST(TransferAwait, ConcurrentScriptsShareTheFabric) {
   // uplink: each flow gets ~25 Mbps.
   std::vector<double> durations;
   auto script = [](World& w, std::vector<double>& out) -> sim::Task<void> {
-    auto awaitable = transfer(
-        w.fabric(), w.client_node(scenario::Client::kUBC),
+    auto leg = submit_leg(
+        w, w.client_node(scenario::Client::kUBC),
         w.intermediate_node(scenario::Intermediate::kUAlberta),
         25 * util::kMB);
-    auto stats = co_await awaitable;
-    if (stats.ok()) out.push_back(stats.value().duration_s());
+    if (co_await leg) out.push_back(leg.status(0).duration_s());
   };
   script(*world, durations);
   script(*world, durations);
@@ -487,7 +501,7 @@ TEST(DetourTask, ThrowingLegSurfacesAsFailedResult) {
 
 TEST(RsyncTask, AbortFlowMidTransferFailsTheLeg) {
   auto world = quiet_world();
-  RsyncEngine engine(&world->fabric());
+  RsyncEngine engine(&world->fabric(), world->transfer_engine());
   auto task = engine.push_task(world->node("planetlab1.cs.ubc.ca"),
                                world->node("cluster.cs.ualberta.ca"),
                                make_file_mb(40, 3));

@@ -18,6 +18,8 @@
 #include "net/fabric.h"
 #include "scenario/north_america.h"
 #include "sim/simulator.h"
+#include "transfer/batch.h"
+#include "transfer/sim_transport.h"
 #include "util/units.h"
 
 namespace droute::ctrl {
@@ -375,6 +377,8 @@ struct TriWorld {
   net::RouteTable routes{nullptr};
   sim::Simulator simulator;
   std::unique_ptr<net::Fabric> fabric;
+  std::unique_ptr<transfer::SimTransport> transport;
+  std::unique_ptr<transfer::TransferEngine> xfer;
   net::NodeId client, relay, relay2, provider, rc, rr, rp;
   net::LinkId direct_link, access;
 
@@ -404,6 +408,8 @@ struct TriWorld {
     topo = std::move(built).value();
     routes = net::RouteTable(&topo);
     fabric = std::make_unique<net::Fabric>(&simulator, &topo, &routes);
+    transport = std::make_unique<transfer::SimTransport>(fabric.get());
+    xfer = std::make_unique<transfer::TransferEngine>(transport.get());
   }
 
   ControllerConfig fast_config() const {
@@ -417,9 +423,31 @@ struct TriWorld {
   }
 };
 
+// Probe legs are single-request batches on the world's TransferEngine:
+// stopping the controller mid-epoch settles every one of them.
+TEST(Controller, StopSettlesInFlightProbeBatches) {
+  scenario::WorldConfig config;
+  config.cross_traffic = false;
+  auto world = scenario::World::create(config);
+  Controller& controller =
+      world->make_controller(cloud::ProviderKind::kGoogleDrive);
+  controller.start();
+  while (world->fabric().active_flow_count() == 0 &&
+         world->simulator().step()) {
+  }
+  ASSERT_GT(world->fabric().active_flow_count(), 0u);
+  EXPECT_GT(world->transfer_engine().batches_inflight(), 0u);
+
+  controller.stop();
+  world->simulator().run();
+  EXPECT_EQ(world->transfer_engine().batches_inflight(), 0u);
+  EXPECT_EQ(world->fabric().active_flow_count(), 0u);
+  EXPECT_EQ(world->simulator().pending(), 0u);
+}
+
 TEST(Controller, EnumeratesCandidatePathsDeterministically) {
   TriWorld world;
-  Controller controller(world.simulator, *world.fabric, world.routes,
+  Controller controller(world.simulator, *world.xfer, world.routes,
                         world.fast_config());
   controller.set_provider(world.provider);
   controller.add_client(world.client);
@@ -441,7 +469,7 @@ TEST(Controller, EnumeratesCandidatePathsDeterministically) {
 
 TEST(Controller, LearnsTheTivAndSteersOntoTheRelay) {
   TriWorld world;
-  Controller controller(world.simulator, *world.fabric, world.routes,
+  Controller controller(world.simulator, *world.xfer, world.routes,
                         world.fast_config());
   controller.set_provider(world.provider);
   controller.add_client(world.client);
@@ -474,7 +502,7 @@ TEST(Controller, LearnsTheTivAndSteersOntoTheRelay) {
 
 TEST(Controller, NetworkEventForcesAnImmediateEpoch) {
   TriWorld world;
-  Controller controller(world.simulator, *world.fabric, world.routes,
+  Controller controller(world.simulator, *world.xfer, world.routes,
                         world.fast_config());
   controller.set_provider(world.provider);
   controller.add_client(world.client);
@@ -492,7 +520,7 @@ TEST(Controller, NetworkEventForcesAnImmediateEpoch) {
 
 TEST(Controller, DeadAccessLinkYieldsUnroutableDecision) {
   TriWorld world;
-  Controller controller(world.simulator, *world.fabric, world.routes,
+  Controller controller(world.simulator, *world.xfer, world.routes,
                         world.fast_config());
   controller.set_provider(world.provider);
   controller.add_client(world.client);
@@ -514,7 +542,7 @@ TEST(Controller, DeadAccessLinkYieldsUnroutableDecision) {
 TEST(Controller, SameSeedRunsProduceByteIdenticalTraces) {
   auto run_stack = []() {
     TriWorld world;
-    Controller controller(world.simulator, *world.fabric, world.routes,
+    Controller controller(world.simulator, *world.xfer, world.routes,
                           world.fast_config());
     controller.set_provider(world.provider);
     controller.add_client(world.client);
@@ -539,7 +567,7 @@ TEST(Controller, SameSeedRunsProduceByteIdenticalTraces) {
 
 TEST(Controller, DecisionHookSeesEverySteerForDeadSteerAuditing) {
   TriWorld world;
-  Controller controller(world.simulator, *world.fabric, world.routes,
+  Controller controller(world.simulator, *world.xfer, world.routes,
                         world.fast_config());
   controller.set_provider(world.provider);
   controller.add_client(world.client);
@@ -642,7 +670,7 @@ TEST(Controller, CachedEpochsMatchTheUncachedReference) {
   // keyed lookup()/flag_tivs().
   TriWorld world;
   const ControllerConfig config = world.fast_config();
-  Controller controller(world.simulator, *world.fabric, world.routes, config);
+  Controller controller(world.simulator, *world.xfer, world.routes, config);
   controller.set_provider(world.provider);
   controller.add_client(world.client);
   controller.add_relay(world.relay);
@@ -759,7 +787,7 @@ TEST(Controller, CachedEpochsMatchTheUncachedReference) {
 
 TEST(Controller, SteerForAnUnregisteredClientFailsItsCheck) {
   TriWorld world;
-  Controller controller(world.simulator, *world.fabric, world.routes,
+  Controller controller(world.simulator, *world.xfer, world.routes,
                         world.fast_config());
   controller.set_provider(world.provider);
   controller.add_client(world.client);

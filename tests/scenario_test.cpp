@@ -338,5 +338,61 @@ TEST(Scenario, PipelinedDetourBeatsStoreAndForward) {
   EXPECT_LT(pipe, saf * 0.8);
 }
 
+// Every helper moves its bytes through the world's one batch layer, and
+// each leaves it settled: no batch in flight, no flow on the fabric.
+TEST(World, EveryHelperSettlesItsBatches) {
+  WorldConfig config;
+  config.cross_traffic = false;
+  auto world = World::create(config);
+  const auto settled = [&world](const char* helper) {
+    EXPECT_EQ(world->transfer_engine().batches_inflight(), 0u) << helper;
+    EXPECT_EQ(world->fabric().active_flow_count(), 0u) << helper;
+  };
+  const ProviderKind gdrive = ProviderKind::kGoogleDrive;
+
+  ASSERT_TRUE(
+      world->run_upload(Client::kUBC, gdrive, RouteChoice::kDirect, k10MB)
+          .ok());
+  settled("run_upload direct");
+  ASSERT_TRUE(
+      world->run_upload(Client::kUBC, gdrive, RouteChoice::kViaUAlberta, k10MB)
+          .ok());
+  settled("run_upload via UAlberta");
+  ASSERT_TRUE(world
+                  ->run_upload(Client::kUBC, gdrive, RouteChoice::kViaUMich,
+                               k10MB, transfer::DetourMode::kPipelined)
+                  .ok());
+  settled("run_upload via UMich, pipelined");
+
+  const auto name = world->stage_object(gdrive, k10MB);
+  ASSERT_TRUE(name.ok()) << name.error().message;
+  settled("stage_object");
+  ASSERT_TRUE(world
+                  ->run_download(Client::kPurdue, gdrive, RouteChoice::kDirect,
+                                 name.value())
+                  .ok());
+  settled("run_download direct");
+  ASSERT_TRUE(world
+                  ->run_download(Client::kPurdue, gdrive,
+                                 RouteChoice::kViaUAlberta, name.value())
+                  .ok());
+  settled("run_download via UAlberta");
+
+  ASSERT_TRUE(world
+                  ->run_rsync("planetlab1.cs.ubc.ca", "cluster.cs.ualberta.ca",
+                              k10MB)
+                  .ok());
+  settled("run_rsync");
+
+  ctrl::Controller& controller = world->make_controller(gdrive);
+  controller.start();
+  ASSERT_TRUE(
+      world->run_steered_upload(gdrive, controller, Client::kUBC, k10MB).ok());
+  controller.stop();
+  world->simulator().run();
+  settled("run_steered_upload");
+  EXPECT_EQ(world->simulator().pending(), 0u);
+}
+
 }  // namespace
 }  // namespace droute::scenario

@@ -5,6 +5,7 @@
 #include "cloud/storage_server.h"
 #include "scenario/north_america.h"
 #include "transfer/api_upload.h"
+#include "transfer/detour.h"
 #include "util/units.h"
 
 namespace droute::cloud {
@@ -120,7 +121,8 @@ TEST(ThrottleBackoff, UploadRetriesAndSucceeds) {
   cloud::StorageServer throttled(cloud::ProviderKind::kGoogleDrive, profile);
   throttled.set_clock(
       [&world] { return world->simulator().now(); });
-  ApiUploadEngine engine(&world->fabric(), &throttled,
+  ApiUploadEngine engine(&world->fabric(), world->transfer_engine(),
+                         &throttled,
                          world->provider_node(
                              cloud::ProviderKind::kGoogleDrive));
 
@@ -164,7 +166,8 @@ TEST(ThrottleBackoff, GivesUpAfterMaxRetries) {
   profile.retry_after_s = 0.5;
   cloud::StorageServer throttled(cloud::ProviderKind::kDropbox, profile);
   throttled.set_clock([&world] { return world->simulator().now(); });
-  ApiUploadEngine engine(&world->fabric(), &throttled,
+  ApiUploadEngine engine(&world->fabric(), world->transfer_engine(),
+                         &throttled,
                          world->provider_node(cloud::ProviderKind::kDropbox));
 
   auto task = engine.upload_task(
@@ -178,6 +181,44 @@ TEST(ThrottleBackoff, GivesUpAfterMaxRetries) {
   EXPECT_NE(result.error.find("rate limited"), std::string::npos);
   EXPECT_EQ(throttled.object_count(), 0u);
   EXPECT_EQ(throttled.open_sessions(), 0u);  // abandoned cleanly
+}
+
+TEST(ThrottleBackoff, PipelinedDetourBacksOffAndSucceeds) {
+  // The pipelined relay's provider leg PUTs the same chunks the direct
+  // upload does, so under the same 2 requests/20 s throttle it must back
+  // off and resend rather than fail the whole detour on the first 429.
+  scenario::WorldConfig config;
+  config.cross_traffic = false;
+  auto world = scenario::World::create(config);
+
+  cloud::ApiProfile profile =
+      cloud::default_profile(cloud::ProviderKind::kGoogleDrive);
+  profile.max_requests_per_window = 2;
+  profile.throttle_window_s = 20.0;
+  profile.retry_after_s = 2.0;
+  cloud::StorageServer throttled(cloud::ProviderKind::kGoogleDrive, profile);
+  throttled.set_clock([&world] { return world->simulator().now(); });
+  ApiUploadEngine api(&world->fabric(), world->transfer_engine(), &throttled,
+                      world->provider_node(cloud::ProviderKind::kGoogleDrive));
+  DetourEngine detour(&world->fabric(), world->transfer_engine(), &api);
+
+  DetourOptions options;
+  options.mode = DetourMode::kPipelined;
+  auto task = detour.transfer_task(
+      world->client_node(scenario::Client::kUBC),
+      world->intermediate_node(scenario::Intermediate::kUAlberta),
+      make_file_mb(40, 1), options);
+  world->simulator().run();
+
+  ASSERT_TRUE(task.done());
+  ASSERT_TRUE(task.result().ok());
+  const DetourResult& result = task.result().value();
+  ASSERT_TRUE(result.success) << result.error;
+  EXPECT_GT(throttled.throttled_requests(), 0u);
+  EXPECT_EQ(throttled.object_count(), 1u);
+  EXPECT_EQ(throttled.open_sessions(), 0u);
+  EXPECT_EQ(world->transfer_engine().batches_inflight(), 0u);
+  EXPECT_EQ(world->fabric().active_flow_count(), 0u);
 }
 
 }  // namespace

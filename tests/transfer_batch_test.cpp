@@ -11,7 +11,6 @@
 #include "transfer/batch.h"
 #include "transfer/file_spec.h"
 #include "transfer/parallel.h"
-#include "transfer/sim_transport.h"
 #include "transfer/wire_transport.h"
 #include "util/blob.h"
 #include "util/rng.h"
@@ -36,8 +35,7 @@ std::unique_ptr<World> quiet_world(std::uint64_t seed = 1) {
 
 TEST(Batch, PartialFailureSettlesEveryRequestIndependently) {
   auto world = quiet_world();
-  SimTransport transport(&world->fabric());
-  TransferEngine xfer(&transport);
+  TransferEngine& xfer = world->transfer_engine();
 
   const auto ubc = world->client_node(scenario::Client::kUBC);
   Segment unmapped;
@@ -99,7 +97,7 @@ TEST(Batch, ThrottledUploadGivesUpAndReleasesBatches) {
   profile.throttle_window_s = 1e9;
   cloud::StorageServer server(ProviderKind::kGoogleDrive, profile);
   server.set_clock([&world] { return world->simulator().now(); });
-  ApiUploadEngine engine(&world->fabric(), &server,
+  ApiUploadEngine engine(&world->fabric(), world->transfer_engine(), &server,
                          world->provider_node(ProviderKind::kGoogleDrive));
 
   auto task = engine.upload_task(world->client_node(scenario::Client::kUBC),
@@ -115,7 +113,7 @@ TEST(Batch, ThrottledUploadGivesUpAndReleasesBatches) {
   EXPECT_GT(result.throttle_retries, 0);
   EXPECT_GT(server.throttled_requests(), 0u);
   // Every chunk PUT batch settled despite the 429 storm above it.
-  EXPECT_EQ(engine.batch_engine().batches_inflight(), 0u);
+  EXPECT_EQ(world->transfer_engine().batches_inflight(), 0u);
   EXPECT_EQ(world->fabric().active_flow_count(), 0u);
 }
 
@@ -123,7 +121,7 @@ TEST(Batch, ThrottledUploadGivesUpAndReleasesBatches) {
 
 TEST(Batch, CancelMidFlightReleasesEverySimEvent) {
   auto world = quiet_world();
-  ParallelPushEngine engine(&world->fabric());
+  ParallelPushEngine engine(&world->fabric(), world->transfer_engine());
   auto task = engine.push_task(
       world->client_node(scenario::Client::kUBC),
       world->intermediate_node(scenario::Intermediate::kUAlberta),
@@ -142,12 +140,12 @@ TEST(Batch, CancelMidFlightReleasesEverySimEvent) {
   EXPECT_LT(world->simulator().now(), 6.0);
   EXPECT_EQ(world->simulator().pending(), 0u);
   EXPECT_EQ(world->fabric().active_flow_count(), 0u);
-  EXPECT_EQ(engine.batch_engine().batches_inflight(), 0u);
+  EXPECT_EQ(world->transfer_engine().batches_inflight(), 0u);
 }
 
 TEST(Batch, WithTimeoutMidBatchCancelsAndSettles) {
   auto world = quiet_world();
-  ParallelPushEngine engine(&world->fabric());
+  ParallelPushEngine engine(&world->fabric(), world->transfer_engine());
   auto timed = sim::with_timeout(
       world->simulator(),
       engine.push_task(
@@ -162,13 +160,12 @@ TEST(Batch, WithTimeoutMidBatchCancelsAndSettles) {
   EXPECT_EQ(timed.result().error().code, sim::kErrTimeout);
   EXPECT_LT(world->simulator().now(), 6.0);
   EXPECT_EQ(world->fabric().active_flow_count(), 0u);
-  EXPECT_EQ(engine.batch_engine().batches_inflight(), 0u);
+  EXPECT_EQ(world->transfer_engine().batches_inflight(), 0u);
 }
 
 TEST(Batch, CancelBeforeStartNeverTouchesTheFabric) {
   auto world = quiet_world();
-  SimTransport transport(&world->fabric());
-  TransferEngine xfer(&transport);
+  TransferEngine& xfer = world->transfer_engine();
   std::vector<TransferRequest> requests(2);
   for (auto& request : requests) {
     request.source_node = world->client_node(scenario::Client::kUBC);

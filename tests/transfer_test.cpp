@@ -144,7 +144,7 @@ TEST(ApiUpload, LinkFailureMidTransferAbandonsSession) {
 
 TEST(RsyncEngine, PushMovesPayloadPlusFraming) {
   auto world = quiet_world();
-  RsyncEngine engine(&world->fabric());
+  RsyncEngine engine(&world->fabric(), world->transfer_engine());
   auto task = engine.push_task(
       world->client_node(scenario::Client::kUBC),
       world->intermediate_node(scenario::Intermediate::kUAlberta),
@@ -162,7 +162,7 @@ TEST(RsyncEngine, PushMovesPayloadPlusFraming) {
 
 TEST(RsyncEngine, BasisOverlapShrinksForwardBytes) {
   auto world = quiet_world();
-  RsyncEngine engine(&world->fabric());
+  RsyncEngine engine(&world->fabric(), world->transfer_engine());
   RsyncOptions warm_options;
   warm_options.basis_overlap = 0.9;
   auto cold_task = engine.push_task(
@@ -288,7 +288,7 @@ TEST(ParallelPush, StreamsDefeatPerFlowPolicer) {
     scenario::WorldConfig config;
     config.cross_traffic = false;
     auto world = scenario::World::create(config);
-    ParallelPushEngine engine(&world->fabric());
+    ParallelPushEngine engine(&world->fabric(), world->transfer_engine());
     auto task = engine.push_task(
         world->client_node(scenario::Client::kUBC),
         world->provider_node(cloud::ProviderKind::kGoogleDrive),
@@ -314,7 +314,7 @@ TEST(ParallelPush, BoundedByLinkCapacityNotStreams) {
     scenario::WorldConfig config;
     config.cross_traffic = false;
     auto world = scenario::World::create(config);
-    ParallelPushEngine engine(&world->fabric());
+    ParallelPushEngine engine(&world->fabric(), world->transfer_engine());
     auto task = engine.push_task(
         world->client_node(scenario::Client::kUBC),
         world->intermediate_node(scenario::Intermediate::kUAlberta),
@@ -338,7 +338,7 @@ TEST(ParallelPush, SingleStreamMatchesPlainFlow) {
   scenario::WorldConfig config;
   config.cross_traffic = false;
   auto world = scenario::World::create(config);
-  ParallelPushEngine engine(&world->fabric());
+  ParallelPushEngine engine(&world->fabric(), world->transfer_engine());
   auto task = engine.push_task(
       world->client_node(scenario::Client::kUBC),
       world->intermediate_node(scenario::Intermediate::kUAlberta),
@@ -356,7 +356,7 @@ TEST(ParallelPush, MoreStreamsThanBytesIsClamped) {
   scenario::WorldConfig config;
   config.cross_traffic = false;
   auto world = scenario::World::create(config);
-  ParallelPushEngine engine(&world->fabric());
+  ParallelPushEngine engine(&world->fabric(), world->transfer_engine());
   FileSpec tiny;
   tiny.name = "tiny";
   tiny.bytes = 3;
@@ -380,7 +380,7 @@ TEST(ParallelPush, FailureReportedOnce) {
           .find_link(world->node("planetlab1.cs.ubc.ca"),
                      world->node("cs-gw.net.ubc.ca"))
           .value());
-  ParallelPushEngine engine(&world->fabric());
+  ParallelPushEngine engine(&world->fabric(), world->transfer_engine());
   int calls = 0;
   auto task = engine.push_task(
       world->client_node(scenario::Client::kUBC),

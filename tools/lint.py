@@ -38,6 +38,12 @@ Rules, all scoped to src/:
                 alias. Each transfer engine has one entry point, its
                 sim::Task<T> coroutine (DESIGN.md §10); a callback alias is
                 how a second, callback-style API beside it starts.
+  fabric-flow   `start_flow(` is called only from src/net/ and
+                src/transfer/sim_transport.cpp, and nothing includes the
+                deleted net/fabric_await.h. Simulated bytes move through
+                the fabric's one transfer::TransferEngine (DESIGN.md §15);
+                a direct flow elsewhere is a second way onto the fabric
+                that the batch layer's inflight audit cannot see.
 
 One rule is scoped to bench/:
 
@@ -107,6 +113,14 @@ JOB_STATE_SCOPE = ("src", "transfer")
 # alias again.
 TASK_SHIM_RE = re.compile(r"#\s*include\s*[\"<][^\">]*task_shim\.h[\">]")
 CALLBACK_ALIAS_RE = re.compile(r"\busing\s+Callback\s*=\s*std::function\b")
+
+# One way onto the fabric: outside the fabric's own package, only the sim
+# transport behind the batch layer starts flows (DESIGN.md §15), and the
+# deleted coroutine adapter that used to bypass it stays deleted.
+START_FLOW_RE = re.compile(r"\bstart_flow\s*\(")
+START_FLOW_ALLOWED_DIR = ("src", "net")
+START_FLOW_ALLOWED_FILES = {Path("src/transfer/sim_transport.cpp")}
+FABRIC_AWAIT_RE = re.compile(r"#\s*include\s*[\"<][^\">]*fabric_await\.h[\">]")
 
 # Metric-name literals at instrument call sites. Runs on RAW lines (names
 # live inside string literals, which strip_code removes).
@@ -219,6 +233,10 @@ class Linter:
             stripped.append(code)
 
         in_transfer = rel.parts[: len(JOB_STATE_SCOPE)] == JOB_STATE_SCOPE
+        may_start_flows = (
+            rel.parts[: len(START_FLOW_ALLOWED_DIR)] == START_FLOW_ALLOWED_DIR
+            or rel in START_FLOW_ALLOWED_FILES
+        )
         for idx, code in enumerate(stripped):
             line_no = idx + 1
             self.check_raw_new(path, line_no, code)
@@ -226,6 +244,8 @@ class Linter:
                 self.check_time_eq(path, line_no, code)
             self.check_metric_name(path, line_no, raw_lines[idx])
             self.check_task_shim(path, line_no, raw_lines[idx])
+            self.check_fabric_flow(path, line_no, code, raw_lines[idx],
+                                   may_start_flows)
             if in_transfer:
                 self.check_job_state(path, line_no, code)
                 self.check_callback_alias(path, line_no, code)
@@ -277,6 +297,25 @@ class Linter:
                 "callback alias in a transfer engine — expose the sim::Task "
                 "coroutine as the one entry point and let callers co_await "
                 "it, drive() it or bind on_done (DESIGN.md §10)",
+            )
+
+    def check_fabric_flow(
+        self, path: Path, line_no: int, code: str, raw: str,
+        may_start_flows: bool,
+    ) -> None:
+        if FABRIC_AWAIT_RE.search(raw):
+            self.report(
+                path, line_no, "fabric-flow",
+                "include of the deleted net/fabric_await.h — submit the leg "
+                "to the world's transfer::TransferEngine and co_await the "
+                "BatchHandle instead (DESIGN.md §15)",
+            )
+        if not may_start_flows and START_FLOW_RE.search(code):
+            self.report(
+                path, line_no, "fabric-flow",
+                "Fabric::start_flow outside src/net/ and the sim transport — "
+                "move the bytes through the fabric's TransferEngine "
+                "(DESIGN.md §15)",
             )
 
     def check_time_eq(self, path: Path, line_no: int, code: str) -> None:
