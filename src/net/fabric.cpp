@@ -1,6 +1,7 @@
 #include "net/fabric.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <limits>
 
@@ -16,7 +17,20 @@ namespace {
 constexpr double kByteEps = 0.5;
 constexpr double kRateEps = 1e-6;  // bytes/sec
 
-constexpr std::uint32_t kNoSlot = std::numeric_limits<std::uint32_t>::max();
+// Parked (emptied) route classes are released once they outnumber both the
+// live classes and this floor, so class memory stays within a small factor
+// of the live classes while a closed loop that re-creates a class right
+// after it empties finds it parked.
+constexpr std::size_t kMinParkedClasses = 64;
+
+// class_index_ key of a route class: its route links and the bits of its cap.
+std::uint64_t class_key(const std::vector<LinkId>& links, double cap_bps) {
+  std::uint64_t key = std::bit_cast<std::uint64_t>(cap_bps);
+  for (const LinkId lid : links) {
+    key = (key ^ static_cast<std::uint32_t>(lid)) * 0x100000001b3ull;
+  }
+  return key ^ (key >> 31);
+}
 
 // A flow counts as finished once its residue would drain within a
 // nanosecond: scheduling an event that close to `now` can round to exactly
@@ -36,6 +50,8 @@ Fabric::Fabric(sim::Simulator* simulator, Topology* topo, RouteTable* routes)
   obs_flows_policer_capped_ = obs::counter("net.flows_policer_capped_total");
   obs_realloc_rounds_ = obs::counter("net.realloc_rounds_total");
   obs_realloc_components_ = obs::counter("net.realloc_components_total");
+  obs_realloc_classes_ = obs::counter("net.realloc_classes_total");
+  obs_realloc_class_flows_ = obs::counter("net.realloc_class_flows_total");
   obs_realloc_skipped_ = obs::counter("net.realloc_skipped_total");
   obs_flow_duration_ =
       obs::histogram("net.flow_duration_s", obs::duration_bounds_s());
@@ -120,7 +136,7 @@ util::Result<FlowId> Fabric::start_flow(NodeId src, NodeId dst,
   flow.cap_bps = util::mbps_to_bytes_per_sec(cap_mbps);
   flow.activated = false;
   flow.activation_event = sim::EventId{};
-  flow.link_pos.clear();
+  flow.cls = kNoClass;
 
   slot_index_.emplace(id, slot);
   ++live_flows_;
@@ -134,31 +150,33 @@ util::Result<FlowId> Fabric::start_flow(NodeId src, NodeId dst,
     flow.activation_event = simulator_->schedule_in(ss_delay, [this, id] {
       const std::uint32_t s = slot_of(id);
       if (s == kNoSlot) return;  // aborted during slow start
-      slots_[s].flow.activated = true;
-      attach_to_links(s);
-      reallocate_and_reschedule({s});
+      activate(s);
     });
     // The pending flow consumes nothing until activation: no component is
     // dirtied, no completion can move.
   } else {
-    flow.activated = true;
-    attach_to_links(slot);
-    reallocate_and_reschedule({slot});
+    activate(slot);
   }
   return id;
+}
+
+void Fabric::activate(std::uint32_t slot) {
+  slots_[slot].flow.activated = true;
+  join_class(slot);
+  seeds_.assign(1, slots_[slot].flow.cls);
+  reallocate_and_reschedule(seeds_, /*force_full=*/false, /*joiner=*/slot);
 }
 
 void Fabric::abort_flow(FlowId id) {
   const std::uint32_t slot = slot_of(id);
   if (slot == kNoSlot) return;
-  advance_flow(slots_[slot].flow, slots_[slot].flow.rate_bps);
-  std::vector<std::uint32_t> seeds;
-  if (slots_[slot].flow.activated) {
-    seeds = flows_on_links(slots_[slot].flow.stats.route);
-  }
+  Flow& live = slots_[slot].flow;
+  advance_flow(live, live.rate_bps);
+  seeds_.clear();
+  if (live.activated) seed_classes_on(live.stats.route.links);
   Flow flow = extract_flow(slot);
   if (flow.activation_event.valid()) simulator_->cancel(flow.activation_event);
-  reallocate_and_reschedule(seeds);
+  reallocate_and_reschedule(seeds_);
   finish(std::move(flow), FlowOutcome::kAborted);
 }
 
@@ -176,12 +194,11 @@ void Fabric::fail_link(LinkId link) {
   }
   std::sort(victims.begin(), victims.end());
   // Survivors sharing a link with any victim get more headroom; collect
-  // them as dirty seeds before the victims leave the adjacency lists.
-  std::vector<std::uint32_t> seeds;
+  // their classes as dirty seeds before the victims leave the link lists.
+  seeds_.clear();
   for (const auto& [vid, vslot] : victims) {
-    if (!slots_[vslot].flow.activated) continue;
-    for (const LinkId lid : slots_[vslot].flow.stats.route.links) {
-      for (const LinkFlowRef& ref : links_[lid].flows) seeds.push_back(ref.slot);
+    if (slots_[vslot].flow.activated) {
+      seed_classes_on(slots_[vslot].flow.stats.route.links);
     }
   }
   std::vector<Flow> failed;
@@ -194,7 +211,7 @@ void Fabric::fail_link(LinkId link) {
     }
     failed.push_back(std::move(flow));
   }
-  reallocate_and_reschedule(seeds);
+  reallocate_and_reschedule(seeds_);
   for (auto& flow : failed) finish(std::move(flow), FlowOutcome::kLinkFailed);
 }
 
@@ -361,44 +378,133 @@ void Fabric::resync_completion_event() {
   }
 }
 
-void Fabric::attach_to_links(std::uint32_t slot) {
+void Fabric::join_class(std::uint32_t slot) {
   Flow& flow = slots_[slot].flow;
-  const auto& route_links = flow.stats.route.links;
-  flow.link_pos.resize(route_links.size());
+  const std::vector<LinkId>& links = flow.stats.route.links;
+  const std::uint64_t key = class_key(links, flow.cap_bps);
+  std::uint32_t cls = kNoClass;
+  if (const auto head = class_index_.find(key); head != class_index_.end()) {
+    for (cls = head->second; cls != kNoClass;
+         cls = classes_[cls].next_same_key) {
+      const RouteClass& other = classes_[cls];
+      if (other.cap_bps == flow.cap_bps && other.links == links) break;
+    }
+  }
+  if (cls == kNoClass) {
+    if (!free_classes_.empty()) {
+      cls = free_classes_.back();
+      free_classes_.pop_back();
+    } else {
+      cls = static_cast<std::uint32_t>(classes_.size());
+      classes_.emplace_back();
+    }
+    RouteClass& fresh = classes_[cls];
+    fresh.links.assign(links.begin(), links.end());
+    fresh.cap_bps = flow.cap_bps;
+    fresh.rate_bps = 0.0;
+    fresh.indexed = true;
+    const auto [head, inserted] = class_index_.try_emplace(key, cls);
+    fresh.next_same_key = inserted ? kNoClass : head->second;
+    head->second = cls;
+    attach_class(cls);
+    ++live_classes_;
+  } else if (classes_[cls].members.empty()) {
+    attach_class(cls);  // a parked class comes back
+    --parked_classes_;
+    ++live_classes_;
+  }
+  RouteClass& joined = classes_[cls];
+  flow.cls = cls;
+  flow.member_pos = static_cast<std::uint32_t>(joined.members.size());
+  joined.members.push_back(slot);
+  for (const LinkId lid : joined.links) ++links_[lid].flows;
+}
+
+void Fabric::leave_class(std::uint32_t slot) {
+  Flow& flow = slots_[slot].flow;
+  const std::uint32_t cls = flow.cls;
+  RouteClass& left = classes_[cls];
+  auto& members = left.members;
+  const std::uint32_t pos = flow.member_pos;
+  DROUTE_CHECK(pos < members.size() && members[pos] == slot,
+               "class membership out of sync");
+  for (const LinkId lid : left.links) --links_[lid].flows;
+  members[pos] = members.back();
+  members.pop_back();
+  if (pos < members.size()) slots_[members[pos]].flow.member_pos = pos;
+  flow.cls = kNoClass;
+  if (!members.empty()) return;
+  detach_class(cls);
+  --live_classes_;
+  ++parked_classes_;
+  release_parked_classes();
+}
+
+void Fabric::attach_class(std::uint32_t cls) {
+  RouteClass& route_class = classes_[cls];
+  const auto& route_links = route_class.links;
+  route_class.link_pos.resize(route_links.size());
   for (std::uint32_t i = 0; i < route_links.size(); ++i) {
     const LinkId lid = route_links[i];
     if (static_cast<std::size_t>(lid) >= links_.size()) {
       links_.resize(static_cast<std::size_t>(lid) + 1);
     }
-    flow.link_pos[i] = static_cast<std::uint32_t>(links_[lid].flows.size());
-    links_[lid].flows.push_back(LinkFlowRef{slot, i});
+    route_class.link_pos[i] =
+        static_cast<std::uint32_t>(links_[lid].classes.size());
+    links_[lid].classes.push_back(ClassRef{cls, i});
   }
 }
 
-void Fabric::detach_from_links(std::uint32_t slot) {
-  Flow& flow = slots_[slot].flow;
-  const auto& route_links = flow.stats.route.links;
+void Fabric::detach_class(std::uint32_t cls) {
+  const RouteClass& route_class = classes_[cls];
+  const auto& route_links = route_class.links;
   for (std::uint32_t i = 0; i < route_links.size(); ++i) {
-    auto& refs = links_[route_links[i]].flows;
-    const std::uint32_t pos = flow.link_pos[i];
-    DROUTE_CHECK(pos < refs.size() && refs[pos].slot == slot &&
+    auto& refs = links_[route_links[i]].classes;
+    const std::uint32_t pos = route_class.link_pos[i];
+    DROUTE_CHECK(pos < refs.size() && refs[pos].cls == cls &&
                      refs[pos].route_idx == i,
                  "link adjacency out of sync");
     refs[pos] = refs.back();
     refs.pop_back();
     if (pos < refs.size()) {
-      const LinkFlowRef moved = refs[pos];
-      slots_[moved.slot].flow.link_pos[moved.route_idx] = pos;
+      const ClassRef moved = refs[pos];
+      classes_[moved.cls].link_pos[moved.route_idx] = pos;
     }
   }
-  flow.link_pos.clear();
+}
+
+void Fabric::release_parked_classes() {
+  if (parked_classes_ <= std::max(kMinParkedClasses, live_classes_)) return;
+  for (std::uint32_t cls = 0; cls < classes_.size(); ++cls) {
+    RouteClass& parked = classes_[cls];
+    if (!parked.indexed || !parked.members.empty()) continue;
+    const auto head =
+        class_index_.find(class_key(parked.links, parked.cap_bps));
+    if (head->second == cls) {
+      if (parked.next_same_key == kNoClass) {
+        class_index_.erase(head);
+      } else {
+        head->second = parked.next_same_key;
+      }
+    } else {
+      std::uint32_t prev = head->second;
+      while (classes_[prev].next_same_key != cls) {
+        prev = classes_[prev].next_same_key;
+      }
+      classes_[prev].next_same_key = parked.next_same_key;
+    }
+    parked.indexed = false;
+    parked.next_same_key = kNoClass;
+    free_classes_.push_back(cls);
+  }
+  parked_classes_ = 0;
 }
 
 Fabric::Flow Fabric::extract_flow(std::uint32_t slot) {
   Slot& cell = slots_[slot];
   DROUTE_CHECK(cell.id != 0, "extract of a free slot");
   heap_erase(slot);
-  if (cell.flow.activated) detach_from_links(slot);
+  if (cell.flow.activated) leave_class(slot);
   slot_index_.erase(cell.id);
   cell.id = 0;
   --live_flows_;
@@ -406,37 +512,43 @@ Fabric::Flow Fabric::extract_flow(std::uint32_t slot) {
   return std::move(cell.flow);
 }
 
-std::vector<std::uint32_t> Fabric::flows_on_links(const Route& route) const {
-  std::vector<std::uint32_t> slots;
-  for (const LinkId lid : route.links) {
-    if (static_cast<std::size_t>(lid) >= links_.size()) continue;
-    for (const LinkFlowRef& ref : links_[lid].flows) slots.push_back(ref.slot);
+void Fabric::seed_classes_on(const std::vector<LinkId>& links) {
+  for (const LinkId lid : links) {
+    for (const ClassRef& ref : links_[lid].classes) seeds_.push_back(ref.cls);
   }
-  return slots;
 }
 
-void Fabric::collect_component(std::uint32_t seed_slot) {
-  batch_flows_.clear();
+void Fabric::settle(std::uint32_t slot, double rate_bps) {
+  Flow& flow = slots_[slot].flow;
+  if (flow.rate_bps == rate_bps) return;
+  advance_flow(flow, flow.rate_bps);
+  flow.rate_bps = rate_bps;
+  push_finish(slot);
+}
+
+void Fabric::collect_component(std::uint32_t seed_class) {
+  batch_classes_.clear();
   batch_links_.clear();
   batch_prev_rates_.clear();
   bfs_stack_.clear();
-  slots_[seed_slot].mark = epoch_;
-  bfs_stack_.push_back(seed_slot);
+  classes_[seed_class].mark = epoch_;
+  bfs_stack_.push_back(seed_class);
   while (!bfs_stack_.empty()) {
-    const std::uint32_t slot = bfs_stack_.back();
+    const std::uint32_t cls = bfs_stack_.back();
     bfs_stack_.pop_back();
-    batch_flows_.push_back(slot);
-    batch_prev_rates_.push_back(slots_[slot].flow.rate_bps);
-    for (const LinkId lid : slots_[slot].flow.stats.route.links) {
+    const RouteClass& route_class = classes_[cls];
+    batch_classes_.push_back(cls);
+    batch_prev_rates_.push_back(route_class.rate_bps);
+    for (const LinkId lid : route_class.links) {
       LinkState& link = links_[lid];
       if (link.mark == epoch_) continue;
       link.mark = epoch_;
       batch_links_.push_back(lid);
-      for (const LinkFlowRef& ref : link.flows) {
-        Slot& other = slots_[ref.slot];
+      for (const ClassRef& ref : link.classes) {
+        RouteClass& other = classes_[ref.cls];
         if (other.mark == epoch_) continue;
         other.mark = epoch_;
-        bfs_stack_.push_back(ref.slot);
+        bfs_stack_.push_back(ref.cls);
       }
     }
   }
@@ -452,29 +564,36 @@ std::uint64_t Fabric::fill_component() {
   // §12) rests on unchanged components reproducing their retained rates
   // bit-for-bit. Min-reductions are exact and all updates are per-entry, so
   // iteration order cannot perturb the result.
+  //
+  // It runs over route classes: every member of a class has the same links
+  // and cap, so all of them freeze in the same round at the same level. A
+  // link's `active` starts at its flow count and a freeze subtracts the
+  // class's member count, so every count, and hence every rate, is the one
+  // a per-flow fill computes.
   for (const LinkId lid : batch_links_) {
     links_[lid].remaining_bps =
         util::mbps_to_bytes_per_sec(topo_->link(lid).capacity_mbps);
-    links_[lid].active = static_cast<std::int32_t>(links_[lid].flows.size());
+    links_[lid].active = links_[lid].flows;
   }
   // Every unfrozen flow receives the same `+= delta` sequence from 0.0, so
-  // all of them share one rate, `level`, and a flow's rate is written once,
+  // all of them share one rate, `level`, and a class's rate is written once,
   // as the level at which it freezes. The per-flow cap bound
   // min(cap - level) equals min(cap) - level exactly (rounding is
   // monotone), so each round needs only the smallest unfrozen cap.
   unfrozen_.clear();
   double min_cap = std::numeric_limits<double>::infinity();
-  for (const std::uint32_t slot : batch_flows_) {
-    Flow& flow = slots_[slot].flow;
-    flow.frozen = false;
-    min_cap = std::min(min_cap, flow.cap_bps);
-    unfrozen_.push_back(slot);
+  for (const std::uint32_t cls : batch_classes_) {
+    RouteClass& route_class = classes_[cls];
+    route_class.frozen = false;
+    min_cap = std::min(min_cap, route_class.cap_bps);
+    unfrozen_.push_back(cls);
   }
   double level = 0.0;
-  const auto freeze = [this, &level](Flow& flow) {
-    flow.frozen = true;
-    flow.rate_bps = level;
-    for (const LinkId lid : flow.stats.route.links) --links_[lid].active;
+  const auto freeze = [this, &level](RouteClass& route_class) {
+    route_class.frozen = true;
+    route_class.rate_bps = level;
+    const auto count = static_cast<std::int32_t>(route_class.members.size());
+    for (const LinkId lid : route_class.links) links_[lid].active -= count;
   };
   std::uint64_t rounds = 0;
   while (!unfrozen_.empty()) {
@@ -494,26 +613,28 @@ std::uint64_t Fabric::fill_component() {
       link.remaining_bps -= delta * link.active;
     }
 
-    // Freeze every flow crossing a link that saturated this round (an
-    // unfrozen flow keeps its links' `active` > 0, so links saturated in
+    // Freeze every class crossing a link that saturated this round (an
+    // unfrozen class keeps its links' `active` > 0, so links saturated in
     // earlier rounds have nothing left to freeze)...
     for (const LinkId lid : batch_links_) {
       const LinkState& link = links_[lid];
       if (link.active <= 0 || link.remaining_bps > kRateEps) continue;
-      for (const LinkFlowRef& ref : link.flows) {
-        Flow& flow = slots_[ref.slot].flow;
-        if (!flow.frozen) freeze(flow);
+      for (const ClassRef& ref : link.classes) {
+        RouteClass& route_class = classes_[ref.cls];
+        if (!route_class.frozen) freeze(route_class);
       }
     }
-    // ...then every flow at its cap, keeping the rest for the next round.
+    // ...then every class at its cap, keeping the rest for the next round.
     std::size_t kept = 0;
     min_cap = std::numeric_limits<double>::infinity();
-    for (const std::uint32_t slot : unfrozen_) {
-      Flow& flow = slots_[slot].flow;
-      if (!flow.frozen && level >= flow.cap_bps - kRateEps) freeze(flow);
-      if (flow.frozen) continue;
-      min_cap = std::min(min_cap, flow.cap_bps);
-      unfrozen_[kept++] = slot;
+    for (const std::uint32_t cls : unfrozen_) {
+      RouteClass& route_class = classes_[cls];
+      if (!route_class.frozen && level >= route_class.cap_bps - kRateEps) {
+        freeze(route_class);
+      }
+      if (route_class.frozen) continue;
+      min_cap = std::min(min_cap, route_class.cap_bps);
+      unfrozen_[kept++] = cls;
     }
     DROUTE_CHECK(kept < unfrozen_.size() || delta > 0.0,
                  "allocation failed to make progress");
@@ -523,37 +644,40 @@ std::uint64_t Fabric::fill_component() {
 }
 
 void Fabric::reallocate_and_reschedule(const std::vector<std::uint32_t>& seeds,
-                                       bool force_full) {
+                                       bool force_full, std::uint32_t joiner) {
   ++epoch_;
   if (epoch_ == 0) {
     // uint32 wrap: stale marks could alias the new epoch; reset them all.
-    for (Slot& cell : slots_) cell.mark = 0;
+    for (RouteClass& route_class : classes_) route_class.mark = 0;
     for (LinkState& link : links_) link.mark = 0;
     epoch_ = 1;
   }
 
-  // One component at a time, in a deterministic order (dense slot ids in
+  // One component at a time, in a deterministic order (dense class ids in
   // full mode, caller-provided seed order otherwise): collect it, water-fill
   // it, then settle byte progress and re-key the finish heap for exactly the
   // flows whose rate changed bitwise. An unchanged component reproduces its
   // retained rates exactly, so both modes take the same advance/re-key
-  // actions in the same order — the invariant the equivalence suite pins
-  // down. Components are disjoint, so filling one never touches another's
-  // pre-fill rates.
+  // actions — the invariant the equivalence suite pins down. Components are
+  // disjoint, so filling one never touches another's pre-fill rates.
   std::uint64_t rounds = 0;
   std::uint64_t components = 0;
+  std::uint64_t classes = 0;
+  std::uint64_t class_flows = 0;
   const auto refill = [&](std::uint32_t seed) {
-    const Slot& cell = slots_[seed];
-    if (cell.id == 0 || !cell.flow.activated || cell.mark == epoch_) return;
+    const RouteClass& seed_class = classes_[seed];
+    if (seed_class.members.empty() || seed_class.mark == epoch_) return;
     collect_component(seed);
     rounds += fill_component();
     ++components;
-    for (std::size_t i = 0; i < batch_flows_.size(); ++i) {
-      const std::uint32_t slot = batch_flows_[i];
-      Flow& flow = slots_[slot].flow;
-      if (flow.rate_bps == batch_prev_rates_[i]) continue;
-      advance_flow(flow, batch_prev_rates_[i]);
-      push_finish(slot);
+    classes += batch_classes_.size();
+    for (std::size_t i = 0; i < batch_classes_.size(); ++i) {
+      const RouteClass& route_class = classes_[batch_classes_[i]];
+      class_flows += route_class.members.size();
+      if (route_class.rate_bps == batch_prev_rates_[i]) continue;
+      for (const std::uint32_t slot : route_class.members) {
+        settle(slot, route_class.rate_bps);
+      }
     }
     if (obs_link_utilization_ != nullptr) {
       for (const LinkId lid : batch_links_) {
@@ -566,12 +690,19 @@ void Fabric::reallocate_and_reschedule(const std::vector<std::uint32_t>& seeds,
     }
   };
   if (force_full || alloc_mode_ == AllocMode::kFullRecompute) {
-    for (std::uint32_t slot = 0; slot < slots_.size(); ++slot) refill(slot);
+    for (std::uint32_t cls = 0; cls < classes_.size(); ++cls) refill(cls);
   } else {
-    for (const std::uint32_t slot : seeds) refill(slot);
+    for (const std::uint32_t cls : seeds) refill(cls);
+  }
+  // A flow that joined a class whose rate did not move still holds its
+  // pre-activation rate 0: the member walk above skipped it.
+  if (joiner != kNoSlot) {
+    settle(joiner, classes_[slots_[joiner].flow.cls].rate_bps);
   }
   obs::add(obs_realloc_rounds_, rounds);
   obs::add(obs_realloc_components_, components);
+  obs::add(obs_realloc_classes_, classes);
+  obs::add(obs_realloc_class_flows_, class_flows);
 
   resync_completion_event();
 }
@@ -597,19 +728,17 @@ void Fabric::on_completion_event() {
   }
   std::sort(done_order.begin(), done_order.end());
   // Survivors that shared a link with a completing flow must be refilled;
-  // gather them before the completions leave the adjacency lists.
-  std::vector<std::uint32_t> seeds;
+  // gather their classes before the completions leave them.
+  seeds_.clear();
   for (const auto& [id, slot] : done_order) {
-    for (const LinkId lid : slots_[slot].flow.stats.route.links) {
-      for (const LinkFlowRef& ref : links_[lid].flows) seeds.push_back(ref.slot);
-    }
+    seed_classes_on(slots_[slot].flow.stats.route.links);
   }
   std::vector<Flow> done;
   done.reserve(done_order.size());
   for (const auto& [id, slot] : done_order) {
     done.push_back(extract_flow(slot));
   }
-  reallocate_and_reschedule(seeds);
+  reallocate_and_reschedule(seeds_);
   for (auto& flow : done) {
     delivered_bytes_ += flow.stats.bytes;
     finish(std::move(flow), FlowOutcome::kCompleted);

@@ -10,22 +10,34 @@
 // and failure (event-driven fluid simulation); between events rates are
 // constant, so completions are scheduled exactly.
 //
-// Allocation is *incremental* (DESIGN.md §12): the max-min allocation
-// decomposes exactly over connected components of the flow/link sharing
-// graph, so each event water-fills only the component(s) reachable from the
-// flows it dirtied; every other flow keeps its retained rate. Because the
-// per-component fill is a deterministic function of the component's flows
-// and links alone, retained rates are bit-identical to what a full
-// recomputation would produce — the retained reference path
-// (AllocMode::kFullRecompute) re-fills every component from scratch on every
-// event, and the differential suite (tests/fabric_equivalence_test.cpp,
-// proptest property `fabric_equivalence`) holds the two paths byte-equal.
+// Route classes (DESIGN.md §12). The water-fill reads only a flow's route
+// links and its cap, so activated flows with the same (route links, cap) are
+// interchangeable: the fabric groups them into one route class with a member
+// count. Links list classes, not flows, and each link keeps the integer count
+// of activated flows crossing it; the fill freezes whole classes and
+// subtracts their member counts, so its arithmetic, and therefore every rate,
+// is bit-identical to a per-flow fill. Per-event work scales with the
+// distinct classes in a component, not with its flows.
+//
+// Allocation is *incremental*: the max-min allocation decomposes exactly over
+// connected components of the class/link sharing graph, so each event
+// water-fills only the component(s) reachable from the classes it dirtied;
+// every other flow keeps its retained rate. Because the per-component fill is
+// a deterministic function of the component's classes and links alone,
+// retained rates are bit-identical to what a full recomputation would
+// produce — the retained reference path (AllocMode::kFullRecompute) re-fills
+// every component from scratch on every event, and the differential suite
+// (tests/fabric_equivalence_test.cpp, proptest property
+// `fabric_equivalence`) holds the two paths byte-equal.
 //
 // Each event handles its dirty components one at a time, in a deterministic
-// order: collect the component, water-fill it, then merge it (settle byte
-// progress and re-key completions for the flows whose rate changed). A
-// parallel fill was measured and removed (DESIGN.md §12): an event dirties
-// less than one component on average, so there is nothing to fan out.
+// order: collect the component's classes, water-fill them, then merge (settle
+// byte progress and re-key completions for the members whose rate changed).
+// A class's members are visited only when the class rate changed bitwise; a
+// flow that just joined a class whose rate did not move is settled on its
+// own. A parallel fill was measured and removed (DESIGN.md §12): an event
+// dirties less than one component on average, so there is nothing to fan
+// out.
 //
 // Between-event bookkeeping is lazy so untouched flows cost nothing per
 // event: byte progress is advanced per flow only when its rate is about to
@@ -36,7 +48,8 @@
 // identical across the two allocation modes.
 //
 // Slow start is modelled as an activation delay during which the flow
-// consumes no bandwidth (conservative for short flows, negligible for bulk).
+// consumes no bandwidth (conservative for short flows, negligible for bulk);
+// a flow joins its route class when it activates.
 #pragma once
 
 #include <cstdint>
@@ -199,6 +212,10 @@ class Fabric {
   std::vector<LinkLoad> link_loads() const;
 
  private:
+  static constexpr std::uint32_t kNotQueued = 0xffffffffu;
+  static constexpr std::uint32_t kNoSlot = 0xffffffffu;
+  static constexpr std::uint32_t kNoClass = 0xffffffffu;
+
   struct Flow {
     FlowStats stats;
     CompletionFn on_complete;
@@ -207,14 +224,11 @@ class Fabric {
     double rate_bps = 0.0;   // current allocation, bytes/sec
     double cap_bps = 0.0;    // per-flow ceiling, bytes/sec
     bool activated = false;  // false while in modelled slow start
-    bool frozen = false;     // scratch during a fill: rate is final
     sim::EventId activation_event;
-    // Position of this flow's entry in each route link's flow list
-    // (parallel to stats.route.links); maintained while activated.
-    std::vector<std::uint32_t> link_pos;
+    // Route class and index in its `members` while activated.
+    std::uint32_t cls = kNoClass;
+    std::uint32_t member_pos = 0;
   };
-
-  static constexpr std::uint32_t kNotQueued = 0xffffffffu;
 
   /// One dense storage cell; `id == 0` marks a free slot. Slots are reused
   /// LIFO, so slot assignment is deterministic for a given event history.
@@ -222,24 +236,44 @@ class Fabric {
   /// at `heap_pos`, keyed by `finish_s`; otherwise `heap_pos == kNotQueued`.
   struct Slot {
     FlowId id = 0;
-    std::uint32_t mark = 0;  // component-BFS visitation epoch
     std::uint32_t heap_pos = kNotQueued;
     double finish_s = 0.0;   // absolute finish time (valid while queued)
     Flow flow;
   };
 
-  /// Per-link dense state, indexed by LinkId. `flows` lists every activated
-  /// flow crossing the link (one entry per route occurrence); `remaining_bps`
-  /// retains the headroom left by the last water-fill that touched the link.
-  struct LinkFlowRef {
-    std::uint32_t slot = 0;
-    std::uint32_t route_idx = 0;  // index into that flow's route.links
+  /// The activated flows that share one (route links, cap_bps): the unit the
+  /// fill, the component BFS and the link lists work in. A class is live
+  /// while it has members and is then listed on every link of its route (one
+  /// entry per route occurrence, `link_pos` ∥ `links`). An emptied class is
+  /// parked: detached from its links but still indexed, so the next flow of
+  /// the same (route, cap) reuses it, vectors and all. Ids are dense and
+  /// reused LIFO once parked classes are released.
+  struct RouteClass {
+    std::vector<LinkId> links;           // the members' route.links
+    double cap_bps = 0.0;                // the members' cap_bps
+    double rate_bps = 0.0;               // rate of the last fill
+    std::uint32_t next_same_key = kNoClass;  // class_index_ chain
+    std::uint32_t mark = 0;              // component-BFS visitation epoch
+    bool frozen = false;                 // scratch during a fill: rate final
+    bool indexed = false;                // live or parked (not released)
+    std::vector<std::uint32_t> members;  // slots
+    std::vector<std::uint32_t> link_pos;  // entry in each link's `classes`
+  };
+
+  /// Per-link dense state, indexed by LinkId. `classes` lists every live
+  /// class crossing the link, and `flows` counts their members (per route
+  /// occurrence); `remaining_bps` retains the headroom left by the last
+  /// water-fill that touched the link.
+  struct ClassRef {
+    std::uint32_t cls = 0;
+    std::uint32_t route_idx = 0;  // index into that class's links
   };
   struct LinkState {
     double remaining_bps = 0.0;
-    std::int32_t active = 0;  // scratch during a fill round
+    std::int32_t flows = 0;   // activated flows crossing the link
+    std::int32_t active = 0;  // scratch during a fill: unfrozen flows
     std::uint32_t mark = 0;   // component-BFS visitation epoch
-    std::vector<LinkFlowRef> flows;
+    std::vector<ClassRef> classes;
   };
 
   // Settles `flow`'s byte progress up to now, charging `rate_bps` (its rate
@@ -265,28 +299,48 @@ class Fabric {
   // cancelling/rescheduling only when that minimum changed.
   void resync_completion_event();
 
-  // Inserts/removes an activated flow into/from its links' flow lists.
-  void attach_to_links(std::uint32_t slot);
-  void detach_from_links(std::uint32_t slot);
+  // Activates the pending flow in `slot`: joins its route class and refills
+  // the class's component, settling the flow itself as the joiner.
+  void activate(std::uint32_t slot);
+
+  // Adds the activated flow in `slot` to the class of its (route, cap),
+  // reusing a parked class or creating one; removes it again, parking the
+  // class once it empties.
+  void join_class(std::uint32_t slot);
+  void leave_class(std::uint32_t slot);
+
+  // Lists a class on / removes it from every link of its route.
+  void attach_class(std::uint32_t cls);
+  void detach_class(std::uint32_t cls);
+
+  // Releases every parked class once they outnumber the live ones (and a
+  // small floor): unindexed, its id back on the free list, its vectors kept.
+  void release_parked_classes();
+
+  // Appends every live class crossing `links` to seeds_.
+  void seed_classes_on(const std::vector<LinkId>& links);
+
+  // Settles `slot` onto `rate_bps` if its rate differs bitwise: byte
+  // progress at the old rate, then the new rate and its finish time.
+  void settle(std::uint32_t slot, double rate_bps);
 
   // Replaces the batch with the connected component reachable from
-  // `seed_slot`: its flows (plus their pre-fill rates) and links
+  // `seed_class`: its classes (plus their pre-fill rates) and links
   // (epoch-marked; the caller bumped epoch_).
-  void collect_component(std::uint32_t seed_slot);
+  void collect_component(std::uint32_t seed_class);
 
   // Max-min water-fill over the batch component only. Returns rounds.
   std::uint64_t fill_component();
 
-  // Water-fills the components reachable from `seeds` (incremental mode) or
-  // every component (full mode / force_full), one at a time in collection
-  // order: collect, fill, then settle and re-key in the finish heap the
-  // flows whose rate changed. Finally resyncs the completion event to the
-  // new heap minimum.
+  // Water-fills the components reachable from the classes in `seeds`
+  // (incremental mode) or every component (full mode / force_full), one at
+  // a time in collection order: collect, fill, then settle the members of
+  // every class whose rate changed. `joiner`, a flow that just joined its
+  // class, is settled too even when its class rate did not move. Finally
+  // resyncs the completion event to the new heap minimum.
   void reallocate_and_reschedule(const std::vector<std::uint32_t>& seeds,
-                                 bool force_full = false);
-
-  // Seed helper: every activated flow currently sharing a link with `route`.
-  std::vector<std::uint32_t> flows_on_links(const Route& route) const;
+                                 bool force_full = false,
+                                 std::uint32_t joiner = kNoSlot);
 
   // Completes/fails `flow` (already removed from slots) and fires callback.
   void finish(Flow flow, FlowOutcome outcome);
@@ -312,12 +366,22 @@ class Fabric {
   std::vector<LinkState> links_;
   std::uint32_t epoch_ = 0;
 
+  // Route classes by dense id. class_index_ maps class_key() to the first
+  // class of that key (further ones chain through next_same_key); it is
+  // only ever looked up, never iterated.
+  std::vector<RouteClass> classes_;
+  std::vector<std::uint32_t> free_classes_;
+  std::unordered_map<std::uint64_t, std::uint32_t> class_index_;
+  std::size_t live_classes_ = 0;
+  std::size_t parked_classes_ = 0;
+
   // The component being refilled, rebuilt by collect_component (buffers
   // retained across events).
-  std::vector<std::uint32_t> batch_flows_;
+  std::vector<std::uint32_t> batch_classes_;
   std::vector<LinkId> batch_links_;
-  std::vector<double> batch_prev_rates_;  // pre-fill rates, ∥ batch_flows_
-  // Collect and fill scratch.
+  std::vector<double> batch_prev_rates_;  // pre-fill rates, ∥ batch_classes_
+  // Dirty classes of the current event, and collect/fill scratch.
+  std::vector<std::uint32_t> seeds_;
   std::vector<std::uint32_t> bfs_stack_;
   std::vector<std::uint32_t> unfrozen_;
 
@@ -340,6 +404,8 @@ class Fabric {
   obs::Counter* obs_flows_policer_capped_ = nullptr;
   obs::Counter* obs_realloc_rounds_ = nullptr;
   obs::Counter* obs_realloc_components_ = nullptr;
+  obs::Counter* obs_realloc_classes_ = nullptr;
+  obs::Counter* obs_realloc_class_flows_ = nullptr;
   obs::Counter* obs_realloc_skipped_ = nullptr;
   obs::Histogram* obs_flow_duration_ = nullptr;
   obs::Histogram* obs_link_utilization_ = nullptr;

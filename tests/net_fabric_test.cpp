@@ -12,6 +12,7 @@
 #include "check/sim_audit.h"
 #include "net/cross_traffic.h"
 #include "net/fabric.h"
+#include "obs/recorder.h"
 #include "util/rng.h"
 #include "util/units.h"
 
@@ -640,11 +641,14 @@ void oracle_fill(const Topology& topo, const std::vector<OracleFlow*>& live) {
   for (auto& [r, members] : components) oracle_fill_component(topo, members);
 }
 
-TEST(Fabric, LevelFillMatchesPerFlowWaterFillOracle) {
-  // Random single-AS meshes with capacities drawn partly from a small set
-  // (so several links saturate, and caps bind, in the same round) and
-  // random per-flow app caps. After every start and abort, every live
-  // flow's rate must equal the oracle's bit for bit.
+// Random single-AS meshes with capacities drawn partly from a small set (so
+// several links saturate, and caps bind, in the same round) and random
+// per-flow app caps. After every start and abort, every live flow's rate
+// must equal the oracle's bit for bit. With `clone_specs`, about half the
+// flows copy the (src, dst, app cap) of one of the first few, so route
+// classes hold 2-10 members; the largest class is then aborted flow by flow
+// until it is empty, and its flows are started again.
+void expect_level_fill_matches_oracle(bool clone_specs) {
   for (std::uint64_t seed = 1; seed <= 40; ++seed) {
     util::Rng rng(seed);
     const auto capacity = [&rng](double lo, double hi) {
@@ -688,7 +692,13 @@ TEST(Fabric, LevelFillMatchesPerFlowWaterFillOracle) {
     // fabric derives for it (both independent of other traffic).
     sim::Simulator probe_sim;
     Fabric probe(&probe_sim, &topo, &routes);
-    for (Spec& spec : specs) {
+    for (std::size_t i = 0; i < specs.size(); ++i) {
+      Spec& spec = specs[i];
+      if (clone_specs && i > 0 && rng.uniform() < 0.5) {
+        spec = specs[static_cast<std::size_t>(rng.uniform_int(
+            0, std::min<std::int64_t>(static_cast<std::int64_t>(i) - 1, 3)))];
+        continue;
+      }
       spec.src = hosts[static_cast<std::size_t>(
           rng.uniform_int(0, host_count - 1))];
       do {
@@ -734,6 +744,175 @@ TEST(Fabric, LevelFillMatchesPerFlowWaterFillOracle) {
         expect_oracle_rates();
       }
     }
+    if (!clone_specs) continue;
+    // Empty the largest class one abort at a time, then refill it.
+    std::map<std::pair<std::vector<LinkId>, double>, std::vector<Spec*>>
+        classes;
+    for (const auto& [id, spec] : live) {
+      classes[{spec->oracle.links, spec->oracle.cap_bps}].push_back(spec);
+    }
+    std::vector<Spec*> largest;
+    for (const auto& [key, members] : classes) {
+      if (members.size() > largest.size()) largest = members;
+    }
+    for (const Spec* member : largest) {
+      const auto it = std::find_if(live.begin(), live.end(), [&](const auto& e) {
+        return e.second == member;
+      });
+      ASSERT_NE(it, live.end());
+      fabric.abort_flow(it->first);
+      live.erase(it);
+      expect_oracle_rates();
+    }
+    for (Spec* member : largest) {
+      const auto id = fabric.start_flow(member->src, member->dst, util::kGB,
+                                        {}, member->options);
+      ASSERT_TRUE(id.ok());
+      live.emplace_back(id.value(), member);
+      expect_oracle_rates();
+    }
+  }
+}
+
+TEST(Fabric, LevelFillMatchesPerFlowWaterFillOracle) {
+  expect_level_fill_matches_oracle(/*clone_specs=*/false);
+}
+
+TEST(Fabric, LevelFillMatchesOracleWithDuplicateClasses) {
+  expect_level_fill_matches_oracle(/*clone_specs=*/true);
+}
+
+// Two app-capped flows share one route over a 100 Mbps link, so they form
+// one route class whose rate (the cap) does not move when the second joins.
+// The joiner must still be settled onto that rate and finish at bytes / cap
+// after it starts carrying bytes.
+void expect_joiner_gets_class_rate(double cap_mbps, bool joiner_slow_start) {
+  Dumbbell world(100.0);
+  constexpr std::uint64_t kBytes = 5 * util::kMB;
+  const double cap_bps = util::mbps_to_bytes_per_sec(cap_mbps);
+  FlowOptions options;
+  options.charge_slow_start = false;
+  options.app_cap_mbps = cap_mbps;
+  auto first = world.fabric->start_flow(world.a[0], world.b[0], 10 * kBytes,
+                                        {}, options);
+  ASSERT_TRUE(first.ok());
+  EXPECT_DOUBLE_EQ(world.fabric->current_rate_mbps(first.value()), cap_mbps);
+
+  options.charge_slow_start = joiner_slow_start;
+  FlowStats joiner_stats;
+  FlowId joiner = 0;
+  double joiner_start = 0.0;
+  world.simulator.schedule_at(1.0, [&] {
+    joiner_start = world.simulator.now();
+    auto id = world.fabric->start_flow(
+        world.a[0], world.b[0], kBytes,
+        [&](const FlowStats& stats) { joiner_stats = stats; }, options);
+    ASSERT_TRUE(id.ok());
+    joiner = id.value();
+  });
+  world.simulator.run_until(1.0);
+  ASSERT_NE(joiner, 0u);
+  double active_from = joiner_start;
+  if (joiner_slow_start) {
+    EXPECT_EQ(world.fabric->current_rate_mbps(joiner), 0.0);
+    const auto rtt = world.fabric->rtt_s(world.a[0], world.b[0]);
+    ASSERT_TRUE(rtt.ok());
+    active_from += slow_start_delay_s(rtt.value(), cap_mbps, options.tcp);
+    ASSERT_GT(active_from, joiner_start);
+    world.simulator.run_until(active_from);
+  }
+  EXPECT_DOUBLE_EQ(world.fabric->current_rate_mbps(first.value()), cap_mbps);
+  EXPECT_DOUBLE_EQ(world.fabric->current_rate_mbps(joiner), cap_mbps);
+
+  world.simulator.run();
+  EXPECT_EQ(joiner_stats.outcome, FlowOutcome::kCompleted);
+  EXPECT_EQ(joiner_stats.id, joiner);
+  EXPECT_NEAR(joiner_stats.end_time - active_from,
+              static_cast<double>(kBytes) / cap_bps, 1e-6);
+  world.audit();
+  world.audit_drained();
+}
+
+TEST(Fabric, FlowJoiningARateStableClassGetsItsRate) {
+  expect_joiner_gets_class_rate(5.0, /*joiner_slow_start=*/false);
+}
+
+TEST(Fabric, FlowJoiningARateStableClassAfterSlowStartGetsItsRate) {
+  // 5 Mbps fits in the initial window on this path (no ramp), so the
+  // slow-start joiner runs at 40 Mbps; two of them still fit the link.
+  expect_joiner_gets_class_rate(40.0, /*joiner_slow_start=*/true);
+}
+
+TEST(Fabric, EmptiedClassesAreReleasedAndRebuilt) {
+  // Flows with distinct caps are distinct route classes. Aborting 80 of 100
+  // parks each emptied class until the parked ones outnumber both the live
+  // ones and the floor, which releases them while 20 classes are still
+  // live; 50 new caps then take classes from the free list. Every flow must
+  // run at its own cap throughout (no link comes near saturation).
+  Dumbbell world(5000.0);
+  FlowOptions options;
+  options.charge_slow_start = false;
+  const auto start = [&](double cap_mbps,
+                         std::vector<std::pair<FlowId, double>>& flows) {
+    options.app_cap_mbps = cap_mbps;
+    const auto id = world.fabric->start_flow(world.a[0], world.b[0],
+                                             util::kGB, {}, options);
+    ASSERT_TRUE(id.ok());
+    flows.emplace_back(id.value(), cap_mbps);
+  };
+  const auto expect_caps = [&](const auto& flows, int round) {
+    for (const auto& [id, cap] : flows) {
+      EXPECT_DOUBLE_EQ(world.fabric->current_rate_mbps(id), cap)
+          << "round " << round << " flow " << id;
+    }
+  };
+  for (int round = 0; round < 3; ++round) {
+    std::vector<std::pair<FlowId, double>> flows;
+    for (int i = 0; i < 100; ++i) start(1.0 + 0.1 * i, flows);
+    expect_caps(flows, round);
+    // Odd rounds abort newest first, so classes park in the other order.
+    if (round % 2 == 1) std::reverse(flows.begin(), flows.end());
+    for (int i = 0; i < 80; ++i) world.fabric->abort_flow(flows[i].first);
+    flows.erase(flows.begin(), flows.begin() + 80);
+    for (int i = 0; i < 50; ++i) start(20.0 + 0.1 * i, flows);
+    expect_caps(flows, round);
+    world.audit();
+    for (const auto& [id, cap] : flows) world.fabric->abort_flow(id);
+    EXPECT_EQ(world.fabric->active_flow_count(), 0u);
+  }
+  world.simulator.run();
+  world.audit_drained();
+}
+
+TEST(Fabric, SameRouteSameCapFlowsRefillAsOneClass) {
+  // 50 flows with one route and one cap are one route class: a full refill
+  // collects one class of 50 flows, not 50 entries.
+  obs::Recorder recorder;
+  obs::ScopedRecorder install(&recorder);
+  Dumbbell world(100.0);
+  FlowOptions options;
+  options.charge_slow_start = false;
+  options.app_cap_mbps = 1.0;
+  for (int i = 0; i < 50; ++i) {
+    ASSERT_TRUE(world.fabric
+                    ->start_flow(world.a[0], world.b[0], util::kGB, {}, options)
+                    .ok());
+  }
+  const obs::Counter* classes =
+      recorder.metrics().counter("net.realloc_classes_total");
+  const obs::Counter* class_flows =
+      recorder.metrics().counter("net.realloc_class_flows_total");
+  const obs::Counter* components =
+      recorder.metrics().counter("net.realloc_components_total");
+  const std::uint64_t classes_before = classes->value();
+  const std::uint64_t flows_before = class_flows->value();
+  const std::uint64_t components_before = components->value();
+  world.fabric->reallocate_now();
+  EXPECT_EQ(components->value() - components_before, 1u);
+  EXPECT_EQ(classes->value() - classes_before, 1u);
+  EXPECT_EQ(class_flows->value() - flows_before, 50u);
+  for (FlowId id = 1; id <= 50; ++id) {
+    EXPECT_DOUBLE_EQ(world.fabric->current_rate_mbps(id), 1.0);
   }
 }
 
