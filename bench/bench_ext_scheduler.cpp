@@ -1,16 +1,18 @@
 // Extension experiment: an institutional DTN service. A realistic client
 // workload (Drago-style sessions) uploads from Purdue to all three providers
 // for two simulated hours, once with every job routed directly and once with
-// the overlay table holding the paper's best routes. Reports completion-time
+// Google Drive steered along the paper's best route. Reports completion-time
 // percentiles and makespan — the aggregate value of detour routing, beyond
-// single-transfer benchmarks.
+// single-transfer benchmarks — and ends with an FNV-1a digest of every job
+// outcome (id, start, finish, success) of both policies.
 #include <cstdio>
+#include <memory>
 
 #include "common.h"
-#include "core/scheduler.h"
+#include "ctrl/scheduler.h"
 #include "measure/workload.h"
-#include "scenario/foreground.h"
 #include "stats/histogram.h"
+#include "util/fmt.h"
 #include "util/rng.h"
 #include "util/table.h"
 #include "util/units.h"
@@ -25,55 +27,35 @@ struct PolicyRun {
       30.0, 60.0, 120.0, 300.0, 600.0, 1200.0, 2400.0}};
   int failures = 0;
   std::size_t jobs = 0;
+  std::string outcome_text;  // one "id start finish success" line per job
 };
 
-PolicyRun run_policy(bool use_overlay, std::uint64_t seed) {
+PolicyRun run_policy(bool paper_routes, std::uint64_t seed) {
   scenario::WorldConfig config;
   config.seed = seed;
   config.cross_traffic = true;
   auto world = scenario::World::create(config);
 
-  core::OverlayTable overlay;
-  if (use_overlay) {
-    // The paper's Table V conclusions for Purdue: Google Drive detours via
-    // UAlberta; Dropbox and OneDrive go direct (Table I main cells).
-    core::OverlayEntry entry;
-    entry.client = "Purdue";
-    entry.provider = "Google Drive";
-    entry.route_key = "via UAlberta";
-    overlay.install(entry);
+  // The paper's Table V conclusions for Purdue: Google Drive detours via
+  // UAlberta; Dropbox and OneDrive go direct (Table I main cells).
+  ctrl::StaticSteering direct;
+  ctrl::StaticSteering via_ualberta(ctrl::PathSpec{
+      {world->intermediate_node(scenario::Intermediate::kUAlberta)}});
+  const cloud::ProviderKind providers[] = {cloud::ProviderKind::kGoogleDrive,
+                                           cloud::ProviderKind::kDropbox,
+                                           cloud::ProviderKind::kOneDrive};
+  std::vector<std::unique_ptr<transfer::SteeredUploadEngine>> engines;
+  for (const auto provider : providers) {
+    ctrl::Steering* steering =
+        paper_routes && provider == cloud::ProviderKind::kGoogleDrive
+            ? &via_ualberta
+            : &direct;
+    engines.push_back(std::make_unique<transfer::SteeredUploadEngine>(
+        &world->fabric(), world->transfer_engine(),
+        &world->api_engine(provider), steering));
   }
 
-  auto launcher = [&world](const core::TransferJob& job,
-                           const std::string& route,
-                           std::function<void(bool, std::string)> done) {
-    cloud::ProviderKind provider = cloud::ProviderKind::kGoogleDrive;
-    if (job.provider == "Dropbox") provider = cloud::ProviderKind::kDropbox;
-    if (job.provider == "OneDrive") provider = cloud::ProviderKind::kOneDrive;
-    transfer::FileSpec file = transfer::make_file_mb(
-        std::max<std::uint64_t>(1, job.bytes / util::kMB), 31);
-    file.bytes = job.bytes;
-    file.name = job.id;
-    const auto client = world->client_node(scenario::Client::kPurdue);
-    auto report = [done](const auto& joined) {
-      const auto elapsed = scenario::fold_elapsed(joined);
-      done(elapsed.ok(), elapsed.ok() ? "" : elapsed.error().message);
-    };
-    if (route == "Direct") {
-      auto task = world->api_engine(provider).upload_task(client, file);
-      task.on_done(report);
-    } else {
-      auto task = world->detour_engine(provider).transfer_task(
-          client,
-          world->intermediate_node(scenario::Intermediate::kUAlberta), file);
-      task.on_done(report);
-    }
-  };
-
-  core::BatchScheduler scheduler(
-      {.max_concurrent = 2}, [&world] { return world->simulator().now(); },
-      launcher);
-  scheduler.use_overlay(&overlay);
+  ctrl::BatchScheduler scheduler(world->simulator(), 2);
   scheduler.start();
 
   // Generate the workload and schedule submissions on the simulator clock.
@@ -83,14 +65,15 @@ PolicyRun run_policy(bool use_overlay, std::uint64_t seed) {
   profile.max_bytes = 100 * util::kMB;
   util::Rng rng(seed ^ 0xb47c4);
   const auto items = measure::generate_workload(rng, profile, 7200.0);
-  const char* providers[] = {"Google Drive", "Dropbox", "OneDrive"};
+  const auto client = world->client_node(scenario::Client::kPurdue);
   int counter = 0;
   for (const auto& item : items) {
-    core::TransferJob job;
-    job.id = "job" + std::to_string(counter);
-    job.client = "Purdue";
-    job.provider = providers[counter % 3];
-    job.bytes = item.bytes;
+    const std::string id = "job" + std::to_string(counter);
+    transfer::FileSpec file = transfer::make_file_mb(
+        std::max<std::uint64_t>(1, item.bytes / util::kMB), 31);
+    file.bytes = item.bytes;
+    file.name = id;
+    ctrl::TransferJob job{id, 0, client, *engines[counter % 3], file};
     ++counter;
     world->simulator().schedule_at(
         world->simulator().now() + item.at_s,
@@ -109,6 +92,10 @@ PolicyRun run_policy(bool use_overlay, std::uint64_t seed) {
   run.jobs = scheduler.outcomes().size();
   run.makespan = scheduler.makespan_s();
   for (const auto& outcome : scheduler.outcomes()) {
+    run.outcome_text += outcome.id + " " +
+                        util::format_double(outcome.started_at) + " " +
+                        util::format_double(outcome.finished_at) + " " +
+                        (outcome.success ? "1" : "0") + "\n";
     if (!outcome.success) {
       ++run.failures;
       continue;
@@ -149,5 +136,12 @@ int main() {
               overlay.completion.render(40).c_str());
   std::printf("The overlay's win concentrates in the tail: Google-bound jobs\n"
               "stop queueing behind the congested commodity transit.\n");
+  std::uint64_t hash = 1469598103934665603ULL;  // FNV-1a 64
+  for (const char c : direct.outcome_text + overlay.outcome_text) {
+    hash ^= static_cast<unsigned char>(c);
+    hash *= 1099511628211ULL;
+  }
+  std::printf("outcome digest: %016llx\n",
+              static_cast<unsigned long long>(hash));
   return 0;
 }

@@ -1,18 +1,20 @@
 // Table V: geographical summary of the fastest routes per client — the
-// overlay table the full campaign induces, rendered per client with the
-// paper's captions.
+// route the full campaign recommends for every (client, provider) pair,
+// sorted by client then provider, with the paper's captions.
 #include <cstdio>
+#include <map>
+#include <sstream>
+#include <utility>
 
 #include "common.h"
 #include "core/advisor.h"
-#include "core/overlay.h"
 #include "util/units.h"
 
 int main() {
   using namespace droute;
   std::printf("=== Table V: geographic summary of fastest routes ===\n\n");
 
-  core::OverlayTable overlay;
+  std::map<std::pair<std::string, std::string>, std::string> rows;
   for (const auto client : scenario::all_clients()) {
     for (const auto provider : cloud::all_providers()) {
       const auto series = bench::measure_figure(
@@ -25,18 +27,22 @@ int main() {
         rs.is_direct = s.route == scenario::RouteChoice::kDirect;
         stats.push_back(rs);
       }
-      const auto decision = core::RouteAdvisor().recommend(stats);
-      core::OverlayEntry entry;
-      entry.client = scenario::client_name(client);
-      entry.provider = cloud::provider_name(provider);
-      entry.route_key = decision.route_key;
-      entry.expected_s = decision.expected_s;
-      entry.confidence = decision.confidence;
-      entry.decided_for_bytes = 100 * util::kMB;
-      overlay.install(entry);
+      const auto recommendation = core::RouteAdvisor().recommend(stats);
+      const std::string client_label = scenario::client_name(client);
+      const std::string provider_label = cloud::provider_name(provider);
+      std::ostringstream row;
+      row << client_label << " -> " << provider_label << " : "
+          << recommendation.route_key << " (expected "
+          << recommendation.expected_s << " s"
+          << (recommendation.confidence == core::Confidence::kClear
+                  ? ""
+                  : ", overlapping bars")
+          << ")\n";
+      rows[{client_label, provider_label}] = row.str();
     }
   }
-  std::printf("%s\n", overlay.render().c_str());
+  for (const auto& [key, row] : rows) std::printf("%s", row.c_str());
+  std::printf("\n");
   std::printf(
       "Paper's Table V captions:\n"
       "  UBC   : Google Drive detours via UAlberta (dashed); Dropbox and\n"

@@ -1,12 +1,11 @@
 // Automatic detour selection end to end: probe candidate routes with small
 // payloads, fit per-route cost models, recommend a route with the paper's
-// overlap-conservatism, and install the decisions in an overlay table.
+// overlap-conservatism.
 //
 //   $ ./detour_advisor [client: ubc|purdue|ucla]
 #include <cstdio>
 #include <cstring>
 
-#include "core/overlay.h"
 #include "core/planner.h"
 #include "scenario/north_america.h"
 #include "util/units.h"
@@ -21,7 +20,6 @@ int main(int argc, char** argv) {
   std::printf("Automatic detour selection for client %s (100 MB target)\n\n",
               scenario::client_name(client).c_str());
 
-  core::OverlayTable overlay;
   for (const auto provider : cloud::all_providers()) {
     core::DetourPlanner::Options options;
     options.probes_per_size = 2;
@@ -53,17 +51,6 @@ int main(int argc, char** argv) {
                 report.value().decision.reason.c_str(),
                 report.value().probe_cost_s,
                 static_cast<double>(report.value().probe_bytes) / 1e6);
-
-    core::OverlayEntry entry;
-    entry.client = scenario::client_name(client);
-    entry.provider = cloud::provider_name(provider);
-    entry.route_key = report.value().decision.route_key;
-    entry.expected_s = report.value().decision.expected_s;
-    entry.confidence = report.value().decision.confidence;
-    entry.decided_for_bytes = 100 * util::kMB;
-    overlay.install(entry);
   }
-
-  std::printf("Installed overlay routes:\n%s", overlay.render().c_str());
   return 0;
 }

@@ -7,7 +7,7 @@
 
 namespace droute::core {
 
-Decision RouteAdvisor::recommend(
+Recommendation RouteAdvisor::recommend(
     const std::vector<RouteStats>& candidates) const {
   DROUTE_CHECK(!candidates.empty(), "RouteAdvisor: no candidates");
   const auto direct_it =
@@ -21,7 +21,7 @@ Decision RouteAdvisor::recommend(
     if (candidate.summary.mean < best->summary.mean) best = &candidate;
   }
 
-  Decision decision;
+  Recommendation decision;
   decision.route_key = best->key;
   decision.expected_s = best->summary.mean;
 

@@ -25,7 +25,7 @@ struct RouteStats {
 
 enum class Confidence { kClear, kOverlapping };
 
-struct Decision {
+struct Recommendation {
   std::string route_key;
   double expected_s = 0.0;
   Confidence confidence = Confidence::kClear;
@@ -47,7 +47,7 @@ class RouteAdvisor {
 
   /// Recommends among candidate routes; exactly one must be marked direct.
   /// Empty candidates are a programming error.
-  Decision recommend(const std::vector<RouteStats>& candidates) const;
+  Recommendation recommend(const std::vector<RouteStats>& candidates) const;
 
  private:
   Options options_;
@@ -57,7 +57,7 @@ class RouteAdvisor {
 /// machine-readable version of the paper's Table I cells with their
 /// file-size exception footnotes.
 struct SizeTable {
-  std::map<std::uint64_t, Decision> by_size;
+  std::map<std::uint64_t, Recommendation> by_size;
 
   /// The most common recommended route across sizes (the table cell), plus
   /// the sizes deviating from it (the footnote).

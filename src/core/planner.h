@@ -34,7 +34,7 @@ struct RouteModel {
 };
 
 struct PlannerReport {
-  Decision decision;
+  Recommendation decision;
   std::vector<RouteModel> models;      // one per candidate, probe-fitted
   double probe_cost_s = 0.0;           // total simulated time spent probing
   std::uint64_t probe_bytes = 0;       // total payload probed

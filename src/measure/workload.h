@@ -2,7 +2,7 @@
 // population, in the spirit of the passive measurements the paper cites
 // (Drago et al. [4][8]): Poisson session arrivals, a geometric number of
 // files per session, and heavy-tailed (log-normal, clamped) file sizes.
-// Drives the BatchScheduler benches.
+// Drives ctrl::BatchScheduler in bench_ext_scheduler.
 #pragma once
 
 #include <cstdint>

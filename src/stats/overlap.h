@@ -26,8 +26,8 @@ bool error_bars_overlap(const Interval& a, const Interval& b);
 bool clearly_faster(const Interval& candidate, const Interval& baseline);
 
 /// How a candidate route compares to the direct baseline under the paper's
-/// Sec III-B heuristic (the one shared decision both the offline
-/// core::RouteAdvisor and the online ctrl::PathEstimator apply).
+/// Sec III-B heuristic: the one shared verdict behind both the offline
+/// core::RouteAdvisor's Recommendation and the online ctrl::PathEstimator.
 enum class Significance : std::uint8_t {
   kCandidateBetter,     // error bars clear of each other, candidate wins
   kIndistinguishable,   // bars overlap: "unsure benefits of the detours"

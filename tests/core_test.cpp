@@ -1,7 +1,6 @@
 #include <gtest/gtest.h>
 
 #include "core/advisor.h"
-#include "core/overlay.h"
 #include "core/planner.h"
 #include "core/tiv.h"
 #include "util/rng.h"
@@ -89,7 +88,7 @@ RouteStats make_stats(const std::string& key, double mean, double sd,
 TEST(Advisor, PicksClearWinnerDetour) {
   // Table II shape: detour clearly faster.
   const RouteAdvisor advisor;
-  const Decision decision = advisor.recommend({
+  const Recommendation decision = advisor.recommend({
       make_stats("Direct", 86.92, 1.5, true),
       make_stats("via UAlberta", 35.79, 1.2),
       make_stats("via UMich", 132.17, 2.0),
@@ -101,7 +100,7 @@ TEST(Advisor, PicksClearWinnerDetour) {
 TEST(Advisor, FallsBackToDirectOnOverlap) {
   // Table IV shape: detour mean lower but error bars overlap => direct.
   const RouteAdvisor advisor;
-  const Decision decision = advisor.recommend({
+  const Recommendation decision = advisor.recommend({
       make_stats("Direct", 179.44, 51.49, true),
       make_stats("via UAlberta", 145.93, 50.12),
   });
@@ -113,7 +112,7 @@ TEST(Advisor, OverlapToleranceCanBeDisabled) {
   RouteAdvisor::Options options;
   options.prefer_direct_on_overlap = false;
   const RouteAdvisor advisor(options);
-  const Decision decision = advisor.recommend({
+  const Recommendation decision = advisor.recommend({
       make_stats("Direct", 179.44, 51.49, true),
       make_stats("via UAlberta", 145.93, 50.12),
   });
@@ -126,7 +125,7 @@ TEST(Advisor, MinGainThreshold) {
   options.min_detour_gain = 0.30;
   const RouteAdvisor advisor(options);
   // Clear separation but only ~20% gain: below threshold => direct.
-  const Decision decision = advisor.recommend({
+  const Recommendation decision = advisor.recommend({
       make_stats("Direct", 100.0, 1.0, true),
       make_stats("via X", 80.0, 1.0),
   });
@@ -135,7 +134,7 @@ TEST(Advisor, MinGainThreshold) {
 
 TEST(Advisor, DirectWinnerIsAlwaysClear) {
   const RouteAdvisor advisor;
-  const Decision decision = advisor.recommend({
+  const Recommendation decision = advisor.recommend({
       make_stats("Direct", 20.0, 5.0, true),
       make_stats("via X", 50.0, 30.0),
   });
@@ -153,11 +152,11 @@ TEST(Advisor, RequiresDirectCandidate) {
 TEST(SizeTable, DominantRouteAndExceptions) {
   SizeTable table;
   for (std::uint64_t mb : {10, 20, 30, 50, 100}) {
-    Decision d;
+    Recommendation d;
     d.route_key = "Direct";
     table.by_size[mb * 1000000] = d;
   }
-  Decision detour;
+  Recommendation detour;
   detour.route_key = "via UAlberta";
   table.by_size[40 * 1000000] = detour;
   table.by_size[60 * 1000000] = detour;
@@ -224,50 +223,6 @@ TEST(Planner, PropagatesProbeFailures) {
   auto report = planner.plan(1000);
   ASSERT_FALSE(report.ok());
   EXPECT_NE(report.error().message.find("probe exploded"), std::string::npos);
-}
-
-// ---------------------------------------------------------------- overlay ----
-
-TEST(Overlay, InstallLookupEvict) {
-  OverlayTable table;
-  OverlayEntry entry;
-  entry.client = "UBC";
-  entry.provider = "Google Drive";
-  entry.route_key = "via UAlberta";
-  entry.expected_s = 35.79;
-  table.install(entry);
-  ASSERT_TRUE(table.lookup("UBC", "Google Drive").has_value());
-  EXPECT_EQ(table.lookup("UBC", "Google Drive")->route_key, "via UAlberta");
-  EXPECT_FALSE(table.lookup("UBC", "Dropbox").has_value());
-  EXPECT_TRUE(table.evict("UBC", "Google Drive"));
-  EXPECT_FALSE(table.evict("UBC", "Google Drive"));
-  EXPECT_EQ(table.size(), 0u);
-}
-
-TEST(Overlay, InstallReplaces) {
-  OverlayTable table;
-  OverlayEntry entry;
-  entry.client = "Purdue";
-  entry.provider = "Dropbox";
-  entry.route_key = "Direct";
-  table.install(entry);
-  entry.route_key = "via UMich";
-  table.install(entry);
-  EXPECT_EQ(table.size(), 1u);
-  EXPECT_EQ(table.lookup("Purdue", "Dropbox")->route_key, "via UMich");
-}
-
-TEST(Overlay, RenderMentionsRoutes) {
-  OverlayTable table;
-  OverlayEntry entry;
-  entry.client = "UBC";
-  entry.provider = "Google Drive";
-  entry.route_key = "via UAlberta";
-  entry.expected_s = 35.79;
-  table.install(entry);
-  const std::string text = table.render();
-  EXPECT_NE(text.find("UBC -> Google Drive : via UAlberta"),
-            std::string::npos);
 }
 
 }  // namespace

@@ -1,11 +1,15 @@
 // Cross-module integration: the full pipeline the paper implies —
-// measure -> catalogue TIVs -> plan detours -> install overlay routes.
+// measure -> catalogue TIVs -> plan detours -> run the pick as a steered
+// scheduler job.
 // Reacting to dynamic bottlenecks is the controller's job (ctrl_test).
 #include <gtest/gtest.h>
 
-#include "core/overlay.h"
+#include <map>
+#include <string>
+
 #include "core/planner.h"
 #include "core/tiv.h"
+#include "ctrl/scheduler.h"
 #include "measure/campaign.h"
 #include "scenario/north_america.h"
 #include "util/thread_pool.h"
@@ -113,36 +117,49 @@ TEST(Integration, PlannerSelectsPaperRoutesPerClient) {
   EXPECT_LT(gdrive.probe_bytes, 100 * util::kMB);
 }
 
-TEST(Integration, OverlayWorkflowInstallsPlannerDecisions) {
-  core::OverlayTable overlay;
+TEST(Integration, PlannerPickRunsAsASteeredSchedulerJob) {
+  constexpr std::uint64_t kBytes = 60 * util::kMB;
+  auto world = World::create(quiet());
+  const std::map<std::string, ctrl::PathSpec> paths = {
+      {"Direct", ctrl::PathSpec{}},
+      {"via UAlberta",
+       ctrl::PathSpec{
+           {world->intermediate_node(scenario::Intermediate::kUAlberta)}}}};
+
   core::DetourPlanner::Options options;
   options.probes_per_size = 1;
   core::DetourPlanner planner(options);
-  planner.add_candidate(
-      "Direct",
-      scenario::make_transfer_fn(Client::kUBC, ProviderKind::kGoogleDrive,
-                                 RouteChoice::kDirect, quiet()),
-      true);
-  planner.add_candidate(
-      "via UAlberta",
-      scenario::make_transfer_fn(Client::kUBC, ProviderKind::kGoogleDrive,
-                                 RouteChoice::kViaUAlberta, quiet()),
-      false);
-  const auto report = planner.plan(60 * util::kMB).value();
+  for (const auto& [key, path] : paths) {
+    planner.add_candidate(
+        key,
+        scenario::make_transfer_fn(Client::kUBC, ProviderKind::kGoogleDrive,
+                                   path.direct() ? RouteChoice::kDirect
+                                                 : RouteChoice::kViaUAlberta,
+                                   quiet()),
+        path.direct());
+  }
+  const auto report = planner.plan(kBytes).value();
+  ASSERT_EQ(report.decision.route_key, "via UAlberta");
 
-  core::OverlayEntry entry;
-  entry.client = "UBC";
-  entry.provider = "Google Drive";
-  entry.route_key = report.decision.route_key;
-  entry.expected_s = report.decision.expected_s;
-  entry.confidence = report.decision.confidence;
-  entry.decided_for_bytes = 60 * util::kMB;
-  overlay.install(entry);
+  // The planner's pick becomes the provider engine's steering, and the
+  // upload runs as a scheduler job.
+  ctrl::StaticSteering steering(paths.at(report.decision.route_key));
+  transfer::SteeredUploadEngine gdrive(
+      &world->fabric(), world->transfer_engine(),
+      &world->api_engine(ProviderKind::kGoogleDrive), &steering);
+  transfer::FileSpec file = transfer::make_file_mb(60, 9);
+  file.name = "planned-60mb";
+  ctrl::BatchScheduler scheduler(world->simulator(), 1);
+  ASSERT_TRUE(scheduler.submit(
+      {"planned", 0, world->client_node(Client::kUBC), gdrive, file}));
+  scheduler.start();
+  world->simulator().run();
 
-  const auto installed = overlay.lookup("UBC", "Google Drive");
-  ASSERT_TRUE(installed.has_value());
-  EXPECT_EQ(installed->route_key, "via UAlberta");
-  EXPECT_GT(installed->expected_s, 0.0);
+  ASSERT_EQ(scheduler.outcomes().size(), 1u);
+  const ctrl::JobOutcome& outcome = scheduler.outcomes()[0];
+  EXPECT_TRUE(outcome.success) << outcome.error;
+  EXPECT_EQ(outcome.decision.path, paths.at("via UAlberta"));
+  EXPECT_EQ(world->server(ProviderKind::kGoogleDrive).object_count(), 1u);
 }
 
 TEST(Integration, CampaignGridRunsInParallelDeterministically) {

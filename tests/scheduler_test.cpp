@@ -1,221 +1,301 @@
-// BatchScheduler, workload generator and histogram tests, including the
-// scheduler driving real transfers through the scenario world.
+// BatchScheduler, workload generator and histogram tests. The scheduler runs
+// real steered uploads through a quiet scenario world (no cross traffic).
 #include <gtest/gtest.h>
 
-#include "core/scheduler.h"
+#include <algorithm>
+#include <memory>
+
+#include "ctrl/scheduler.h"
 #include "measure/workload.h"
-#include "scenario/foreground.h"
 #include "scenario/north_america.h"
 #include "stats/histogram.h"
 #include "util/units.h"
 
-namespace droute::core {
+namespace droute::ctrl {
 namespace {
 
-// ------------------------------------------------------- pure scheduler ----
+using cloud::ProviderKind;
 
-/// Launcher driven by a simulator: jobs "run" for bytes/rate seconds.
-struct FakeExecutor {
-  sim::Simulator simulator;
-  double rate_bytes_per_s = 1e6;
-  std::vector<std::string> launch_order;
+/// A quiet World plus the pieces a scheduler job needs: a direct steering,
+/// steered engines, and jobs of a given size from one client.
+struct Site {
+  explicit Site(scenario::Client from = scenario::Client::kUBC)
+      : world(scenario::World::create({.seed = 1, .cross_traffic = false})),
+        client(world->client_node(from)) {}
 
-  BatchScheduler::Launcher launcher() {
-    return [this](const TransferJob& job, const std::string& route,
-                  std::function<void(bool, std::string)> done) {
-      launch_order.push_back(job.id + "@" + route);
-      simulator.schedule_in(
-          static_cast<double>(job.bytes) / rate_bytes_per_s,
-          [done = std::move(done)] { done(true, ""); });
-    };
+  transfer::SteeredUploadEngine engine(ProviderKind provider,
+                                       Steering& steering) {
+    return transfer::SteeredUploadEngine(&world->fabric(),
+                                         world->transfer_engine(),
+                                         &world->api_engine(provider),
+                                         &steering);
   }
-  std::function<double()> clock() {
-    return [this] { return simulator.now(); };
+
+  TransferJob job(std::string id, transfer::SteeredUploadEngine& engine,
+                  std::uint64_t bytes, int priority = 0) const {
+    transfer::FileSpec file = transfer::make_file_mb(
+        std::max<std::uint64_t>(1, bytes / util::kMB), 77);
+    file.bytes = bytes;
+    file.name = id;
+    return {std::move(id), priority, client, engine, std::move(file)};
   }
+
+  std::unique_ptr<scenario::World> world;
+  net::NodeId client;
+  StaticSteering direct;
 };
 
+std::vector<std::string> settle_order(const BatchScheduler& scheduler) {
+  std::vector<std::string> ids;
+  for (const auto& outcome : scheduler.outcomes()) ids.push_back(outcome.id);
+  return ids;
+}
+
 TEST(Scheduler, RunsJobsAndReportsOutcomes) {
-  FakeExecutor exec;
-  BatchScheduler scheduler({.max_concurrent = 2}, exec.clock(),
-                           exec.launcher());
+  Site site;
+  auto dropbox = site.engine(ProviderKind::kDropbox, site.direct);
+  BatchScheduler scheduler(site.world->simulator(), 2);
   for (int i = 0; i < 5; ++i) {
-    TransferJob job;
-    job.id = "job" + std::to_string(i);
-    job.client = "UBC";
-    job.provider = "Google Drive";
-    job.bytes = 1000000;
-    ASSERT_TRUE(scheduler.submit(job));
+    ASSERT_TRUE(scheduler.submit(
+        site.job("job" + std::to_string(i), dropbox, util::kMB)));
   }
   scheduler.start();
-  exec.simulator.run();
+  site.world->simulator().run();
   EXPECT_TRUE(scheduler.idle());
-  EXPECT_EQ(scheduler.outcomes().size(), 5u);
+  ASSERT_EQ(scheduler.outcomes().size(), 5u);
+  double first_start = scheduler.outcomes()[0].started_at;
+  double last_finish = 0.0;
+  double busy_s = 0.0;
   for (const auto& outcome : scheduler.outcomes()) {
-    EXPECT_TRUE(outcome.success);
-    EXPECT_NEAR(outcome.duration_s(), 1.0, 1e-9);
+    EXPECT_TRUE(outcome.success) << outcome.error;
+    EXPECT_TRUE(outcome.decision.path.direct());
+    EXPECT_GT(outcome.duration_s(), 0.0);
+    first_start = std::min(first_start, outcome.started_at);
+    last_finish = std::max(last_finish, outcome.finished_at);
+    busy_s += outcome.duration_s();
   }
-  // 5 jobs x 1 s at concurrency 2 => ceil(5/2) = 3 s makespan.
-  EXPECT_NEAR(scheduler.makespan_s(), 3.0, 1e-9);
+  // Makespan runs from the first start to the last finish, and two jobs
+  // at a time overlap, so it is shorter than the jobs back to back.
+  EXPECT_DOUBLE_EQ(scheduler.makespan_s(), last_finish - first_start);
+  EXPECT_LT(scheduler.makespan_s(), busy_s);
 }
 
 TEST(Scheduler, ConcurrencyBoundHeld) {
-  FakeExecutor exec;
-  int peak = 0;
-  BatchScheduler scheduler(
-      {.max_concurrent = 3}, exec.clock(),
-      [&](const TransferJob& job, const std::string&,
-          std::function<void(bool, std::string)> done) {
-        exec.simulator.schedule_in(
-            static_cast<double>(job.bytes) / 1e6,
-            [done = std::move(done)] { done(true, ""); });
-      });
+  Site site;
+  auto dropbox = site.engine(ProviderKind::kDropbox, site.direct);
+  BatchScheduler scheduler(site.world->simulator(), 3);
   for (int i = 0; i < 10; ++i) {
-    scheduler.submit({"j" + std::to_string(i), "c", "p", 500000, 0});
+    ASSERT_TRUE(scheduler.submit(
+        site.job("j" + std::to_string(i), dropbox, util::kMB / 2)));
   }
   scheduler.start();
-  while (exec.simulator.step()) {
+  int peak = scheduler.in_flight();
+  while (site.world->simulator().step()) {
     peak = std::max(peak, scheduler.in_flight());
   }
   EXPECT_EQ(peak, 3);
   EXPECT_TRUE(scheduler.idle());
+  EXPECT_EQ(scheduler.outcomes().size(), 10u);
 }
 
 TEST(Scheduler, PriorityOrderWithFifoTies) {
-  FakeExecutor exec;
-  BatchScheduler scheduler({.max_concurrent = 1}, exec.clock(),
-                           exec.launcher());
-  scheduler.submit({"low1", "c", "p", 1000, 0});
-  scheduler.submit({"high", "c", "p", 1000, 5});
-  scheduler.submit({"low2", "c", "p", 1000, 0});
+  Site site;
+  auto dropbox = site.engine(ProviderKind::kDropbox, site.direct);
+  BatchScheduler scheduler(site.world->simulator(), 1);
+  scheduler.submit(site.job("low1", dropbox, 1000));
+  scheduler.submit(site.job("high", dropbox, 1000, 5));
+  scheduler.submit(site.job("low2", dropbox, 1000));
+  EXPECT_EQ(scheduler.queued(), 3u);
   scheduler.start();
-  exec.simulator.run();
-  ASSERT_EQ(exec.launch_order.size(), 3u);
-  EXPECT_EQ(exec.launch_order[0], "high@Direct");
-  EXPECT_EQ(exec.launch_order[1], "low1@Direct");
-  EXPECT_EQ(exec.launch_order[2], "low2@Direct");
+  site.world->simulator().run();
+  EXPECT_EQ(settle_order(scheduler),
+            (std::vector<std::string>{"high", "low1", "low2"}));
 }
 
 TEST(Scheduler, OverlayRoutesJobs) {
-  FakeExecutor exec;
-  OverlayTable overlay;
-  OverlayEntry entry;
-  entry.client = "UBC";
-  entry.provider = "Google Drive";
-  entry.route_key = "via UAlberta";
-  overlay.install(entry);
-
-  BatchScheduler scheduler({.max_concurrent = 1}, exec.clock(),
-                           exec.launcher());
-  scheduler.use_overlay(&overlay);
-  scheduler.submit({"a", "UBC", "Google Drive", 1000, 0});
-  scheduler.submit({"b", "UBC", "Dropbox", 1000, 0});  // no entry -> direct
+  Site site;
+  const PathSpec via_ualberta{
+      {site.world->intermediate_node(scenario::Intermediate::kUAlberta)}};
+  StaticSteering overlay(via_ualberta);
+  auto gdrive = site.engine(ProviderKind::kGoogleDrive, overlay);
+  auto dropbox = site.engine(ProviderKind::kDropbox, site.direct);
+  BatchScheduler scheduler(site.world->simulator(), 1);
+  scheduler.submit(site.job("a", gdrive, 1000));
+  scheduler.submit(site.job("b", dropbox, 1000));
   scheduler.start();
-  exec.simulator.run();
-  EXPECT_EQ(exec.launch_order[0], "a@via UAlberta");
-  EXPECT_EQ(exec.launch_order[1], "b@Direct");
+  site.world->simulator().run();
+  ASSERT_EQ(scheduler.outcomes().size(), 2u);
+  EXPECT_EQ(scheduler.outcomes()[0].id, "a");
+  EXPECT_EQ(scheduler.outcomes()[0].decision.path, via_ualberta);
+  EXPECT_EQ(scheduler.outcomes()[1].id, "b");
+  EXPECT_TRUE(scheduler.outcomes()[1].decision.path.direct());
 }
 
 TEST(Scheduler, RejectsBadSubmissions) {
-  FakeExecutor exec;
-  BatchScheduler scheduler({.max_concurrent = 1}, exec.clock(),
-                           exec.launcher());
-  EXPECT_TRUE(scheduler.submit({"x", "c", "p", 10, 0}));
-  EXPECT_FALSE(scheduler.submit({"x", "c", "p", 10, 0}));  // duplicate id
-  EXPECT_FALSE(scheduler.submit({"y", "c", "p", 0, 0}));   // zero bytes
-  EXPECT_FALSE(scheduler.submit({"", "c", "p", 10, 0}));   // empty id
+  Site site;
+  auto dropbox = site.engine(ProviderKind::kDropbox, site.direct);
+  BatchScheduler scheduler(site.world->simulator(), 1);
+  EXPECT_TRUE(scheduler.submit(site.job("x", dropbox, 10)));
+  EXPECT_FALSE(scheduler.submit(site.job("x", dropbox, 10)));  // duplicate id
+  auto empty = site.job("y", dropbox, 10);
+  empty.file.bytes = 0;
+  EXPECT_FALSE(scheduler.submit(empty));                       // zero bytes
+  EXPECT_FALSE(scheduler.submit(site.job("", dropbox, 10)));   // empty id
+  EXPECT_EQ(scheduler.queued(), 1u);
 }
 
 TEST(Scheduler, LateSubmissionsRunWhileActive) {
-  FakeExecutor exec;
-  BatchScheduler scheduler({.max_concurrent = 1}, exec.clock(),
-                           exec.launcher());
+  Site site;
+  auto dropbox = site.engine(ProviderKind::kDropbox, site.direct);
+  BatchScheduler scheduler(site.world->simulator(), 1);
   scheduler.start();
-  scheduler.submit({"first", "c", "p", 1000000, 0});
-  exec.simulator.schedule_in(
-      0.5, [&] { scheduler.submit({"late", "c", "p", 1000000, 0}); });
-  exec.simulator.run();
-  EXPECT_EQ(scheduler.outcomes().size(), 2u);
+  scheduler.submit(site.job("first", dropbox, util::kMB));
+  site.world->simulator().schedule_in(0.5, [&] {
+    scheduler.submit(site.job("late", dropbox, util::kMB));
+  });
+  site.world->simulator().run();
+  EXPECT_EQ(settle_order(scheduler),
+            (std::vector<std::string>{"first", "late"}));
   EXPECT_TRUE(scheduler.idle());
 }
 
-TEST(Scheduler, FailuresRecorded) {
-  FakeExecutor exec;
-  BatchScheduler scheduler(
-      {.max_concurrent = 1}, exec.clock(),
-      [&](const TransferJob&, const std::string&,
-          std::function<void(bool, std::string)> done) {
-        exec.simulator.schedule_in(1.0, [done = std::move(done)] {
-          done(false, "link exploded");
-        });
-      });
-  scheduler.submit({"doomed", "c", "p", 10, 0});
-  scheduler.start();
-  exec.simulator.run();
-  ASSERT_EQ(scheduler.outcomes().size(), 1u);
-  EXPECT_FALSE(scheduler.outcomes()[0].success);
-  EXPECT_EQ(scheduler.outcomes()[0].error, "link exploded");
+/// Cuts every access link of the site's client, so each upload fails
+/// "no route to provider" before its first suspension.
+void isolate_client(Site& site) {
+  const std::vector<net::LinkId> access =
+      site.world->topology().out_links(site.client);
+  for (const net::LinkId link : access) site.world->fabric().fail_link(link);
 }
 
-// -------------------------------------------- scheduler over the scenario ----
+TEST(Scheduler, FailuresRecorded) {
+  Site site(scenario::Client::kPurdue);
+  isolate_client(site);
+  auto dropbox = site.engine(ProviderKind::kDropbox, site.direct);
+  BatchScheduler scheduler(site.world->simulator(), 1);
+  scheduler.submit(site.job("doomed", dropbox, util::kMB));
+  scheduler.start();
+  site.world->simulator().run();
+  ASSERT_EQ(scheduler.outcomes().size(), 1u);
+  EXPECT_FALSE(scheduler.outcomes()[0].success);
+  EXPECT_NE(scheduler.outcomes()[0].error.find("no route to provider"),
+            std::string::npos)
+      << scheduler.outcomes()[0].error;
+  EXPECT_TRUE(scheduler.idle());
+}
+
+TEST(Scheduler, InlineSettlingJobsKeepTheStackFlat) {
+  // Every job settles before its first suspension. Settling re-enters the
+  // pump; recursing once per job overflows an 8 MB stack near 10,000 jobs.
+  Site site(scenario::Client::kPurdue);
+  isolate_client(site);
+  auto dropbox = site.engine(ProviderKind::kDropbox, site.direct);
+  BatchScheduler scheduler(site.world->simulator(), 1);
+  constexpr int kJobs = 20000;
+  for (int i = 0; i < kJobs; ++i) {
+    ASSERT_TRUE(scheduler.submit(
+        site.job("j" + std::to_string(i), dropbox, util::kMB)));
+  }
+  scheduler.start();
+  EXPECT_TRUE(scheduler.idle());
+  ASSERT_EQ(scheduler.outcomes().size(), static_cast<std::size_t>(kJobs));
+  for (const auto& outcome : scheduler.outcomes()) {
+    ASSERT_FALSE(outcome.success);
+    ASSERT_NE(outcome.error.find("no route to provider"), std::string::npos)
+        << outcome.error;
+  }
+}
+
+/// Numbers each decision and counts the sessions reported back.
+class CountingSteering final : public Steering {
+ public:
+  Decision steer(net::NodeId client, std::uint64_t bytes) override {
+    (void)client;
+    (void)bytes;
+    Decision decision;
+    decision.epoch = ++steered;
+    decision.reason = "count " + std::to_string(steered);
+    return decision;
+  }
+  void observe_session(net::NodeId client, const Decision& decision,
+                       std::uint64_t bytes, double elapsed_s,
+                       bool success) override {
+    (void)client;
+    (void)bytes;
+    (void)elapsed_s;
+    (void)success;
+    observed.push_back(decision.epoch);
+  }
+
+  std::uint64_t steered = 0;
+  std::vector<std::uint64_t> observed;
+};
+
+TEST(Scheduler, OutcomesCarryTheDecisionSteerReturned) {
+  Site site;
+  CountingSteering counting;
+  auto dropbox = site.engine(ProviderKind::kDropbox, counting);
+  BatchScheduler scheduler(site.world->simulator(), 2);
+  for (int i = 0; i < 4; ++i) {
+    scheduler.submit(site.job("job" + std::to_string(i), dropbox, util::kMB));
+  }
+  scheduler.start();
+  site.world->simulator().run();
+  ASSERT_EQ(scheduler.outcomes().size(), 4u);
+  EXPECT_EQ(counting.steered, 4u);
+  // Jobs launch in submission order, so job i rode decision i + 1.
+  std::vector<std::uint64_t> rode;
+  for (const auto& outcome : scheduler.outcomes()) {
+    const std::uint64_t expected = std::stoull(outcome.id.substr(3)) + 1;
+    EXPECT_EQ(outcome.decision.epoch, expected) << outcome.id;
+    EXPECT_EQ(outcome.decision.reason, "count " + std::to_string(expected));
+    rode.push_back(outcome.decision.epoch);
+  }
+  // observe_session fired once per job, with the decision it rode.
+  EXPECT_EQ(counting.observed, rode);
+}
+
+TEST(Scheduler, DestructorCancelsAndDrainsInFlightJobs) {
+  Site site;
+  auto gdrive = site.engine(ProviderKind::kGoogleDrive, site.direct);
+  {
+    BatchScheduler scheduler(site.world->simulator(), 2);
+    scheduler.submit(site.job("big1", gdrive, 100 * util::kMB));
+    scheduler.submit(site.job("big2", gdrive, 100 * util::kMB));
+    scheduler.submit(site.job("queued", gdrive, 100 * util::kMB));
+    scheduler.start();
+    site.world->simulator().run_until(5.0);
+    ASSERT_EQ(scheduler.in_flight(), 2);
+  }
+  EXPECT_EQ(site.world->transfer_engine().batches_inflight(), 0u);
+  EXPECT_EQ(site.world->server(ProviderKind::kGoogleDrive).open_sessions(),
+            0u);
+  EXPECT_EQ(site.world->server(ProviderKind::kGoogleDrive).object_count(),
+            0u);
+}
 
 TEST(Scheduler, DrivesRealTransfersThroughTheWorld) {
-  scenario::WorldConfig config;
-  config.cross_traffic = false;
-  auto world = scenario::World::create(config);
-
-  OverlayTable overlay;
-  OverlayEntry entry;
-  entry.client = "UBC";
-  entry.provider = "Google Drive";
-  entry.route_key = "via UAlberta";
-  overlay.install(entry);
-
-  auto launcher = [&](const TransferJob& job, const std::string& route,
-                      std::function<void(bool, std::string)> done) {
-    const auto client = world->client_node(scenario::Client::kUBC);
-    const auto provider = job.provider == "Google Drive"
-                              ? cloud::ProviderKind::kGoogleDrive
-                              : cloud::ProviderKind::kDropbox;
-    transfer::FileSpec file = transfer::make_file_mb(
-        std::max<std::uint64_t>(1, job.bytes / util::kMB), 77);
-    file.bytes = job.bytes;
-    file.name = job.id;
-    auto report = [done](const auto& joined) {
-      const auto elapsed = scenario::fold_elapsed(joined);
-      done(elapsed.ok(), elapsed.ok() ? "" : elapsed.error().message);
-    };
-    if (route == "Direct") {
-      auto task = world->api_engine(provider).upload_task(client, file);
-      task.on_done(report);
-    } else {
-      auto task = world->detour_engine(provider).transfer_task(
-          client,
-          world->intermediate_node(scenario::Intermediate::kUAlberta), file);
-      task.on_done(report);
-    }
-  };
-
-  BatchScheduler scheduler({.max_concurrent = 2},
-                           [&] { return world->simulator().now(); },
-                           launcher);
-  scheduler.use_overlay(&overlay);
-  scheduler.submit({"gdrive-20mb", "UBC", "Google Drive", 20 * util::kMB, 0});
-  scheduler.submit({"dropbox-20mb", "UBC", "Dropbox", 20 * util::kMB, 0});
+  Site site;
+  StaticSteering overlay(PathSpec{
+      {site.world->intermediate_node(scenario::Intermediate::kUAlberta)}});
+  auto gdrive = site.engine(ProviderKind::kGoogleDrive, overlay);
+  auto dropbox = site.engine(ProviderKind::kDropbox, site.direct);
+  BatchScheduler scheduler(site.world->simulator(), 2);
+  scheduler.submit(site.job("gdrive-20mb", gdrive, 20 * util::kMB));
+  scheduler.submit(site.job("dropbox-20mb", dropbox, 20 * util::kMB));
   scheduler.start();
-  world->simulator().run();
+  site.world->simulator().run();
 
   ASSERT_EQ(scheduler.outcomes().size(), 2u);
   for (const auto& outcome : scheduler.outcomes()) {
     EXPECT_TRUE(outcome.success) << outcome.error;
   }
-  EXPECT_EQ(world->server(cloud::ProviderKind::kGoogleDrive).object_count(),
-            1u);
-  EXPECT_EQ(world->server(cloud::ProviderKind::kDropbox).object_count(), 1u);
+  EXPECT_EQ(site.world->server(ProviderKind::kGoogleDrive).object_count(), 1u);
+  EXPECT_EQ(site.world->server(ProviderKind::kDropbox).object_count(), 1u);
   EXPECT_GT(scheduler.makespan_s(), 0.0);
 }
 
 }  // namespace
-}  // namespace droute::core
+}  // namespace droute::ctrl
 
 // ---------------------------------------------------------------- workload ----
 namespace droute::measure {

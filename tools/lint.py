@@ -34,10 +34,11 @@ Rules, all scoped to src/:
                 structs threaded through callbacks are the pattern this
                 repo migrated away from.
   task-shim     no include of the deleted transfer/task_shim.h, and (in
-                src/transfer/ only) no `using Callback = std::function`
-                alias. Each transfer engine has one entry point, its
-                sim::Task<T> coroutine (DESIGN.md §10); a callback alias is
-                how a second, callback-style API beside it starts.
+                src/transfer/ and src/ctrl/) no `using <Name> =
+                std::function` alias. Each transfer engine has one entry
+                point, its sim::Task<T> coroutine, and the batch scheduler
+                runs jobs as sim::Tasks (DESIGN.md §10); a callback alias
+                is how a second, callback-style API beside them starts.
   fabric-flow   `start_flow(` is called only from src/net/ and
                 src/transfer/sim_transport.cpp, and nothing includes the
                 deleted net/fabric_await.h. Simulated bytes move through
@@ -108,11 +109,13 @@ JOB_STATE_SCOPE = ("src", "transfer")
 
 # The callback-shim header died with the batched TransferEngine rewrite
 # (DESIGN.md §15), and the per-engine callback entry points after it: each
-# engine is driven through its sim::Task<T> coroutine alone. No include may
-# resurrect the header, and no src/transfer/ engine may declare a callback
+# engine is driven through its sim::Task<T> coroutine alone, and the batch
+# scheduler's launcher callback after those. No include may resurrect the
+# header, and no src/transfer/ or src/ctrl/ type may declare a callback
 # alias again.
 TASK_SHIM_RE = re.compile(r"#\s*include\s*[\"<][^\">]*task_shim\.h[\">]")
-CALLBACK_ALIAS_RE = re.compile(r"\busing\s+Callback\s*=\s*std::function\b")
+CALLBACK_ALIAS_RE = re.compile(r"\busing\s+\w+\s*=\s*std::function\b")
+CALLBACK_ALIAS_SCOPES = (("src", "transfer"), ("src", "ctrl"))
 
 # One way onto the fabric: outside the fabric's own package, only the sim
 # transport behind the batch layer starts flows (DESIGN.md §15), and the
@@ -233,6 +236,7 @@ class Linter:
             stripped.append(code)
 
         in_transfer = rel.parts[: len(JOB_STATE_SCOPE)] == JOB_STATE_SCOPE
+        no_callback_alias = rel.parts[:2] in CALLBACK_ALIAS_SCOPES
         may_start_flows = (
             rel.parts[: len(START_FLOW_ALLOWED_DIR)] == START_FLOW_ALLOWED_DIR
             or rel in START_FLOW_ALLOWED_FILES
@@ -248,6 +252,7 @@ class Linter:
                                    may_start_flows)
             if in_transfer:
                 self.check_job_state(path, line_no, code)
+            if no_callback_alias:
                 self.check_callback_alias(path, line_no, code)
         if path.suffix == ".h":
             self.check_nodiscard(path, stripped)
@@ -294,9 +299,10 @@ class Linter:
         if CALLBACK_ALIAS_RE.search(code):
             self.report(
                 path, line_no, "task-shim",
-                "callback alias in a transfer engine — expose the sim::Task "
-                "coroutine as the one entry point and let callers co_await "
-                "it, drive() it or bind on_done (DESIGN.md §10)",
+                "callback alias in the transfer or control layer — expose "
+                "the sim::Task coroutine as the one entry point and let "
+                "callers co_await it, drive() it or bind on_done "
+                "(DESIGN.md §10)",
             )
 
     def check_fabric_flow(
