@@ -19,7 +19,7 @@
 //     deadline and then finishes),
 //   * flow_leak / session_leak — no active flows, no open upload sessions
 //     after the drain,
-//   * quiescent        — simulator fully drained, no cancelled backlog,
+//   * quiescent        — simulator fully drained (no pending events),
 //   * detour_identity  — successful store-and-forward detours satisfy
 //     duration == leg1 + leg2 (within fluid rounding slack),
 //   * ctrl_no_dead_steer — when steered work is present, every routable

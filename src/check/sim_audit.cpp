@@ -33,11 +33,6 @@ util::Status SimAuditor::audit_quiescent() const {
         "simulator leaked " + std::to_string(simulator_->pending()) +
         " pending event(s) after drain");
   }
-  if (simulator_->cancelled_backlog() != 0) {
-    return util::Status::failure(
-        "simulator retains " + std::to_string(simulator_->cancelled_backlog()) +
-        " cancelled heap entr(y/ies) after drain");
-  }
   return util::Status::success();
 }
 

@@ -3,8 +3,8 @@
 // Two classes of invariant:
 //   * the clock never moves backwards while events fire (checked live via
 //     the simulator's step observer),
-//   * a drained simulation leaks nothing: no pending events, no cancelled
-//     backlog waiting in the heap (checked at quiescence).
+//   * a drained simulation leaks nothing: no pending events (checked at
+//     quiescence).
 //
 // Usage in tests:
 //   sim::Simulator simulator;
@@ -41,8 +41,7 @@ class SimAuditor {
   sim::Time last_event_time() const { return last_time_; }
 
   /// Checks the simulator is fully drained: no pending events (a pending
-  /// event after run() means some component leaked a timer) and no
-  /// cancelled entries still occupying the heap.
+  /// event after run() means some component leaked a timer).
   [[nodiscard]] util::Status audit_quiescent() const;
 
  private:

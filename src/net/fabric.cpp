@@ -312,60 +312,17 @@ void Fabric::push_finish(std::uint32_t slot) {
     finish_s = simulator_->now();  // already done, just needs the event
   }
   if (!std::isfinite(finish_s)) {
-    heap_erase(slot);
+    finish_heap_.erase(slot);
     return;
   }
   cell.finish_s = finish_s;
-  if (cell.heap_pos == kNotQueued) {
-    cell.heap_pos = static_cast<std::uint32_t>(finish_heap_.size());
-    finish_heap_.push_back(slot);
-  }
-  heap_fix(cell.heap_pos);
-}
-
-void Fabric::heap_fix(std::size_t pos) {
-  const std::uint32_t slot = finish_heap_[pos];
-  const double key = slots_[slot].finish_s;
-  const auto place = [this](std::size_t at, std::uint32_t s) {
-    finish_heap_[at] = s;
-    slots_[s].heap_pos = static_cast<std::uint32_t>(at);
-  };
-  while (pos > 0) {
-    const std::size_t parent = (pos - 1) / 2;
-    if (slots_[finish_heap_[parent]].finish_s <= key) break;
-    place(pos, finish_heap_[parent]);
-    pos = parent;
-  }
-  // A slot that moved up already keys no later than its new children; only
-  // a slot that stayed put can need to sink.
-  const std::size_t size = finish_heap_.size();
-  for (std::size_t child = 2 * pos + 1; child < size; child = 2 * pos + 1) {
-    if (child + 1 < size && slots_[finish_heap_[child + 1]].finish_s <
-                                slots_[finish_heap_[child]].finish_s) {
-      ++child;
-    }
-    if (slots_[finish_heap_[child]].finish_s >= key) break;
-    place(pos, finish_heap_[child]);
-    pos = child;
-  }
-  place(pos, slot);
-}
-
-void Fabric::heap_erase(std::uint32_t slot) {
-  const std::uint32_t pos = slots_[slot].heap_pos;
-  if (pos == kNotQueued) return;
-  slots_[slot].heap_pos = kNotQueued;
-  const std::uint32_t last = finish_heap_.back();
-  finish_heap_.pop_back();
-  if (pos == finish_heap_.size()) return;  // erased the last entry
-  finish_heap_[pos] = last;
-  heap_fix(pos);
+  finish_heap_.update(slot);
 }
 
 void Fabric::resync_completion_event() {
   const sim::Time want = finish_heap_.empty()
                              ? sim::kTimeInfinity
-                             : slots_[finish_heap_.front()].finish_s;
+                             : slots_[finish_heap_.top()].finish_s;
   if (want == scheduled_finish_) return;
   if (completion_event_.valid()) {
     simulator_->cancel(completion_event_);
@@ -503,7 +460,7 @@ void Fabric::release_parked_classes() {
 Fabric::Flow Fabric::extract_flow(std::uint32_t slot) {
   Slot& cell = slots_[slot];
   DROUTE_CHECK(cell.id != 0, "extract of a free slot");
-  heap_erase(slot);
+  finish_heap_.erase(slot);
   if (cell.flow.activated) leave_class(slot);
   slot_index_.erase(cell.id);
   cell.id = 0;
@@ -713,9 +670,9 @@ void Fabric::on_completion_event() {
   const sim::Time now = simulator_->now();
   std::vector<std::pair<FlowId, std::uint32_t>> done_order;
   while (!finish_heap_.empty()) {
-    const std::uint32_t slot = finish_heap_.front();
+    const std::uint32_t slot = finish_heap_.top();
     if (slots_[slot].finish_s > now) break;
-    heap_erase(slot);
+    finish_heap_.pop();
     Flow& flow = slots_[slot].flow;
     advance_flow(flow, flow.rate_bps);
     if (drained(flow.remaining_bytes, flow.rate_bps)) {

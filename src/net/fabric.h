@@ -64,6 +64,7 @@
 #include "net/tcp_model.h"
 #include "net/topology.h"
 #include "sim/simulator.h"
+#include "util/indexed_heap.h"
 #include "util/result.h"
 
 namespace droute::obs {
@@ -212,7 +213,6 @@ class Fabric {
   std::vector<LinkLoad> link_loads() const;
 
  private:
-  static constexpr std::uint32_t kNotQueued = 0xffffffffu;
   static constexpr std::uint32_t kNoSlot = 0xffffffffu;
   static constexpr std::uint32_t kNoClass = 0xffffffffu;
 
@@ -232,13 +232,20 @@ class Fabric {
 
   /// One dense storage cell; `id == 0` marks a free slot. Slots are reused
   /// LIFO, so slot assignment is deterministic for a given event history.
-  /// While the flow has a finite finish time the slot sits in finish_heap_
-  /// at `heap_pos`, keyed by `finish_s`; otherwise `heap_pos == kNotQueued`.
+  /// While the flow has a finite finish time the slot is queued in
+  /// finish_heap_, keyed by `finish_s`.
   struct Slot {
     FlowId id = 0;
-    std::uint32_t heap_pos = kNotQueued;
     double finish_s = 0.0;   // absolute finish time (valid while queued)
     Flow flow;
+  };
+
+  // Orders finish_heap_ by Slot::finish_s.
+  struct FinishLess {
+    const std::vector<Slot>* slots;
+    bool operator()(std::uint32_t a, std::uint32_t b) const {
+      return (*slots)[a].finish_s < (*slots)[b].finish_s;
+    }
   };
 
   /// The activated flows that share one (route links, cap_bps): the unit the
@@ -288,12 +295,6 @@ class Fabric {
   // inserts or sifts the slot when the finish is finite, erases it from the
   // heap otherwise (e.g. a flow frozen at rate 0).
   void push_finish(std::uint32_t slot);
-
-  // Indexed-heap primitives over finish_heap_: heap_fix restores the heap
-  // order around `pos` after its key changed (sifting up or down, updating
-  // every moved slot's heap_pos); heap_erase removes `slot` if queued.
-  void heap_fix(std::size_t pos);
-  void heap_erase(std::uint32_t slot);
 
   // Points completion_event_ at the heap's minimum finish time,
   // cancelling/rescheduling only when that minimum changed.
@@ -386,9 +387,9 @@ class Fabric {
   std::vector<std::uint32_t> unfrozen_;
 
   FlowId next_flow_id_ = 1;
-  // Indexed binary min-heap of slots keyed by Slot::finish_s: exactly the
-  // live flows with a finite finish time, each once (Slot::heap_pos).
-  std::vector<std::uint32_t> finish_heap_;
+  // Slots keyed by Slot::finish_s: exactly the live flows with a finite
+  // finish time, each once.
+  util::IndexedHeap<FinishLess> finish_heap_{FinishLess{&slots_}};
   // Finish time completion_event_ targets; infinity when none is scheduled.
   sim::Time scheduled_finish_ = sim::kTimeInfinity;
   sim::EventId completion_event_;

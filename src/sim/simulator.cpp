@@ -14,10 +14,20 @@ Simulator::Simulator()
 EventId Simulator::schedule_at(Time at, Handler handler) {
   DROUTE_CHECK(at >= now_, "event scheduled in the past");
   DROUTE_CHECK(handler != nullptr, "null event handler");
-  const std::uint64_t seq = next_seq_++;
-  heap_.push(Entry{at, seq, seq});
-  handlers_.emplace(seq, std::move(handler));
-  return EventId{seq};
+  std::uint32_t slot;
+  if (!free_events_.empty()) {
+    slot = free_events_.back();
+    free_events_.pop_back();
+  } else {
+    slot = static_cast<std::uint32_t>(events_.size());
+    events_.emplace_back();
+  }
+  Event& event = events_[slot];
+  event.at = at;
+  event.seq = next_seq_++;
+  event.handler = std::move(handler);
+  queue_.update(slot);
+  return EventId{slot, event.generation};
 }
 
 EventId Simulator::schedule_in(Time delay, Handler handler) {
@@ -25,43 +35,42 @@ EventId Simulator::schedule_in(Time delay, Handler handler) {
   return schedule_at(now_ + delay, std::move(handler));
 }
 
-bool Simulator::cancel(EventId id) {
-  // The handler table is the single source of liveness: erasing the handler
-  // IS the cancellation. The heap entry is reclaimed lazily when it surfaces.
-  if (!id.valid()) return false;
-  return handlers_.erase(id.value) > 0;
+Simulator::Handler Simulator::release(std::uint32_t slot) {
+  Event& event = events_[slot];
+  Handler handler = std::move(event.handler);
+  event.handler = nullptr;
+  if (++event.generation == 0) event.generation = 1;  // 0 marks "no event"
+  free_events_.push_back(slot);
+  return handler;
 }
 
-void Simulator::skim_cancelled() const {
-  while (!heap_.empty() &&
-         handlers_.find(heap_.top().id) == handlers_.end()) {
-    heap_.pop();
+bool Simulator::cancel(EventId id) {
+  // A matching generation means the slot still holds the event `id` named,
+  // which is therefore queued.
+  if (!id.valid() || id.slot >= events_.size() ||
+      events_[id.slot].generation != id.generation) {
+    return false;
   }
+  queue_.erase(id.slot);
+  // The handler dies here, after the slot is free: whatever its captures'
+  // destructors schedule or cancel sees a consistent queue.
+  release(id.slot);
+  return true;
 }
 
 Time Simulator::next_event_time() const {
-  skim_cancelled();
-  return heap_.empty() ? kTimeInfinity : heap_.top().at;
+  return queue_.empty() ? kTimeInfinity : events_[queue_.top()].at;
 }
 
 bool Simulator::step() {
-  // Skim and handler lookup fused: the first heap entry with a registered
-  // handler is the next live event, so one hash probe serves both purposes.
-  auto it = handlers_.end();
-  Entry entry{};
-  for (;;) {
-    if (heap_.empty()) return false;
-    entry = heap_.top();
-    it = handlers_.find(entry.id);
-    if (it != handlers_.end()) break;
-    heap_.pop();  // cancelled twin: reclaim lazily
-  }
-  heap_.pop();
-  DROUTE_CHECK(entry.at >= now_, "event queue time went backwards");
-  now_ = entry.at;
+  if (queue_.empty()) return false;
+  const std::uint32_t slot = queue_.pop();
+  const Time at = events_[slot].at;
+  DROUTE_CHECK(at >= now_, "event queue time went backwards");
+  now_ = at;
+  // The slot is free before the handler runs, which may schedule into it.
+  Handler handler = release(slot);
   if (step_observer_) step_observer_(now_);
-  Handler handler = std::move(it->second);
-  handlers_.erase(it);
   ++executed_;
   obs::add(obs_events_executed_);
   obs::set(obs_queue_depth_, static_cast<double>(pending()));

@@ -6,17 +6,19 @@
 //
 // The kernel knows nothing about networks — the net/ and transfer/ layers
 // schedule events here. Handlers may schedule further events and cancel
-// pending ones (cancellation is lazy: cancelled events are skipped when
-// popped, which keeps scheduling O(log n)).
+// pending ones. Pending events live in reusable slots ordered by an indexed
+// heap (util::IndexedHeap, shared with the fabric's finish heap), so
+// scheduling, cancelling and firing are each O(log n) and a cancelled event
+// leaves nothing behind.
 #pragma once
 
 #include <cmath>
 #include <cstdint>
 #include <functional>
 #include <limits>
-#include <queue>
-#include <unordered_map>
 #include <vector>
+
+#include "util/indexed_heap.h"
 
 namespace droute::obs {
 class Counter;
@@ -40,10 +42,14 @@ inline bool time_ne(Time a, Time b, Time eps = 0.0) {
   return !time_eq(a, b, eps);
 }
 
-/// Identifies a scheduled event so it can be cancelled.
+/// Identifies a scheduled event so it can be cancelled: the event's slot
+/// and the slot's generation when it was scheduled. A slot's generation
+/// moves on whenever its event fires or is cancelled, so a stale id never
+/// matches a later event that reuses the slot.
 struct EventId {
-  std::uint64_t value = 0;
-  bool valid() const { return value != 0; }
+  std::uint32_t slot = 0;
+  std::uint32_t generation = 0;  // 0: no event
+  bool valid() const { return generation != 0; }
 };
 
 class Simulator {
@@ -65,14 +71,13 @@ class Simulator {
   /// Schedules `handler` to run `delay` seconds from now (delay >= 0).
   EventId schedule_in(Time delay, Handler handler);
 
-  /// Cancels a pending event. Cancelling an already-fired or unknown event
-  /// is a no-op returning false.
+  /// Cancels a pending event, removing it from the queue. Cancelling an
+  /// already-fired, already-cancelled or unknown event is a no-op returning
+  /// false.
   bool cancel(EventId id);
 
-  /// Number of pending (non-cancelled) events. Exact: a live event has its
-  /// handler registered, so this never miscounts against heap entries whose
-  /// cancelled twins were already lazily skimmed off the heap.
-  std::size_t pending() const { return handlers_.size(); }
+  /// Number of pending events: exactly the queued ones.
+  std::size_t pending() const { return queue_.size(); }
 
   /// Time of the next pending event, or kTimeInfinity when idle.
   Time next_event_time() const;
@@ -91,14 +96,10 @@ class Simulator {
   /// Total events executed over the simulator's lifetime.
   std::uint64_t executed_events() const { return executed_; }
 
-  /// Cancelled entries still parked in the heap (lazily reclaimed). Every
-  /// live event has exactly one heap entry and one handler, so the backlog
-  /// is the difference. A large backlog after a drain signals a component
-  /// cancelling timers it never lets expire; check::SimAuditor audits this
-  /// at quiescence.
-  std::size_t cancelled_backlog() const {
-    return heap_.size() - handlers_.size();
-  }
+  /// Always 0: cancel() removes the event from the queue in place, so no
+  /// cancelled entry is ever left behind. Kept for the benchmark's traced
+  /// `sim.peak_cancelled_backlog` / `sim.dead_entry_ratio` layer metrics.
+  std::size_t cancelled_backlog() const { return 0; }
 
   /// Observer invoked at the top of every executed event, after the clock
   /// advances but before the handler runs. One observer at a time (last
@@ -109,29 +110,36 @@ class Simulator {
   }
 
  private:
-  struct Entry {
-    Time at;
-    std::uint64_t seq;  // tie-break: FIFO among same-time events
-    std::uint64_t id;
+  /// One event slot. Free slots keep their generation and hold no handler.
+  struct Event {
+    Time at = 0.0;
+    std::uint64_t seq = 0;  // tie-break: FIFO among same-time events
+    std::uint32_t generation = 1;
+    Handler handler;
   };
-  struct EntryLater {
-    bool operator()(const Entry& a, const Entry& b) const {
-      if (a.at != b.at) return a.at > b.at;
-      return a.seq > b.seq;
+
+  // Orders queue_ by (at, seq), a strict total order: events fire in time
+  // order, same-time events in scheduling order.
+  struct EventBefore {
+    const std::vector<Event>* events;
+    bool operator()(std::uint32_t a, std::uint32_t b) const {
+      const Event& x = (*events)[a];
+      const Event& y = (*events)[b];
+      if (x.at != y.at) return x.at < y.at;
+      return x.seq < y.seq;
     }
   };
 
-  // Pops cancelled entries off the heap top.
-  void skim_cancelled() const;
+  // Returns `slot` to the free list and its handler to the caller; the
+  // slot's generation moves on so outstanding ids for it go stale.
+  Handler release(std::uint32_t slot);
 
   Time now_ = 0.0;
   std::uint64_t next_seq_ = 1;
   std::uint64_t executed_ = 0;
-  // Handlers are stored out-of-heap so Entry stays trivially copyable. The
-  // handler table doubles as the liveness set: cancel() erases the handler
-  // and the orphaned heap entry is skipped when it reaches the top.
-  mutable std::priority_queue<Entry, std::vector<Entry>, EntryLater> heap_;
-  std::unordered_map<std::uint64_t, Handler> handlers_;
+  std::vector<Event> events_;
+  std::vector<std::uint32_t> free_events_;  // reused LIFO
+  util::IndexedHeap<EventBefore> queue_{EventBefore{&events_}};
   StepObserver step_observer_;
   // obs handles (null when recording is disabled at construction).
   obs::Counter* obs_events_executed_ = nullptr;

@@ -5,6 +5,7 @@
 #include <vector>
 
 #include "obs/recorder.h"
+#include "transfer/leg.h"
 #include "util/logging.h"
 
 namespace droute::transfer {
@@ -25,20 +26,6 @@ void emit_detour_span(const DetourResult& result) {
                  {{"mode", mode_name(result.mode)},
                   {"bytes", std::to_string(result.payload_bytes)},
                   {"ok", result.success ? "1" : "0"}});
-}
-
-/// Folds a leg task's join result back into the leg's own result struct:
-/// a leg that unwound exceptionally (or was cancelled) reads as a failed
-/// leg with the Task error as its message.
-template <typename Leg>
-Leg unwrap_leg(const util::Result<Leg>& joined, double now) {
-  if (joined.ok()) return joined.value();
-  Leg failed{};
-  failed.success = false;
-  failed.error = joined.error().message;
-  failed.start_time = now;
-  failed.end_time = now;
-  return failed;
 }
 
 }  // namespace

@@ -3,26 +3,9 @@
 #include <utility>
 
 #include "obs/recorder.h"
+#include "transfer/leg.h"
 
 namespace droute::transfer {
-
-namespace {
-
-/// Folds a leg task's join result back into the leg's own result struct
-/// (same policy as detour.cpp: cancellation / escaped exceptions read as a
-/// failed leg).
-template <typename Leg>
-Leg unwrap_leg(const util::Result<Leg>& joined, double now) {
-  if (joined.ok()) return joined.value();
-  Leg failed{};
-  failed.success = false;
-  failed.error = joined.error().message;
-  failed.start_time = now;
-  failed.end_time = now;
-  return failed;
-}
-
-}  // namespace
 
 sim::Task<SteeredResult> SteeredUploadEngine::upload_task(
     net::NodeId client, FileSpec file, SteeredOptions options) {

@@ -83,7 +83,8 @@ TEST(Simulator, CancelPreventsExecution) {
   EXPECT_TRUE(simulator.cancel(id));
   simulator.run();
   EXPECT_FALSE(fired);
-  audit.expect_drained();  // the cancelled entry must be reclaimed by run()
+  EXPECT_EQ(simulator.pending(), 0u);  // cancel() removed it from the queue
+  audit.expect_drained();
 }
 
 TEST(Simulator, CancelTwiceIsNoop) {
@@ -158,17 +159,15 @@ TEST(Simulator, CancelFromWithinHandler) {
 }
 
 TEST(Simulator, PendingCountsExactlyTheLiveEvents) {
-  // pending() must stay exact through every cancel/fire interleaving — it
-  // counts registered handlers, not heap entries, so lazily-skimmed
-  // cancelled twins never inflate it.
+  // pending() must stay exact through every cancel/fire interleaving: it is
+  // the queue's size, and cancel() erases the event from the queue in place.
   Simulator simulator;
   const EventId a = simulator.schedule_in(1.0, [] {});
   const EventId b = simulator.schedule_in(2.0, [] {});
   const EventId c = simulator.schedule_in(3.0, [] {});
   EXPECT_EQ(simulator.pending(), 3u);
 
-  // Cancel the middle event: its heap twin is still enqueued (skimmed only
-  // when it reaches the top), but it is no longer pending.
+  // Cancel the middle event: it leaves the queue at once, from below the top.
   EXPECT_TRUE(simulator.cancel(b));
   EXPECT_EQ(simulator.pending(), 2u);
 
@@ -182,8 +181,47 @@ TEST(Simulator, PendingCountsExactlyTheLiveEvents) {
 
   EXPECT_TRUE(simulator.cancel(c));
   EXPECT_EQ(simulator.pending(), 0u);
-  EXPECT_FALSE(simulator.step());  // only cancelled twins left in the heap
+  EXPECT_FALSE(simulator.step());  // nothing left to fire
   EXPECT_EQ(simulator.pending(), 0u);
+}
+
+TEST(Simulator, StaleEventIdCannotCancelAReusedSlot) {
+  // A freed slot is reused by the next schedule; the id of the event that
+  // held it before must not reach the new event.
+  Simulator simulator;
+  const EventId fired = simulator.schedule_at(1.0, [] {});
+  ASSERT_TRUE(simulator.step());
+  bool after_fire = false;
+  const EventId reuse_fired =
+      simulator.schedule_at(2.0, [&] { after_fire = true; });
+  ASSERT_EQ(reuse_fired.slot, fired.slot);
+  EXPECT_FALSE(simulator.cancel(fired));
+  EXPECT_EQ(simulator.pending(), 1u);
+
+  const EventId cancelled = simulator.schedule_at(3.0, [] {});
+  ASSERT_TRUE(simulator.cancel(cancelled));
+  bool after_cancel = false;
+  const EventId reuse_cancelled =
+      simulator.schedule_at(4.0, [&] { after_cancel = true; });
+  ASSERT_EQ(reuse_cancelled.slot, cancelled.slot);
+  EXPECT_FALSE(simulator.cancel(cancelled));
+  EXPECT_EQ(simulator.pending(), 2u);
+
+  // A handler's own id is stale while it runs: its slot is already free.
+  EventId self;
+  bool after_self = false;
+  self = simulator.schedule_at(5.0, [&] {
+    const EventId next =
+        simulator.schedule_in(1.0, [&] { after_self = true; });
+    EXPECT_EQ(next.slot, self.slot);
+    EXPECT_FALSE(simulator.cancel(self));
+  });
+
+  simulator.run();
+  EXPECT_TRUE(after_fire);
+  EXPECT_TRUE(after_cancel);
+  EXPECT_TRUE(after_self);
+  EXPECT_EQ(simulator.executed_events(), 5u);
 }
 
 TEST(Simulator, PendingTracksHandlersThatScheduleMore) {

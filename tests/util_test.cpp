@@ -1,14 +1,18 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <atomic>
 #include <cmath>
+#include <cstdint>
 #include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "check/contract.h"
 #include "util/blob.h"
+#include "util/indexed_heap.h"
 #include "util/logging.h"
 #include "util/result.h"
 #include "util/rng.h"
@@ -18,6 +22,84 @@
 
 namespace droute::util {
 namespace {
+
+// --------------------------------------------------------- indexed heap ----
+
+TEST(IndexedHeap, MatchesASortedOracleUnderRandomOps) {
+  // Keys from a small range so duplicates are common; ids from a small
+  // range so pushes often re-key an id that is already queued.
+  constexpr std::uint32_t kIds = 48;
+  std::vector<int> keys(kIds, 0);
+  const auto less = [&keys](std::uint32_t a, std::uint32_t b) {
+    return keys[a] < keys[b];
+  };
+  IndexedHeap<decltype(less)> heap(less);
+  std::vector<std::pair<int, std::uint32_t>> oracle;  // sorted (key, id)
+  const auto oracle_find = [&](std::uint32_t id) {
+    return std::lower_bound(oracle.begin(), oracle.end(),
+                            std::make_pair(keys[id], id));
+  };
+  const auto queued = [&](std::uint32_t id) {
+    const auto it = oracle_find(id);
+    return it != oracle.end() && it->second == id;
+  };
+
+  Rng rng(20231);
+  int rekeyed_up = 0;
+  int rekeyed_down = 0;
+  int erased_inside = 0;
+  for (int op = 0; op < 40000; ++op) {
+    const auto id = static_cast<std::uint32_t>(rng.uniform_int(0, kIds - 1));
+    switch (rng.uniform_int(0, 3)) {
+      case 0:
+      case 1: {  // push, or re-key a queued id
+        const int key = static_cast<int>(rng.uniform_int(0, 11));
+        if (queued(id)) {
+          oracle.erase(oracle_find(id));
+          rekeyed_up += key > keys[id];
+          rekeyed_down += key < keys[id];
+        }
+        keys[id] = key;
+        heap.update(id);
+        oracle.insert(oracle_find(id), {key, id});
+        break;
+      }
+      case 2: {  // erase, often from the middle
+        const bool was_queued = queued(id);
+        if (was_queued) {
+          erased_inside += heap.top() != id;
+          oracle.erase(oracle_find(id));
+        }
+        EXPECT_EQ(heap.erase(id), was_queued);
+        break;
+      }
+      default: {  // pop
+        if (oracle.empty()) break;
+        const std::uint32_t top = heap.pop();
+        ASSERT_EQ(keys[top], oracle.front().first);
+        ASSERT_TRUE(queued(top));
+        oracle.erase(oracle_find(top));
+        break;
+      }
+    }
+    ASSERT_EQ(heap.size(), oracle.size());
+    ASSERT_EQ(heap.contains(id), queued(id));
+    if (!oracle.empty()) ASSERT_EQ(keys[heap.top()], oracle.front().first);
+  }
+  EXPECT_GT(rekeyed_up, 0);
+  EXPECT_GT(rekeyed_down, 0);
+  EXPECT_GT(erased_inside, 0);
+
+  while (!heap.empty()) {
+    const std::uint32_t top = heap.pop();
+    ASSERT_EQ(keys[top], oracle.front().first);
+    ASSERT_TRUE(queued(top));
+    oracle.erase(oracle_find(top));
+  }
+  EXPECT_TRUE(oracle.empty());
+  EXPECT_FALSE(heap.contains(kIds + 100));  // never pushed: no position
+  EXPECT_FALSE(heap.erase(kIds + 100));
+}
 
 // ---------------------------------------------------------------- units ----
 

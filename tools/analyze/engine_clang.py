@@ -176,12 +176,23 @@ def augment_model(
             ):
                 result = cursor.result_type.get_canonical().spelling
                 if _TASK_RESULT_RE.search(result):
-                    model.task_functions.add(cursor.spelling)
+                    parent = cursor.semantic_parent
+                    if parent is not None and parent.kind in _CLASS_KINDS:
+                        model.task_methods.add(
+                            (parent.spelling, cursor.spelling)
+                        )
+                    else:
+                        model.task_functions.add(cursor.spelling)
         except ValueError:
             # unknown cursor kind in this libclang build — skip, the
             # structural model already covers the file
             pass
 
+    _CLASS_KINDS = (
+        cindex.CursorKind.CLASS_DECL,
+        cindex.CursorKind.STRUCT_DECL,
+        cindex.CursorKind.CLASS_TEMPLATE,
+    )
     walk(tu.cursor)
     model.engine = "clang"
     return warnings

@@ -114,7 +114,11 @@ class FileModel:
     task_fields: list[TaskField] = field(default_factory=list)
     unordered_vars: set[str] = field(default_factory=set)
     unordered_types: set[str] = field(default_factory=set)
+    # Task-returning functions: free ones by bare name, member coroutines as
+    # (class, name) so a method name shared with another class's plain
+    # method does not turn that method's calls into task calls.
     task_functions: set[str] = field(default_factory=set)
+    task_methods: set[tuple[str, str]] = field(default_factory=set)
     engine: str = "syntax"
 
     def subsystem(self) -> str:
@@ -569,28 +573,105 @@ def _scan_ref_decls(
         )
 
 
-def _is_class_body(tokens: list[Token], match: dict[int, int], open_brace: int) -> bool:
-    """True when `open_brace` opens a class/struct/union body: walk back to
-    the statement head and look for the class keyword."""
+def _class_keyword(tokens: list[Token], open_brace: int) -> int:
+    """Index of the class/struct/union keyword when `open_brace` opens such
+    a body (walking back to the statement head), else -1."""
     j = open_brace - 1
     for _ in range(64):
         if j < 0:
-            return False
+            return -1
         text = tokens[j].text
         if text in ("class", "struct", "union"):
-            return True
+            return j
         if text in (";", "{", "}", ")") or tokens[j].kind == "pp":
-            return False
+            return -1
         j -= 1
-    return False
+    return -1
+
+
+def _is_class_body(tokens: list[Token], match: dict[int, int], open_brace: int) -> bool:
+    return _class_keyword(tokens, open_brace) >= 0
+
+
+def _class_name(tokens: list[Token], open_brace: int) -> str | None:
+    """Name of the class whose body `open_brace` opens (None when it opens
+    another scope or an anonymous class)."""
+    kw = _class_keyword(tokens, open_brace)
+    if kw < 0 or tokens[kw + 1].kind != "id":
+        return None
+    return tokens[kw + 1].text
+
+
+def enclosing_class(model: FileModel, i: int) -> str | None:
+    """The class whose member code encloses token i: the innermost class
+    body, or `Cls` of an out-of-line `Cls::f(...) {` definition. None at
+    namespace scope and in free functions."""
+    tokens = model.tokens
+    match = model._match  # type: ignore[attr-defined]
+    encl = model._encl    # type: ignore[attr-defined]
+    brace = encl[i]
+    while brace >= 0:
+        if _class_keyword(tokens, brace) >= 0:
+            return _class_name(tokens, brace)
+        j = brace - 1
+        while j >= 0 and tokens[j].text not in (")", ";", "{", "}"):
+            j -= 1  # function qualifiers, trailing return type
+        opener = match.get(j, -1) if j >= 0 and tokens[j].text == ")" else -1
+        if (
+            opener >= 3
+            and tokens[opener - 1].kind == "id"
+            and tokens[opener - 2].text == "::"
+            and tokens[opener - 3].kind == "id"
+        ):
+            return tokens[opener - 3].text
+        brace = encl[brace]
+    return None
+
+
+_NOT_A_TYPE = frozenset(
+    {"return", "co_return", "co_await", "co_yield", "case", "else", "do",
+     "throw", "delete", "sizeof"}
+)
+
+
+def declared_type(model: FileModel, name: str, before: int) -> str | None:
+    """Last segment of the declared type of variable `name`, from its
+    nearest declaration (`Type name`, `Type& name`, `ns::Type<...>* name`)
+    before token `before`; None when no such declaration is visible. `auto`
+    comes back as "auto", which names no class."""
+    tokens = model.tokens
+    for k in range(before - 1, 0, -1):
+        if tokens[k].text != name or tokens[k].kind != "id":
+            continue
+        if k + 1 >= len(tokens) or tokens[k + 1].text not in (
+            ",", ")", ";", "=", "{", "(", "["
+        ):
+            continue
+        j = k - 1
+        while j >= 0 and tokens[j].text in ("&", "&&", "*", "const"):
+            j -= 1
+        if j >= 0 and tokens[j].text in (">", ">>"):
+            depth = 0
+            while j >= 0:
+                text = tokens[j].text
+                depth += {">": 1, ">>": 2, "<": -1}.get(text, 0)
+                if depth <= 0:
+                    break
+                j -= 1
+            j -= 1
+        if j >= 0 and tokens[j].kind == "id" and tokens[j].text not in _NOT_A_TYPE:
+            return tokens[j].text
+    return None
 
 
 def _scan_task_decls(
     model: FileModel, match: dict[int, int], encl: list[int]
 ) -> None:
     """Finds (a) functions declared to return sim::Task<T> (fed into the
-    discarded-task rule's symbol table) and (b) Task-typed data members at
-    class scope (the task-field lifetime rule)."""
+    discarded-task rule's symbol tables: member coroutines with their class,
+    declared in the class body or defined out of line as `Cls::name`) and
+    (b) Task-typed data members at class scope (the task-field lifetime
+    rule)."""
     tokens = model.tokens
     for i, tok in enumerate(tokens):
         if tok.kind != "id" or tok.text != "Task":
@@ -600,13 +681,19 @@ def _scan_task_decls(
         end = _skip_template_args(tokens, i + 1)
         if end == i + 1:
             continue
-        # Function returning Task<...>: `Task<...> name (`
-        if (
-            end + 1 < len(tokens)
-            and tokens[end].kind == "id"
-            and tokens[end + 1].text == "("
-        ):
-            model.task_functions.add(tokens[end].text)
+        # Function returning Task<...>: `Task<...> name (` or
+        # `Task<...> Cls::name (`
+        chain, after = _qualified_chain(tokens, end)
+        if chain and after < len(tokens) and tokens[after].text == "(":
+            parts = chain.split("::")
+            if len(parts) >= 2:
+                model.task_methods.add((parts[-2], parts[-1]))
+            elif encl[i] >= 0 and _is_class_body(tokens, match, encl[i]):
+                owner = _class_name(tokens, encl[i])
+                if owner is not None:
+                    model.task_methods.add((owner, chain))
+            else:
+                model.task_functions.add(chain)
             continue
         # `Task<T>*` / `Task<T>&` members are non-owning views: they do not
         # extend the frame's lifetime, so the field rule skips them (the

@@ -30,6 +30,7 @@ class Diagnostic:
 class AnalysisContext:
     """Cross-file facts collected in the first pass over every model."""
     task_functions: set[str] = field(default_factory=set)
+    task_methods: set[tuple[str, str]] = field(default_factory=set)
     unordered_vars: set[str] = field(default_factory=set)
 
 

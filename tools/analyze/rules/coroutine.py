@@ -75,11 +75,44 @@ class DiscardedTaskRule:
         "in the simulator"
     )
 
+    @staticmethod
+    def _calls_a_task(
+        model: FileModel, i: int, functions: set[str],
+        methods: set[tuple[str, str]],
+    ) -> bool:
+        """Whether the call named at token i resolves to a task coroutine.
+        A member coroutine counts only where the call's class is known to be
+        its class: `Cls::name(`, an unqualified or `this->` call inside
+        Cls's member code, or `obj.name(` on a variable declared as a Cls.
+        An object of any other (or unknown) class is not flagged."""
+        from model import declared_type, enclosing_class  # no cycle
+        tokens = model.tokens
+        name = tokens[i].text
+        prev = tokens[i - 1].text if i > 0 else ""
+        if prev in (".", "->"):
+            obj = tokens[i - 2] if i >= 2 else None
+            if obj is None:
+                return False
+            if obj.text == "this":
+                owner = enclosing_class(model, i)
+            elif obj.kind == "id" and (
+                i < 3 or tokens[i - 3].text not in (".", "->", "::")
+            ):
+                owner = declared_type(model, obj.text, i - 2)
+            else:
+                owner = None
+            return (owner, name) in methods
+        if prev == "::":
+            return name in functions or (tokens[i - 2].text, name) in methods
+        return name in functions or (enclosing_class(model, i), name) in methods
+
     def check(self, model: FileModel, ctx: AnalysisContext) -> list[Diagnostic]:
         out: list[Diagnostic] = []
         tokens = model.tokens
         match = getattr(model, "_match", {})
-        known = ctx.task_functions | model.task_functions
+        functions = ctx.task_functions | model.task_functions
+        methods = ctx.task_methods | model.task_methods
+        known = functions | {name for _, name in methods}
         for i, tok in enumerate(tokens):
             if tok.kind != "id" or tok.text not in known:
                 continue
@@ -110,6 +143,8 @@ class DiscardedTaskRule:
                     head = tokens[open_idx - 1].text
                     starts_statement = head in ("if", "while", "for", "switch")
             if not starts_statement:
+                continue
+            if not self._calls_a_task(model, i, functions, methods):
                 continue
             out.append(
                 Diagnostic(

@@ -129,6 +129,7 @@ def analyze(
     ctx = AnalysisContext()
     for model in models:
         ctx.task_functions |= model.task_functions
+        ctx.task_methods |= model.task_methods
         ctx.unordered_vars |= model.unordered_vars
 
     # Pass 2: run the rules, apply waivers, then report waiver hygiene.
