@@ -116,9 +116,17 @@ class FileModel:
     unordered_types: set[str] = field(default_factory=set)
     # Task-returning functions: free ones by bare name, member coroutines as
     # (class, name) so a method name shared with another class's plain
-    # method does not turn that method's calls into task calls.
+    # method does not turn that method's calls into task calls. An out-of-line
+    # `Task<...> a::b(` waits in task_qualified until every file's classes
+    # are known: `a` may be a class or a namespace.
     task_functions: set[str] = field(default_factory=set)
     task_methods: set[tuple[str, str]] = field(default_factory=set)
+    task_qualified: set[tuple[str, str]] = field(default_factory=set)
+    # Class bodies seen in this file, each with its base-class names, and
+    # `using X = ...` / `typedef ... X;` alias names (which name no class
+    # the analyzer can see into).
+    classes: dict[str, tuple[str, ...]] = field(default_factory=dict)
+    type_aliases: set[str] = field(default_factory=set)
     engine: str = "syntax"
 
     def subsystem(self) -> str:
@@ -227,8 +235,17 @@ def _statement_start(tokens: list[Token], match: dict[int, int], i: int) -> int:
         if prev.text in (".", "->", "::"):
             k = j - 2
             if k >= 0 and tokens[k].text in (")", "]") and k in match:
-                # (...)  or  [...]  — jump to its opener, then keep walking
+                # (...)  or  [...]  — jump to its opener (and past the
+                # callee of a call `f(...)`), then keep walking
                 j = match[k]
+                callee = tokens[j - 1] if j > 0 else None
+                if (
+                    tokens[k].text == ")"
+                    and callee is not None
+                    and callee.kind == "id"
+                    and callee.text not in _NOT_A_TYPE
+                ):
+                    j -= 1
                 continue
             if k >= 0 and (tokens[k].kind == "id" or tokens[k].text == "this"):
                 j = k
@@ -260,6 +277,7 @@ def build_model(path: Path, rel: str, text: str) -> FileModel:
     _scan_container_decls(model)
     _scan_lock_decls(model, match, encl)
     _scan_ref_decls(model, match, encl)
+    _scan_classes(model)
     _scan_task_decls(model, match, encl)
     model._match = match  # type: ignore[attr-defined]
     model._encl = encl    # type: ignore[attr-defined]
@@ -636,9 +654,10 @@ _NOT_A_TYPE = frozenset(
 
 def declared_type(model: FileModel, name: str, before: int) -> str | None:
     """Last segment of the declared type of variable `name`, from its
-    nearest declaration (`Type name`, `Type& name`, `ns::Type<...>* name`)
-    before token `before`; None when no such declaration is visible. `auto`
-    comes back as "auto", which names no class."""
+    nearest declaration (`Type name`, `ns::Type& name`) before token
+    `before`. None when no declaration is visible or the type is a template
+    instantiation (`std::unique_ptr<Api>` does not say what `->` reaches).
+    `auto` comes back as "auto", which names no class."""
     tokens = model.tokens
     for k in range(before - 1, 0, -1):
         if tokens[k].text != name or tokens[k].kind != "id":
@@ -651,17 +670,51 @@ def declared_type(model: FileModel, name: str, before: int) -> str | None:
         while j >= 0 and tokens[j].text in ("&", "&&", "*", "const"):
             j -= 1
         if j >= 0 and tokens[j].text in (">", ">>"):
-            depth = 0
-            while j >= 0:
-                text = tokens[j].text
-                depth += {">": 1, ">>": 2, "<": -1}.get(text, 0)
-                if depth <= 0:
-                    break
-                j -= 1
-            j -= 1
+            return None
         if j >= 0 and tokens[j].kind == "id" and tokens[j].text not in _NOT_A_TYPE:
             return tokens[j].text
     return None
+
+
+_ACCESS_WORDS = frozenset({"public", "protected", "private", "virtual"})
+
+
+def _scan_classes(model: FileModel) -> None:
+    """Records every class body with its bases (`class D : public ns::B<T>,
+    C {` gives D -> (B, C)), and every type alias name."""
+    tokens = model.tokens
+    for i, tok in enumerate(tokens):
+        if tok.text == "{":
+            kw = _class_keyword(tokens, i)
+            if kw < 0 or tokens[kw + 1].kind != "id":
+                continue
+            bases: list[str] = []
+            j = kw + 2
+            while j < i and tokens[j].text != ":":
+                j += 1
+            while j < i:
+                j += 1
+                while j < i and tokens[j].text in _ACCESS_WORDS:
+                    j += 1
+                chain, j = _qualified_chain(tokens, j)
+                if chain:
+                    bases.append(chain.rsplit("::", 1)[-1])
+                while j < i and tokens[j].text != ",":
+                    j += 1
+            model.classes[tokens[kw + 1].text] = tuple(bases)
+        elif (
+            tok.text == "using"
+            and i + 2 < len(tokens)
+            and tokens[i + 1].kind == "id"
+            and tokens[i + 2].text == "="
+        ):
+            model.type_aliases.add(tokens[i + 1].text)
+        elif tok.text == "typedef":
+            j = i + 1
+            while j < len(tokens) and tokens[j].text != ";":
+                j += 1
+            if tokens[j - 1].kind == "id":
+                model.type_aliases.add(tokens[j - 1].text)
 
 
 def _scan_task_decls(
@@ -687,7 +740,7 @@ def _scan_task_decls(
         if chain and after < len(tokens) and tokens[after].text == "(":
             parts = chain.split("::")
             if len(parts) >= 2:
-                model.task_methods.add((parts[-2], parts[-1]))
+                model.task_qualified.add((parts[-2], parts[-1]))
             elif encl[i] >= 0 and _is_class_body(tokens, match, encl[i]):
                 owner = _class_name(tokens, encl[i])
                 if owner is not None:

@@ -31,7 +31,44 @@ class AnalysisContext:
     """Cross-file facts collected in the first pass over every model."""
     task_functions: set[str] = field(default_factory=set)
     task_methods: set[tuple[str, str]] = field(default_factory=set)
+    classes: dict[str, tuple[str, ...]] = field(default_factory=dict)
+    type_aliases: set[str] = field(default_factory=set)
     unordered_vars: set[str] = field(default_factory=set)
+
+    @classmethod
+    def from_models(cls, models: list) -> "AnalysisContext":
+        ctx = cls()
+        for model in models:
+            ctx.task_functions |= model.task_functions
+            ctx.task_methods |= model.task_methods
+            ctx.classes.update(model.classes)
+            ctx.type_aliases |= model.type_aliases
+            ctx.unordered_vars |= model.unordered_vars
+        # `Task<...> a::b(` is member coroutine (a, b); unless `a` is a known
+        # class it may also be a namespace, so the bare name `b` is a free
+        # task function too.
+        known = ctx.classes.keys() | {owner for owner, _ in ctx.task_methods}
+        for model in models:
+            for qualifier, name in model.task_qualified:
+                ctx.task_methods.add((qualifier, name))
+                if qualifier not in known:
+                    ctx.task_functions.add(name)
+        return ctx
+
+    def may_own_task(self, owner: str | None, name: str) -> bool:
+        """Whether a `name(` member call on an object of class `owner` may
+        reach a task coroutine: the class or one of its seen bases declares
+        one, or the class is unknown (None, `auto`, an alias)."""
+        if owner is None or owner == "auto" or owner in self.type_aliases:
+            return True
+        todo, seen = [owner], set()
+        while todo:
+            cls = todo.pop()
+            if (cls, name) in self.task_methods:
+                return True
+            seen.add(cls)
+            todo.extend(b for b in self.classes.get(cls, ()) if b not in seen)
+        return False
 
 
 _RULES: list[type] = []

@@ -8,7 +8,10 @@ turn each contract into a diagnostic.
 from __future__ import annotations
 
 from . import AnalysisContext, Diagnostic, register
-from model import FileModel  # noqa: E402
+from model import (  # noqa: E402
+    FileModel, _skip_template_args, _statement_start, declared_type,
+    enclosing_class,
+)
 
 RULE_REF_CAPTURE = "coroutine-ref-capture"
 RULE_DISCARDED_TASK = "coroutine-discarded-task"
@@ -76,49 +79,43 @@ class DiscardedTaskRule:
     )
 
     @staticmethod
-    def _calls_a_task(
-        model: FileModel, i: int, functions: set[str],
-        methods: set[tuple[str, str]],
-    ) -> bool:
-        """Whether the call named at token i resolves to a task coroutine.
-        A member coroutine counts only where the call's class is known to be
-        its class: `Cls::name(`, an unqualified or `this->` call inside
-        Cls's member code, or `obj.name(` on a variable declared as a Cls.
-        An object of any other (or unknown) class is not flagged."""
-        from model import declared_type, enclosing_class  # no cycle
+    def _calls_a_task(model: FileModel, i: int, ctx: AnalysisContext) -> bool:
+        """Whether the call named at token i may resolve to a task
+        coroutine. A member call `obj.name(` / `obj->name(` is cleared only
+        when obj's class is known (a plain variable declared in this file as
+        a non-template class) and neither it nor a seen base declares a
+        `name` coroutine; members declared in a header, chained receivers
+        and call results are of unknown class and stay flagged."""
         tokens = model.tokens
         name = tokens[i].text
         prev = tokens[i - 1].text if i > 0 else ""
         if prev in (".", "->"):
             obj = tokens[i - 2] if i >= 2 else None
-            if obj is None:
-                return False
-            if obj.text == "this":
+            before = tokens[i - 3].text if i >= 3 else ""
+            owner = None
+            if obj is not None and obj.text == "this":
                 owner = enclosing_class(model, i)
-            elif obj.kind == "id" and (
-                i < 3 or tokens[i - 3].text not in (".", "->", "::")
-            ):
+            elif obj is not None and obj.kind == "id" and before not in (".", "->", "::"):
                 owner = declared_type(model, obj.text, i - 2)
-            else:
-                owner = None
-            return (owner, name) in methods
+            return ctx.may_own_task(owner, name)
+        if name in ctx.task_functions:
+            return True
         if prev == "::":
-            return name in functions or (tokens[i - 2].text, name) in methods
-        return name in functions or (enclosing_class(model, i), name) in methods
+            return (tokens[i - 2].text, name) in ctx.task_methods
+        # unqualified: a member call only inside member code
+        owner = enclosing_class(model, i)
+        return owner is not None and ctx.may_own_task(owner, name)
 
     def check(self, model: FileModel, ctx: AnalysisContext) -> list[Diagnostic]:
         out: list[Diagnostic] = []
         tokens = model.tokens
         match = getattr(model, "_match", {})
-        functions = ctx.task_functions | model.task_functions
-        methods = ctx.task_methods | model.task_methods
-        known = functions | {name for _, name in methods}
+        known = ctx.task_functions | {name for _, name in ctx.task_methods}
         for i, tok in enumerate(tokens):
             if tok.kind != "id" or tok.text not in known:
                 continue
             j = i + 1
             # skip explicit template args: foo<T>(...)
-            from model import _skip_template_args  # local import, no cycle
             j = _skip_template_args(tokens, j)
             if j >= len(tokens) or tokens[j].text != "(":
                 continue
@@ -127,7 +124,6 @@ class DiscardedTaskRule:
                 continue
             if tokens[close + 1].text != ";":
                 continue  # result is consumed (assigned, awaited, chained)
-            from model import _statement_start
             start = _statement_start(tokens, match, i)
             prev = tokens[start - 1] if start > 0 else None
             starts_statement = (
@@ -144,7 +140,7 @@ class DiscardedTaskRule:
                     starts_statement = head in ("if", "while", "for", "switch")
             if not starts_statement:
                 continue
-            if not self._calls_a_task(model, i, functions, methods):
+            if not self._calls_a_task(model, i, ctx):
                 continue
             out.append(
                 Diagnostic(

@@ -126,11 +126,7 @@ def analyze(
 
     # Cross-file context: task-returning functions and unordered members
     # are declared in headers but used in .cpp files.
-    ctx = AnalysisContext()
-    for model in models:
-        ctx.task_functions |= model.task_functions
-        ctx.task_methods |= model.task_methods
-        ctx.unordered_vars |= model.unordered_vars
+    ctx = AnalysisContext.from_models(models)
 
     # Pass 2: run the rules, apply waivers, then report waiver hygiene.
     rules = [rule_cls() for rule_cls in all_rules()]
