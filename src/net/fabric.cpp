@@ -128,7 +128,7 @@ util::Result<FlowId> Fabric::start_flow(NodeId src, NodeId dst,
   flow.stats.start_time = simulator_->now();
   flow.stats.rtt_s = rtt.value();
   flow.stats.cap_mbps = cap_mbps;
-  flow.stats.route = route.value();
+  flow.stats.route = &route.value();
   flow.on_complete = std::move(on_complete);
   flow.remaining_bytes = static_cast<double>(bytes);
   flow.last_advance_s = simulator_->now();
@@ -173,7 +173,7 @@ void Fabric::abort_flow(FlowId id) {
   Flow& live = slots_[slot].flow;
   advance_flow(live, live.rate_bps);
   seeds_.clear();
-  if (live.activated) seed_classes_on(live.stats.route.links);
+  if (live.activated) seed_classes_on(live.stats.route->links);
   Flow flow = extract_flow(slot);
   if (flow.activation_event.valid()) simulator_->cancel(flow.activation_event);
   reallocate_and_reschedule(seeds_);
@@ -184,26 +184,26 @@ void Fabric::fail_link(LinkId link) {
   const auto status = topo_->set_link_enabled(link, false);
   DROUTE_CHECK(status.ok(), "fail_link: unknown link");
   routes_->invalidate();
-  std::vector<std::pair<FlowId, std::uint32_t>> victims;
+  leaving_.clear();
   for (std::uint32_t slot = 0; slot < slots_.size(); ++slot) {
     if (slots_[slot].id == 0) continue;
-    const auto& links = slots_[slot].flow.stats.route.links;
+    const auto& links = slots_[slot].flow.stats.route->links;
     if (std::find(links.begin(), links.end(), link) != links.end()) {
-      victims.emplace_back(slots_[slot].id, slot);
+      leaving_.emplace_back(slots_[slot].id, slot);
     }
   }
-  std::sort(victims.begin(), victims.end());
+  std::sort(leaving_.begin(), leaving_.end());
   // Survivors sharing a link with any victim get more headroom; collect
   // their classes as dirty seeds before the victims leave the link lists.
   seeds_.clear();
-  for (const auto& [vid, vslot] : victims) {
+  for (const auto& [vid, vslot] : leaving_) {
     if (slots_[vslot].flow.activated) {
-      seed_classes_on(slots_[vslot].flow.stats.route.links);
+      seed_classes_on(slots_[vslot].flow.stats.route->links);
     }
   }
-  std::vector<Flow> failed;
-  failed.reserve(victims.size());
-  for (const auto& [vid, vslot] : victims) {
+  std::vector<Flow> failed = std::move(finishing_);
+  failed.clear();
+  for (const auto& [vid, vslot] : leaving_) {
     advance_flow(slots_[vslot].flow, slots_[vslot].flow.rate_bps);
     Flow flow = extract_flow(vslot);
     if (flow.activation_event.valid()) {
@@ -213,6 +213,8 @@ void Fabric::fail_link(LinkId link) {
   }
   reallocate_and_reschedule(seeds_);
   for (auto& flow : failed) finish(std::move(flow), FlowOutcome::kLinkFailed);
+  failed.clear();
+  finishing_ = std::move(failed);
 }
 
 void Fabric::restore_link(LinkId link) {
@@ -268,7 +270,7 @@ std::vector<Fabric::LinkLoad> Fabric::link_loads() const {
   for (const auto& [id, slot] : order) {
     const Flow& flow = slots_[slot].flow;
     if (!flow.activated) continue;
-    for (LinkId lid : flow.stats.route.links) {
+    for (LinkId lid : flow.stats.route->links) {
       LinkLoad& load = loads[lid];
       load.link = lid;
       load.capacity_mbps = topo_->link(lid).capacity_mbps;
@@ -337,7 +339,7 @@ void Fabric::resync_completion_event() {
 
 void Fabric::join_class(std::uint32_t slot) {
   Flow& flow = slots_[slot].flow;
-  const std::vector<LinkId>& links = flow.stats.route.links;
+  const std::vector<LinkId>& links = flow.stats.route->links;
   const std::uint64_t key = class_key(links, flow.cap_bps);
   std::uint32_t cls = kNoClass;
   if (const auto head = class_index_.find(key); head != class_index_.end()) {
@@ -668,7 +670,7 @@ void Fabric::on_completion_event() {
   completion_event_ = sim::EventId{};
   scheduled_finish_ = sim::kTimeInfinity;
   const sim::Time now = simulator_->now();
-  std::vector<std::pair<FlowId, std::uint32_t>> done_order;
+  leaving_.clear();
   while (!finish_heap_.empty()) {
     const std::uint32_t slot = finish_heap_.top();
     if (slots_[slot].finish_s > now) break;
@@ -676,23 +678,23 @@ void Fabric::on_completion_event() {
     Flow& flow = slots_[slot].flow;
     advance_flow(flow, flow.rate_bps);
     if (drained(flow.remaining_bytes, flow.rate_bps)) {
-      done_order.emplace_back(slots_[slot].id, slot);
+      leaving_.emplace_back(slots_[slot].id, slot);
     } else {
       // Residue not quite drained (fp rounding): re-key strictly later. The
       // nanosecond term in drained() guarantees the new finish is > now.
       push_finish(slot);
     }
   }
-  std::sort(done_order.begin(), done_order.end());
+  std::sort(leaving_.begin(), leaving_.end());
   // Survivors that shared a link with a completing flow must be refilled;
   // gather their classes before the completions leave them.
   seeds_.clear();
-  for (const auto& [id, slot] : done_order) {
-    seed_classes_on(slots_[slot].flow.stats.route.links);
+  for (const auto& [id, slot] : leaving_) {
+    seed_classes_on(slots_[slot].flow.stats.route->links);
   }
-  std::vector<Flow> done;
-  done.reserve(done_order.size());
-  for (const auto& [id, slot] : done_order) {
+  std::vector<Flow> done = std::move(finishing_);
+  done.clear();
+  for (const auto& [id, slot] : leaving_) {
     done.push_back(extract_flow(slot));
   }
   reallocate_and_reschedule(seeds_);
@@ -700,6 +702,8 @@ void Fabric::on_completion_event() {
     delivered_bytes_ += flow.stats.bytes;
     finish(std::move(flow), FlowOutcome::kCompleted);
   }
+  done.clear();
+  finishing_ = std::move(done);
 }
 
 void Fabric::finish(Flow flow, FlowOutcome outcome) {

@@ -88,7 +88,11 @@ struct FlowStats {
   FlowOutcome outcome = FlowOutcome::kCompleted;
   double rtt_s = 0.0;       // model RTT used for the cap
   double cap_mbps = 0.0;    // per-flow ceiling applied
-  Route route;
+  /// The route the flow took, as cached by the fabric's RouteTable: shared
+  /// and immutable, never copied per flow. It stays valid after the flow
+  /// ends, through later invalidate()s, for as long as that table lives
+  /// (RouteTable::route()). Null only in a default-constructed FlowStats.
+  const Route* route = nullptr;
 
   double duration_s() const { return end_time - start_time; }
   double achieved_mbps() const {
@@ -385,6 +389,12 @@ class Fabric {
   std::vector<std::uint32_t> seeds_;
   std::vector<std::uint32_t> bfs_stack_;
   std::vector<std::uint32_t> unfrozen_;
+  // Per-event scratch of on_completion_event and fail_link: the (id, slot)
+  // pairs leaving, then the flows whose callbacks run. finishing_ is moved
+  // out while the callbacks run, so a callback that re-enters the fabric
+  // finds it empty, and moved back after, capacity kept.
+  std::vector<std::pair<FlowId, std::uint32_t>> leaving_;
+  std::vector<Flow> finishing_;
 
   FlowId next_flow_id_ = 1;
   // Slots keyed by Slot::finish_s: exactly the live flows with a finite

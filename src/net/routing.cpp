@@ -28,10 +28,25 @@ struct Candidate {
 
 }  // namespace
 
+RouteTable::RouteTable(const Topology* topo, const RouteSnapshot* shared)
+    : topo_(topo), shared_(shared) {
+  DROUTE_CHECK(shared_ != nullptr &&
+                   topo_->node_count() == shared_->table_.topo_->node_count() &&
+                   topo_->link_count() == shared_->table_.topo_->link_count(),
+               "RouteTable: snapshot of a different topology");
+}
+
 void RouteTable::invalidate() {
   ++generation_;
+  shared_ = nullptr;
   bgp_cache_.clear();
   route_cache_.clear();
+  own_bgp_.clear();
+}
+
+std::size_t RouteSnapshot::routes_expanded() const {
+  const std::lock_guard lock(mu_);
+  return table_.routes_expanded();
 }
 
 // ---------------------------------------------------------------------------
@@ -39,11 +54,22 @@ void RouteTable::invalidate() {
 // customer/peer/provider computation, which yields exactly the routes BGP
 // selects under Gao–Rexford export rules (see routing.h).
 
-const std::vector<RouteTable::BgpEntry>& RouteTable::bgp_table(
-    AsId dst_as) const {
-  auto it = bgp_cache_.find(dst_as);
-  if (it != bgp_cache_.end()) return it->second;
+const RouteTable::BgpTable& RouteTable::bgp_table(AsId dst_as) const {
+  if (auto it = bgp_cache_.find(dst_as); it != bgp_cache_.end()) {
+    return *it->second;
+  }
+  const BgpTable* table = nullptr;
+  if (shared_ != nullptr) {
+    const std::lock_guard lock(shared_->mu_);
+    table = &shared_->table_.bgp_table(dst_as);
+  } else {
+    table = &own_bgp_.emplace_back(build_bgp_table(dst_as));
+  }
+  bgp_cache_.emplace(dst_as, table);
+  return *table;
+}
 
+RouteTable::BgpTable RouteTable::build_bgp_table(AsId dst_as) const {
   const std::size_t n = topo_->as_count();
   std::vector<Candidate> customer(n), peer(n), provider(n);
 
@@ -131,7 +157,7 @@ const std::vector<RouteTable::BgpEntry>& RouteTable::bgp_table(
     }
   }
 
-  std::vector<BgpEntry> table(n);
+  BgpTable table(n);
   for (std::size_t x = 0; x < n; ++x) {
     BgpEntry& e = table[x];
     if (static_cast<AsId>(x) == dst_as) {
@@ -144,7 +170,7 @@ const std::vector<RouteTable::BgpEntry>& RouteTable::bgp_table(
       e = {true, RouteOrigin::kProvider, provider[x].len, provider[x].next_as};
     }
   }
-  return bgp_cache_.emplace(dst_as, std::move(table)).first->second;
+  return table;
 }
 
 util::Result<std::vector<AsId>> RouteTable::as_path(AsId src_as,
@@ -260,9 +286,17 @@ const util::Result<Route>& RouteTable::route(NodeId src, NodeId dst) const {
       static_cast<std::uint64_t>(static_cast<std::uint32_t>(src)) << 32 |
       static_cast<std::uint32_t>(dst);
   if (auto it = route_cache_.find(key); it != route_cache_.end()) {
-    return it->second;
+    return *it->second;
   }
-  return route_cache_.emplace(key, expand_route(src, dst)).first->second;
+  const util::Result<Route>* answer = nullptr;
+  if (shared_ != nullptr) {
+    const std::lock_guard lock(shared_->mu_);
+    answer = &shared_->table_.route(src, dst);
+  } else {
+    answer = &own_routes_.emplace_back(expand_route(src, dst));
+  }
+  route_cache_.emplace(key, answer);
+  return *answer;
 }
 
 util::Result<Route> RouteTable::expand_route(NodeId src, NodeId dst) const {

@@ -19,10 +19,21 @@
 // router (the direct peering of Fig 6). Overrides are topology data
 // (Topology::overrides()). An override may change the next AS; expansion then
 // re-consults BGP from the forced link's far end.
+//
+// Shared routes. Routes read only link delays and enabled bits, AS
+// relationships, node tags and overrides; never capacities, policers,
+// middleboxes or loss. So topology copies that differ only in rates route
+// identically, and their tables can share one RouteSnapshot built over the
+// original: each table answers route(), as_path() and route_origin() from
+// the snapshot until its first invalidate(), then routes privately over its
+// own copy (copy-on-write). Rate queries (path_loss, min_policer_mbps, ...)
+// always read the table's own topology.
 #pragma once
 
 #include <cstdint>
+#include <deque>
 #include <map>
+#include <mutex>
 #include <optional>
 #include <unordered_map>
 #include <vector>
@@ -50,9 +61,24 @@ enum class RouteOrigin : std::uint8_t {
   kProvider = 3,  // learned from a provider
 };
 
+class RouteSnapshot;
+
 class RouteTable {
  public:
+  /// Routes privately over `topo`.
   explicit RouteTable(const Topology* topo) : topo_(topo) {}
+
+  /// Answers routing queries from `shared` until the first invalidate().
+  /// `topo` must be a copy of the snapshot's topology that differs from it
+  /// at most in rates (capacities, policers, middleboxes), so that routing
+  /// over either gives the same answers.
+  RouteTable(const Topology* topo, const RouteSnapshot* shared);
+
+  // Not copyable: the memo points into this table's own stores.
+  RouteTable(const RouteTable&) = delete;
+  RouteTable& operator=(const RouteTable&) = delete;
+  RouteTable(RouteTable&&) = default;
+  RouteTable& operator=(RouteTable&&) = default;
 
   /// Best AS-level path src_as -> dst_as (inclusive), or error if the policy
   /// graph offers no valley-free route.
@@ -66,25 +92,37 @@ class RouteTable {
   /// Concrete node/link route from `src` to `dst`. Honors the source node's
   /// policy tag for egress overrides.
   ///
-  /// Cache contract: the first query of a pair expands it and caches the
-  /// outcome, failures included, so an unroutable pair is not re-expanded
-  /// (nor its error text rebuilt) on every call. The returned reference
-  /// points into that cache: it stays valid, and its value unchanged,
-  /// across further route() calls on any pair, until the next invalidate()
-  /// or the table's destruction. Bind it with `const auto&` and copy the
-  /// Route only where it must outlive an invalidate(). Answers change only
-  /// at invalidate(), so call it after any set_link_enabled().
+  /// Cache contract: a pair is expanded once and its outcome cached,
+  /// failures included, so an unroutable pair is not re-expanded (nor its
+  /// error text rebuilt) on every call. While the table reads a snapshot,
+  /// the expansion happens there, once per process for all of its tables;
+  /// after invalidate() this table expands on its own topology.
+  ///
+  /// Lifetime: the returned answer is immutable and is never freed while
+  /// this table lives (a snapshot's answers live as long as the snapshot).
+  /// invalidate() retires the cached answers rather than freeing them: a
+  /// later route() of the pair may return a different object, but every
+  /// reference and `&route.value()` pointer handed out earlier stays valid,
+  /// and its value unchanged. Flows hold their route by such a pointer
+  /// (FlowStats::route). Answers change only at invalidate(), so call it
+  /// after any set_link_enabled().
   [[nodiscard]]
   const util::Result<Route>& route(NodeId src, NodeId dst) const;
 
-  /// Drops all cached routes and BGP tables (topology changed) and bumps
-  /// generation().
+  /// Forgets every cached answer and the snapshot, if any (topology
+  /// changed), and bumps generation(). From here on the table routes
+  /// privately over its own topology; its snapshot's other readers are
+  /// unaffected.
   void invalidate();
 
   /// Number of invalidate() calls so far. route() answers are fixed while
   /// it stays put, so a caller may cache anything derived from them keyed
   /// by this value.
   std::uint64_t generation() const { return generation_; }
+
+  /// Routes this table expanded itself, retired ones included (0 while it
+  /// reads a snapshot).
+  std::size_t routes_expanded() const { return own_routes_.size(); }
 
   /// One-way propagation delay along a route (sum of link delays).
   double one_way_delay_s(const Route& route) const;
@@ -109,9 +147,14 @@ class RouteTable {
     std::uint32_t path_len = 0;  // number of AS hops to destination
     AsId next_as = kInvalidAs;
   };
+  using BgpTable = std::vector<BgpEntry>;
 
-  // Per destination AS: entry for every AS. Built on demand.
-  const std::vector<BgpEntry>& bgp_table(AsId dst_as) const;
+  // Per destination AS: entry for every AS. Built on demand (by the
+  // snapshot while the table reads one).
+  const BgpTable& bgp_table(AsId dst_as) const;
+
+  // The uncached BGP computation behind bgp_table().
+  BgpTable build_bgp_table(AsId dst_as) const;
 
   // Dijkstra by delay within one AS over enabled links.
   [[nodiscard]]
@@ -131,11 +174,44 @@ class RouteTable {
   [[nodiscard]] util::Result<Route> expand_route(NodeId src, NodeId dst) const;
 
   const Topology* topo_;
+  // Answers queries until the first invalidate(); null from then on, and
+  // for a table built without one.
+  const RouteSnapshot* shared_ = nullptr;
   std::uint64_t generation_ = 0;
-  mutable std::map<AsId, std::vector<BgpEntry>> bgp_cache_;
-  // Keyed by (src << 32 | dst). Node-based, so references handed out by
-  // route() survive later insertions.
-  mutable std::unordered_map<std::uint64_t, util::Result<Route>> route_cache_;
+  // The memo: every answer this table has given since the last
+  // invalidate(), keyed by destination AS and by (src << 32 | dst). Each
+  // points into shared_ or into the stores below.
+  mutable std::map<AsId, const BgpTable*> bgp_cache_;
+  mutable std::unordered_map<std::uint64_t, const util::Result<Route>*>
+      route_cache_;
+  // What this table computed itself; a deque never moves its elements.
+  // invalidate() frees the BGP tables but only retires the routes, which
+  // flows may still point at.
+  mutable std::deque<BgpTable> own_bgp_;
+  mutable std::deque<util::Result<Route>> own_routes_;
+};
+
+/// One topology's routes and BGP tables, computed lazily and then never
+/// changed, shared by every RouteTable built over a rate-only copy of it.
+/// Thread-safe: tables on different threads may query it at once. A table
+/// takes the lock only on a miss in its own memo, so a pair costs each
+/// table one locked lookup, and the snapshot one expansion in all.
+class RouteSnapshot {
+ public:
+  /// `topo` must outlive the snapshot and never change.
+  explicit RouteSnapshot(const Topology* topo) : table_(topo) {}
+
+  RouteSnapshot(const RouteSnapshot&) = delete;
+  RouteSnapshot& operator=(const RouteSnapshot&) = delete;
+
+  /// Distinct pairs expanded so far (a work count for tests).
+  std::size_t routes_expanded() const;
+
+ private:
+  friend class RouteTable;
+
+  mutable std::mutex mu_;
+  RouteTable table_;  // guarded by mu_; never invalidated
 };
 
 }  // namespace droute::net

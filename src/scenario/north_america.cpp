@@ -60,11 +60,6 @@ struct Jitter {
   net::LinkId reverse = net::kInvalidLink;  // kCapacity rows only
 };
 
-struct ScenarioData {
-  net::Topology topo;
-  std::vector<Jitter> jitter;
-};
-
 net::NodeId must_find_node(const net::Topology& topo, const std::string& name) {
   const auto id = topo.find_node(name);
   DROUTE_CHECK(id.has_value(), "unknown scenario node: " + name);
@@ -80,31 +75,45 @@ net::LinkId must_find_link(const net::Topology& topo, const char* src,
   return *id;
 }
 
+net::Topology parse_scenario() {
+  auto parsed = net::parse_topology(kNorthAmericaTopo);
+  DROUTE_CHECK(parsed.ok(),
+               "data/north_america.topo invalid: " + parsed.error().message);
+  return std::move(parsed).value();
+}
+
 // The scenario network, parsed once per process; every World copies it.
-const ScenarioData& scenario_data() {
-  static const ScenarioData data = [] {
-    auto parsed = net::parse_topology(kNorthAmericaTopo);
-    DROUTE_CHECK(parsed.ok(),
-                 "data/north_america.topo invalid: " + parsed.error().message);
-    ScenarioData out{std::move(parsed).value(), {}};
+struct ScenarioData {
+  ScenarioData() {
     for (const JitterRow& row : kJitterRows) {
-      Jitter jitter{row.rate};
+      Jitter resolved{row.rate};
       if (row.rate == Rate::kMiddlebox) {
-        jitter.node = must_find_node(out.topo, row.node);
+        resolved.node = must_find_node(topo, row.node);
       } else {
-        jitter.forward = must_find_link(out.topo, row.node, row.peer);
+        resolved.forward = must_find_link(topo, row.node, row.peer);
       }
       if (row.rate == Rate::kCapacity) {
-        jitter.reverse = must_find_link(out.topo, row.peer, row.node);
+        resolved.reverse = must_find_link(topo, row.peer, row.node);
       }
-      out.jitter.push_back(jitter);
+      jitter.push_back(resolved);
     }
-    return out;
-  }();
+  }
+
+  const net::Topology topo = parse_scenario();
+  std::vector<Jitter> jitter;
+  // Every World routes from here until its first invalidate(): jitter
+  // scales only rates, which no route depends on (routing.h).
+  const net::RouteSnapshot routes{&topo};
+};
+
+const ScenarioData& scenario_data() {
+  static const ScenarioData data;
   return data;
 }
 
 }  // namespace
+
+const net::RouteSnapshot& shared_routes() { return scenario_data().routes; }
 
 std::string client_name(Client client) {
   switch (client) {
@@ -152,7 +161,9 @@ std::vector<std::uint64_t> paper_file_sizes_bytes() {
 // ---------------------------------------------------------------------------
 
 World::World(const WorldConfig& config)
-    : config_(config), topo_(scenario_data().topo), routes_(&topo_) {
+    : config_(config),
+      topo_(scenario_data().topo),
+      routes_(&topo_, &scenario_data().routes) {
   // Per-run perturbation of shaper/policer rates (see WorldConfig): each
   // rate is the file's calibrated value times one draw.
   util::Rng jitter_rng(config.seed * 0x9e3779b97f4a7c15ull + 0xfeedbeef);

@@ -7,8 +7,11 @@
 //
 // The network is data: data/north_america.topo, compiled in, parsed once
 // per process and copied into every World, which then jitters the
-// calibrated rates. Calibration targets and the network causes behind them
-// are documented in DESIGN.md §5; the headline artifacts are
+// calibrated rates. Its routes are computed once per process too: every
+// World's RouteTable reads one shared snapshot until the World's first
+// invalidate() (a link failure), then routes privately. Calibration targets
+// and the network causes behind them are documented in DESIGN.md §5; the
+// headline artifacts are
 //   * a per-flow policed PacificWave egress that PlanetLab-tagged traffic
 //     from UBC is policy-routed onto toward Google (Figs 5/6),
 //   * PlanetLab slice shaping at each PlanetLab site,
@@ -53,6 +56,10 @@ std::string intermediate_name(Intermediate node);
 std::string route_name(RouteChoice route);
 std::vector<Client> all_clients();
 std::vector<RouteChoice> all_routes();
+
+/// The process-wide route snapshot over the unjittered scenario network,
+/// shared by every World (exposed for its work count in tests).
+const net::RouteSnapshot& shared_routes();
 
 /// The paper's file sizes: 10, 20, 30, 40, 50, 60, 100 MB (decimal), Sec II.
 std::vector<std::uint64_t> paper_file_sizes_bytes();

@@ -713,7 +713,7 @@ void expect_level_fill_matches_oracle(bool clone_specs) {
                                        spec.options);
       ASSERT_TRUE(id.ok());
       probe.abort_flow(id.value());
-      spec.oracle.links = stats.route.links;
+      spec.oracle.links = stats.route->links;
       spec.oracle.cap_bps = util::mbps_to_bytes_per_sec(stats.cap_mbps);
     }
 

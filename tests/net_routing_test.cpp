@@ -1,11 +1,14 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <string>
+#include <vector>
 
 #include "check/contract.h"
 #include "check/valley_free.h"
 #include "net/routing.h"
 #include "net/topology.h"
+#include "util/thread_pool.h"
 
 namespace droute::net {
 namespace {
@@ -292,28 +295,43 @@ TEST(NodeRouting, EgressOverrideDivertsTaggedSource) {
   }
 }
 
+/// Two parallel peering links between Backbone and Cloud: killing the cheap
+/// one re-routes (after invalidate()) onto the backup.
+struct TwoPeerings {
+  Topology topo;
+  NodeId host, r_cl_a, r_cl_b, fe;
+  LinkId cheap;
+
+  static TwoPeerings build() {
+    TwoPeerings w;
+    Topology::Builder b;
+    const AsId campus = b.add_as("Campus");
+    const AsId backbone = b.add_as("Backbone");
+    const AsId cloud = b.add_as("Cloud");
+    b.relate(backbone, campus, AsRelation::kCustomer);
+    b.relate(backbone, cloud, AsRelation::kPeer);
+    w.host = b.add_host(campus, "host", at(50, -120));
+    const NodeId r_bb = b.add_router(backbone, "r-bb", at(50, -119));
+    w.r_cl_a = b.add_router(cloud, "r-cl-a", at(49, -118));
+    w.r_cl_b = b.add_router(cloud, "r-cl-b", at(48, -118));
+    w.fe = b.add_host(cloud, "fe", at(47, -117));
+    b.add_duplex(w.host, r_bb, 1000, 0.001);
+    w.cheap = b.add_duplex(r_bb, w.r_cl_a, 1000, 0.001);
+    b.add_duplex(r_bb, w.r_cl_b, 1000, 0.005);  // backup, higher delay
+    b.add_duplex(w.r_cl_a, w.fe, 1000, 0.001);
+    b.add_duplex(w.r_cl_b, w.fe, 1000, 0.001);
+    auto built = std::move(b).build();
+    EXPECT_TRUE(built.ok()) << (built.ok() ? "" : built.error().message);
+    w.topo = std::move(built).value();
+    return w;
+  }
+};
+
 TEST(NodeRouting, CacheInvalidationChangesRoutes) {
-  // Two parallel peering links between Backbone and Cloud: killing the
-  // cheap one must re-route (after invalidate()) onto the backup.
-  Topology::Builder b;
-  const AsId campus = b.add_as("Campus");
-  const AsId backbone = b.add_as("Backbone");
-  const AsId cloud = b.add_as("Cloud");
-  b.relate(backbone, campus, AsRelation::kCustomer);
-  b.relate(backbone, cloud, AsRelation::kPeer);
-  const NodeId host = b.add_host(campus, "host", at(50, -120));
-  const NodeId r_bb = b.add_router(backbone, "r-bb", at(50, -119));
-  const NodeId r_cl_a = b.add_router(cloud, "r-cl-a", at(49, -118));
-  const NodeId r_cl_b = b.add_router(cloud, "r-cl-b", at(48, -118));
-  const NodeId fe = b.add_host(cloud, "fe", at(47, -117));
-  b.add_duplex(host, r_bb, 1000, 0.001);
-  const LinkId cheap = b.add_duplex(r_bb, r_cl_a, 1000, 0.001);
-  b.add_duplex(r_bb, r_cl_b, 1000, 0.005);  // backup, higher delay
-  b.add_duplex(r_cl_a, fe, 1000, 0.001);
-  b.add_duplex(r_cl_b, fe, 1000, 0.001);
-  auto built = std::move(b).build();
-  ASSERT_TRUE(built.ok());
-  Topology topo = std::move(built).value();
+  TwoPeerings w = TwoPeerings::build();
+  Topology& topo = w.topo;
+  const NodeId host = w.host, fe = w.fe, r_cl_a = w.r_cl_a, r_cl_b = w.r_cl_b;
+  const LinkId cheap = w.cheap;
 
   RouteTable routes(&topo);
   const Route before = routes.route(host, fe).value();
@@ -432,6 +450,132 @@ TEST(NodeRouting, OverrideMatcherSemantics) {
   // Disabled matchers never match.
   EgressOverride none;
   EXPECT_FALSE(none.matches_source(source));
+}
+
+// ------------------------------------------------------- route snapshot ----
+
+/// Every (src, dst) and AS-pair answer of `table` against `reference`.
+void expect_same_answers(const Topology& topo, const RouteTable& table,
+                         const RouteTable& reference) {
+  const auto nodes = static_cast<NodeId>(topo.node_count());
+  for (NodeId src = 0; src < nodes; ++src) {
+    for (NodeId dst = 0; dst < nodes; ++dst) {
+      const auto& got = table.route(src, dst);
+      const auto& want = reference.route(src, dst);
+      ASSERT_EQ(got.ok(), want.ok()) << src << " -> " << dst;
+      if (got.ok()) {
+        EXPECT_EQ(got.value().nodes, want.value().nodes);
+        EXPECT_EQ(got.value().links, want.value().links);
+      } else {
+        EXPECT_EQ(got.error().message, want.error().message);
+      }
+    }
+  }
+  const auto ases = static_cast<AsId>(topo.as_count());
+  for (AsId src = 0; src < ases; ++src) {
+    for (AsId dst = 0; dst < ases; ++dst) {
+      const auto got = table.as_path(src, dst);
+      const auto want = reference.as_path(src, dst);
+      ASSERT_EQ(got.ok(), want.ok()) << src << " -> " << dst;
+      if (got.ok()) {
+        EXPECT_EQ(got.value(), want.value());
+      }
+      const auto origin = table.route_origin(src, dst);
+      const auto want_origin = reference.route_origin(src, dst);
+      ASSERT_EQ(origin.ok(), want_origin.ok());
+      if (origin.ok()) {
+        EXPECT_EQ(origin.value(), want_origin.value());
+      }
+    }
+  }
+}
+
+TEST(RouteSnapshot, TablesShareOneExpansionPerPair) {
+  PolicyWorld w = PolicyWorld::build();
+  const RouteSnapshot snapshot(&w.topo);
+  constexpr int kTables = 5;
+  std::vector<Topology> copies(kTables, w.topo);
+  std::vector<RouteTable> tables;
+  for (const Topology& copy : copies) tables.emplace_back(&copy, &snapshot);
+  for (const RouteTable& table : tables) {
+    for (int repeat = 0; repeat < 3; ++repeat) {
+      (void)table.route(w.h1, w.cloud_fe);
+      (void)table.route(w.h3, w.cloud_fe);
+      (void)table.route(w.cloud_fe, w.h2);
+    }
+    EXPECT_EQ(table.routes_expanded(), 0u);
+  }
+  // Three distinct pairs, whatever the number of tables and queries.
+  EXPECT_EQ(snapshot.routes_expanded(), 3u);
+  EXPECT_EQ(&tables[0].route(w.h1, w.cloud_fe),
+            &tables[kTables - 1].route(w.h1, w.cloud_fe));
+}
+
+TEST(RouteSnapshot, RateOnlyCopyAnswersLikeItsOwnPrivateTable) {
+  PolicyWorld w = PolicyWorld::build();
+  const RouteSnapshot snapshot(&w.topo);
+  Topology copy = w.topo;
+  const auto link = copy.find_link(w.r_reg, w.r_bb);
+  ASSERT_TRUE(link.has_value());
+  ASSERT_TRUE(copy.set_link_capacity(link.value(), 10.0).ok());
+  ASSERT_TRUE(copy.set_link_policer(link.value(), 5.0).ok());
+  const RouteTable shared(&copy, &snapshot);
+  const RouteTable own(&copy);
+  expect_same_answers(copy, shared, own);
+  EXPECT_EQ(shared.routes_expanded(), 0u);
+  // Rate queries read the table's own topology, not the snapshot's.
+  const Route& route = shared.route(w.h1, w.cloud_fe).value();
+  EXPECT_DOUBLE_EQ(shared.bottleneck_capacity_mbps(route), 10.0);
+  EXPECT_DOUBLE_EQ(shared.min_policer_mbps(route), 5.0);
+}
+
+TEST(RouteSnapshot, InvalidateForksOnlyThatTable) {
+  TwoPeerings w = TwoPeerings::build();
+  const RouteSnapshot snapshot(&w.topo);
+  Topology failing = w.topo;
+  Topology sibling = w.topo;
+  RouteTable forked(&failing, &snapshot);
+  const RouteTable kept(&sibling, &snapshot);
+
+  const Route* before = &forked.route(w.host, w.fe).value();
+  const Route held = *before;
+  ASSERT_NE(std::find(held.links.begin(), held.links.end(), w.cheap),
+            held.links.end());
+  ASSERT_TRUE(failing.set_link_enabled(w.cheap, false).ok());
+  forked.invalidate();
+
+  const Route& after = forked.route(w.host, w.fe).value();
+  EXPECT_EQ(std::find(after.links.begin(), after.links.end(), w.cheap),
+            after.links.end());
+  EXPECT_NE(std::find(after.nodes.begin(), after.nodes.end(), w.r_cl_b),
+            after.nodes.end());
+  EXPECT_EQ(forked.routes_expanded(), 1u);
+  // The retired answer is still readable and unchanged.
+  EXPECT_EQ(before->links, held.links);
+  EXPECT_EQ(before->nodes, held.nodes);
+  // The sibling and a fresh table keep the snapshot's route.
+  EXPECT_EQ(&kept.route(w.host, w.fe).value(), before);
+  const RouteTable fresh(&sibling, &snapshot);
+  EXPECT_EQ(&fresh.route(w.host, w.fe).value(), before);
+  EXPECT_EQ(snapshot.routes_expanded(), 1u);
+}
+
+TEST(RouteSnapshot, ConcurrentTablesMatchPrivateRouting) {
+  PolicyWorld w = PolicyWorld::build();
+  const RouteSnapshot snapshot(&w.topo);
+  constexpr std::size_t kTables = 8;
+  std::vector<Topology> copies(kTables, w.topo);
+  std::vector<RouteTable> tables;
+  for (const Topology& copy : copies) tables.emplace_back(&copy, &snapshot);
+  // Every table starts cold on one cold snapshot, so the first queries of
+  // each pair race on its lock.
+  util::ThreadPool pool(4);
+  pool.parallel_for(kTables, [&](std::size_t i) {
+    const RouteTable own(&copies[i]);
+    expect_same_answers(copies[i], tables[i], own);
+  });
+  const std::size_t n = w.topo.node_count();
+  EXPECT_EQ(snapshot.routes_expanded(), n * n);
 }
 
 }  // namespace

@@ -1,13 +1,17 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <fstream>
+#include <set>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "measure/campaign.h"
 #include "net/topology_io.h"
 #include "scenario/north_america.h"
+#include "util/thread_pool.h"
 #include "util/units.h"
 
 namespace droute::scenario {
@@ -392,6 +396,210 @@ TEST(World, EveryHelperSettlesItsBatches) {
   world->simulator().run();
   settled("run_steered_upload");
   EXPECT_EQ(world->simulator().pending(), 0u);
+}
+
+// ------------------------------------------------------- shared routes ----
+
+bool crosses(const net::Route& route, net::LinkId link) {
+  return std::find(route.links.begin(), route.links.end(), link) !=
+         route.links.end();
+}
+
+TEST(SharedRoutes, JitteredWorldsRouteLikeTheirOwnTopology) {
+  // Each World reads the process snapshot over the unjittered network; a
+  // private table over the World's own jittered copy must agree with it
+  // on every answer.
+  for (const std::uint64_t seed : {1ull, 7919ull, 2016ull}) {
+    WorldConfig config;
+    config.seed = seed;
+    config.cross_traffic = false;
+    auto world = World::create(config);
+    const net::Topology& topo = world->topology();
+    const net::RouteTable own(&topo);
+    const auto nodes = static_cast<net::NodeId>(topo.node_count());
+    for (net::NodeId src = 0; src < nodes; ++src) {
+      for (net::NodeId dst = 0; dst < nodes; ++dst) {
+        const auto& shared = world->routes().route(src, dst);
+        const auto& expect = own.route(src, dst);
+        ASSERT_EQ(shared.ok(), expect.ok()) << seed << ": " << src << "->" << dst;
+        if (shared.ok()) {
+          EXPECT_EQ(shared.value().nodes, expect.value().nodes);
+          EXPECT_EQ(shared.value().links, expect.value().links);
+        } else {
+          EXPECT_EQ(shared.error().message, expect.error().message);
+        }
+      }
+    }
+    const auto ases = static_cast<net::AsId>(topo.as_count());
+    for (net::AsId src = 0; src < ases; ++src) {
+      for (net::AsId dst = 0; dst < ases; ++dst) {
+        const auto shared = world->routes().as_path(src, dst);
+        const auto expect = own.as_path(src, dst);
+        ASSERT_EQ(shared.ok(), expect.ok()) << seed << ": AS " << src << "->"
+                                            << dst;
+        if (shared.ok()) {
+          EXPECT_EQ(shared.value(), expect.value());
+        }
+        const auto origin = world->routes().route_origin(src, dst);
+        const auto expect_origin = own.route_origin(src, dst);
+        ASSERT_EQ(origin.ok(), expect_origin.ok());
+        if (origin.ok()) {
+          EXPECT_EQ(origin.value(), expect_origin.value());
+        }
+      }
+    }
+    EXPECT_EQ(world->routes().routes_expanded(), 0u);
+  }
+}
+
+TEST(SharedRoutes, LinkFailureForksOnlyTheFailingWorld) {
+  WorldConfig config;
+  config.cross_traffic = false;
+  auto failing = World::create(config);
+  auto sibling = World::create(config);
+  const net::NodeId ubc = failing->client_node(Client::kUBC);
+  const net::NodeId google = failing->provider_node(ProviderKind::kGoogleDrive);
+  // The policed PacificWave hop (Fig 5): without it UBC reaches Google over
+  // the default BGP route.
+  const auto policed =
+      failing->topology().find_link(failing->node("vncv1rtr2.canarie.ca"),
+                                    failing->node(
+                                        "google-1-lo-std-707.sttlwa."
+                                        "pacificwave.net"));
+  ASSERT_TRUE(policed.has_value());
+  const net::Route* shared = &failing->routes().route(ubc, google).value();
+  ASSERT_TRUE(crosses(*shared, *policed));
+
+  // A flow on that route reads it in its callback after the failure.
+  net::FlowStats failed;
+  std::vector<net::LinkId> read_in_callback;
+  net::Fabric& fabric = failing->fabric();
+  ASSERT_TRUE(fabric
+                  .start_flow(ubc, google, 100 * util::kMB,
+                              [&](const net::FlowStats& stats) {
+                                read_in_callback = stats.route->links;
+                                failed = stats;
+                              })
+                  .ok());
+  failing->simulator().run_until(1.0);
+  const std::size_t snapshot_before = shared_routes().routes_expanded();
+  fabric.fail_link(*policed);
+  EXPECT_EQ(failed.outcome, net::FlowOutcome::kLinkFailed);
+  EXPECT_EQ(read_in_callback, shared->links);
+  EXPECT_EQ(failed.route, shared);
+
+  // The failing World reroutes around the link, on its own.
+  const auto& rerouted = failing->routes().route(ubc, google);
+  ASSERT_TRUE(rerouted.ok()) << rerouted.error().message;
+  EXPECT_FALSE(crosses(rerouted.value(), *policed));
+  EXPECT_GT(failing->routes().routes_expanded(), 0u);
+  EXPECT_EQ(shared_routes().routes_expanded(), snapshot_before);
+
+  // Its sibling and a World created after the failure keep the snapshot's.
+  EXPECT_EQ(&sibling->routes().route(ubc, google).value(), shared);
+  EXPECT_EQ(sibling->routes().routes_expanded(), 0u);
+  auto fresh = World::create(config);
+  EXPECT_EQ(&fresh->routes().route(ubc, google).value(), shared);
+
+  // A flow on a privately expanded route outlives the next invalidate():
+  // the table retires that route instead of freeing it.
+  const net::Route* private_route = &rerouted.value();
+  net::FlowStats copied;
+  ASSERT_TRUE(fabric
+                  .start_flow(ubc, google, 100 * util::kMB,
+                              [&](const net::FlowStats& stats) {
+                                read_in_callback = stats.route->links;
+                                copied = stats;
+                              })
+                  .ok());
+  failing->simulator().run_until(2.0);
+  fabric.fail_link(private_route->links.front());
+  EXPECT_EQ(copied.outcome, net::FlowOutcome::kLinkFailed);
+  EXPECT_EQ(copied.route, private_route);
+  EXPECT_EQ(read_in_callback, copied.route->links);
+  EXPECT_FALSE(crosses(*copied.route, *policed));
+  EXPECT_FALSE(failing->routes().route(ubc, google).ok());
+}
+
+TEST(SharedRoutes, WorldsExpandEachPairOnceInAll) {
+  WorldConfig config;
+  config.cross_traffic = false;
+  constexpr std::uint64_t kWorlds = 5;
+  std::set<std::pair<net::NodeId, net::NodeId>> asked;
+  std::size_t after_first = 0;
+  const std::size_t start = shared_routes().routes_expanded();
+  for (std::uint64_t k = 0; k < kWorlds; ++k) {
+    config.seed = k + 1;
+    auto world = World::create(config);
+    const net::NodeId vias[] = {
+        world->intermediate_node(Intermediate::kUAlberta),
+        world->intermediate_node(Intermediate::kUMich)};
+    for (const Client client : all_clients()) {
+      for (const ProviderKind provider : cloud::all_providers()) {
+        const net::NodeId src = world->client_node(client);
+        const net::NodeId dst = world->provider_node(provider);
+        std::vector<std::pair<net::NodeId, net::NodeId>> legs = {{src, dst}};
+        for (const net::NodeId via : vias) {
+          legs.emplace_back(src, via);
+          legs.emplace_back(via, dst);
+        }
+        for (const auto& [a, b] : legs) {
+          ASSERT_TRUE(world->routes().route(a, b).ok());
+          asked.emplace(a, b);
+        }
+      }
+    }
+    EXPECT_EQ(world->routes().routes_expanded(), 0u);
+    if (k == 0) after_first = shared_routes().routes_expanded();
+  }
+  // The first World expanded at most the distinct pairs (fewer if earlier
+  // tests in this process asked for some); the other Worlds none at all.
+  EXPECT_LE(after_first - start, asked.size());
+  EXPECT_EQ(shared_routes().routes_expanded(), after_first);
+}
+
+TEST(SharedRoutes, ConcurrentWorldsMatchASequentialRun) {
+  struct Job {
+    Client client;
+    ProviderKind provider;
+    RouteChoice route;
+  };
+  std::vector<Job> jobs;
+  for (const Client client : all_clients()) {
+    for (const ProviderKind provider : cloud::all_providers()) {
+      jobs.push_back({client, provider, all_routes()[jobs.size() % 3]});
+    }
+  }
+  struct Outcome {
+    std::vector<net::LinkId> links;
+    double seconds = -1.0;
+  };
+  const auto run = [&](std::size_t i) {
+    WorldConfig config;
+    config.seed = 100 + i;
+    auto world = World::create(config);
+    const Job& job = jobs[i];
+    Outcome out;
+    const auto& route = world->routes().route(world->client_node(job.client),
+                                              world->provider_node(job.provider));
+    if (route.ok()) out.links = route.value().links;
+    auto elapsed = world->run_upload(job.client, job.provider, job.route,
+                                     10 * util::kMB);
+    if (elapsed.ok()) out.seconds = elapsed.value();
+    return out;
+  };
+  std::vector<Outcome> parallel(jobs.size());
+  {
+    util::ThreadPool pool(4);
+    pool.parallel_for(jobs.size(), [&](std::size_t i) { parallel[i] = run(i); });
+  }
+  for (std::size_t i = 0; i < jobs.size(); ++i) {
+    const Outcome sequential = run(i);
+    EXPECT_FALSE(sequential.links.empty()) << i;
+    EXPECT_GT(sequential.seconds, 0.0) << i;
+    EXPECT_EQ(parallel[i].links, sequential.links) << i;
+    EXPECT_EQ(parallel[i].seconds, sequential.seconds) << i;
+  }
 }
 
 }  // namespace
