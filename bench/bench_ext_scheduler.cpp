@@ -6,7 +6,6 @@
 // single-transfer benchmarks — and ends with an FNV-1a digest of every job
 // outcome (id, start, finish, success) of both policies.
 #include <cstdio>
-#include <memory>
 
 #include "common.h"
 #include "ctrl/scheduler.h"
@@ -44,17 +43,6 @@ PolicyRun run_policy(bool paper_routes, std::uint64_t seed) {
   const cloud::ProviderKind providers[] = {cloud::ProviderKind::kGoogleDrive,
                                            cloud::ProviderKind::kDropbox,
                                            cloud::ProviderKind::kOneDrive};
-  std::vector<std::unique_ptr<transfer::SteeredUploadEngine>> engines;
-  for (const auto provider : providers) {
-    ctrl::Steering* steering =
-        paper_routes && provider == cloud::ProviderKind::kGoogleDrive
-            ? &via_ualberta
-            : &direct;
-    engines.push_back(std::make_unique<transfer::SteeredUploadEngine>(
-        &world->fabric(), world->transfer_engine(),
-        &world->api_engine(provider), steering));
-  }
-
   ctrl::BatchScheduler scheduler(world->simulator(), 2);
   scheduler.start();
 
@@ -73,7 +61,13 @@ PolicyRun run_policy(bool paper_routes, std::uint64_t seed) {
         std::max<std::uint64_t>(1, item.bytes / util::kMB), 31);
     file.bytes = item.bytes;
     file.name = id;
-    ctrl::TransferJob job{id, 0, client, *engines[counter % 3], file};
+    const cloud::ProviderKind provider = providers[counter % 3];
+    ctrl::StaticSteering& steering =
+        paper_routes && provider == cloud::ProviderKind::kGoogleDrive
+            ? via_ualberta
+            : direct;
+    ctrl::TransferJob job{
+        id, 0, client, world->detour_engine(provider), steering, file};
     ++counter;
     world->simulator().schedule_at(
         world->simulator().now() + item.at_s,

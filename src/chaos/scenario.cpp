@@ -24,7 +24,6 @@
 #include "transfer/parallel.h"
 #include "transfer/rsync_engine.h"
 #include "transfer/sim_transport.h"
-#include "transfer/steered.h"
 
 namespace droute::chaos {
 
@@ -158,7 +157,7 @@ struct Stack {
   transfer::ApiUploadEngine* api = nullptr;
   transfer::DetourEngine* detour = nullptr;
   transfer::RsyncEngine* rsync = nullptr;
-  transfer::SteeredUploadEngine* steered = nullptr;  // only with kSteered work
+  ctrl::Steering* steering = nullptr;  // only with kSteered work
   transfer::ParallelPushEngine* parallel = nullptr;  // kBatched striped pushes
   int server_node = 0;
 };
@@ -167,6 +166,21 @@ struct Stack {
 // fan-out (launch order, partial failure, cancel cascade) without swamping
 // the chaos plan's flow-id range.
 constexpr int kBatchedStreams = 3;
+
+/// Folds a finished item's join into its outcome: a Task-level error
+/// (escaped exception, cancellation) ends the item now, unsuccessfully.
+template <typename R>
+void fold_outcome(const util::Result<R>& joined, double now,
+                  WorkOutcome* out) {
+  if (!joined.ok()) {
+    out->error = joined.error().message;
+    out->end_s = now;
+    return;
+  }
+  out->success = joined.value().success;
+  out->error = joined.value().error;
+  out->end_s = joined.value().end_time;
+}
 
 sim::Task<void> drive_item(Stack stack, WorkItem item, WorkOutcome* out) {
   auto wake = sim::delay_until(*stack.simulator, item.start_s);
@@ -185,14 +199,7 @@ sim::Task<void> drive_item(Stack stack, WorkItem item, WorkOutcome* out) {
     case WorkKind::kApiUpload: {
       auto task = stack.api->upload_task(item.client, file);
       const auto result = co_await task;
-      if (result.ok()) {
-        out->success = result.value().success;
-        out->error = result.value().error;
-        out->end_s = result.value().end_time;
-      } else {
-        out->error = result.error().message;
-        out->end_s = stack.simulator->now();
-      }
+      fold_outcome(result, stack.simulator->now(), out);
       break;
     }
     case WorkKind::kDetour:
@@ -201,59 +208,36 @@ sim::Task<void> drive_item(Stack stack, WorkItem item, WorkOutcome* out) {
       options.mode = item.kind == WorkKind::kDetour
                          ? transfer::DetourMode::kStoreAndForward
                          : transfer::DetourMode::kPipelined;
-      auto task =
-          stack.detour->transfer_task(item.client, item.via, file, options);
+      auto task = stack.detour->transfer_task(
+          item.client, ctrl::PathSpec{{item.via}}, file, options);
       const auto result = co_await task;
+      fold_outcome(result, stack.simulator->now(), out);
+      // Only detours report legs: the run digest mixes both fields of
+      // every outcome.
       if (result.ok()) {
-        out->success = result.value().success;
-        out->error = result.value().error;
-        out->end_s = result.value().end_time;
         out->leg1_s = result.value().leg1_s;
         out->leg2_s = result.value().leg2_s;
-      } else {
-        out->error = result.error().message;
-        out->end_s = stack.simulator->now();
       }
       break;
     }
     case WorkKind::kRsyncPush: {
       auto task = stack.rsync->push_task(item.client, item.via, file);
       const auto result = co_await task;
-      if (result.ok()) {
-        out->success = result.value().success;
-        out->error = result.value().error;
-        out->end_s = result.value().end_time;
-      } else {
-        out->error = result.error().message;
-        out->end_s = stack.simulator->now();
-      }
+      fold_outcome(result, stack.simulator->now(), out);
       break;
     }
     case WorkKind::kSteered: {
-      auto task = stack.steered->upload_task(item.client, file);
+      auto task =
+          stack.detour->steered_task(item.client, file, *stack.steering);
       const auto result = co_await task;
-      if (result.ok()) {
-        out->success = result.value().success;
-        out->error = result.value().error;
-        out->end_s = result.value().end_time;
-      } else {
-        out->error = result.error().message;
-        out->end_s = stack.simulator->now();
-      }
+      fold_outcome(result, stack.simulator->now(), out);
       break;
     }
     case WorkKind::kBatched: {
       auto task = stack.parallel->push_task(item.client, stack.server_node,
                                             file, kBatchedStreams);
       const auto result = co_await task;
-      if (result.ok()) {
-        out->success = result.value().success;
-        out->error = result.value().error;
-        out->end_s = result.value().end_time;
-      } else {
-        out->error = result.error().message;
-        out->end_s = stack.simulator->now();
-      }
+      fold_outcome(result, stack.simulator->now(), out);
       break;
     }
   }
@@ -303,16 +287,15 @@ RunReport run_case(const Case& c, const RunOptions& options) {
   transfer::ParallelPushEngine parallel(&fabric, xfer);
 
   // kSteered work brings up the online control plane: the controller probes
-  // candidate paths (every non-server host is a potential relay) and the
-  // steered engine consults it per session. The decision hook enforces
-  // ctrl_no_dead_steer live: a routable decision must re-validate leg by
-  // leg against the same route table the controller consulted.
+  // candidate paths (every non-server host is a potential relay) and each
+  // steered session of the detour engine consults it. The decision hook
+  // enforces ctrl_no_dead_steer live: a routable decision must re-validate
+  // leg by leg against the same route table the controller consulted.
   const bool has_steered =
       std::any_of(c.work.begin(), c.work.end(), [](const WorkItem& item) {
         return item.kind == WorkKind::kSteered;
       });
   std::unique_ptr<ctrl::Controller> controller;
-  std::unique_ptr<transfer::SteeredUploadEngine> steered;
   if (has_steered) {
     controller = std::make_unique<ctrl::Controller>(simulator, xfer, routes);
     controller->set_provider(c.server_node);
@@ -345,8 +328,6 @@ RunReport run_case(const Case& c, const RunOptions& options) {
             prev = hop;
           }
         });
-    steered = std::make_unique<transfer::SteeredUploadEngine>(
-        &fabric, xfer, &api, controller.get());
     controller->start();
   }
 
@@ -392,7 +373,7 @@ RunReport run_case(const Case& c, const RunOptions& options) {
   std::vector<sim::Task<void>> tasks;
   tasks.reserve(c.work.size());
   const Stack stack{&simulator, &api,      &detour,      &rsync,
-                    steered.get(), &parallel, c.server_node};
+                    controller.get(), &parallel, c.server_node};
   for (std::size_t i = 0; i < c.work.size(); ++i) {
     tasks.push_back(drive_item(stack, c.work[i], &report.outcomes[i]));
   }

@@ -60,7 +60,8 @@ sim::Task<void> BatchScheduler::run_job(TransferJob job) {
   outcome.started_at = simulator_->now();
   if (!first_start_) first_start_ = outcome.started_at;
 
-  auto session = job.engine.upload_task(job.client, std::move(job.file));
+  auto session =
+      job.engine.steered_task(job.client, std::move(job.file), job.steering);
   const auto joined = co_await session;
   outcome.finished_at = simulator_->now();
   if (joined.ok()) {

@@ -5,15 +5,15 @@
 // priorities (FIFO within a priority), and reports per-job outcomes and
 // the makespan.
 //
-// Routing is not the scheduler's business: each job names the
-// transfer::SteeredUploadEngine it rides, which binds the provider and the
-// ctrl::Steering (a Controller, or a StaticSteering pinning the paper's
-// best route) that picks the session's path. Each job runs as a sim::Task,
+// Routing is not the scheduler's business: each job names the provider's
+// transfer::DetourEngine and the ctrl::Steering (a Controller, or a
+// StaticSteering pinning the paper's best route) that picks the session's
+// relay chain. Each job runs as a sim::Task over DetourEngine::steered_task,
 // and its outcome records the Decision that session rode.
 //
-// Lifetime: engines (and their Steering) must outlive every job that names
-// them. The destructor cancels in-flight jobs and steps the simulator until
-// they unwind, so a scheduler must be destroyed before its Simulator
+// Lifetime: engines and steerings must outlive every job that names them.
+// The destructor cancels in-flight jobs and steps the simulator until they
+// unwind, so a scheduler must be destroyed before its Simulator
 // (DESIGN.md §10).
 #pragma once
 
@@ -27,7 +27,7 @@
 #include "ctrl/steering.h"
 #include "sim/simulator.h"
 #include "sim/task.h"
-#include "transfer/steered.h"
+#include "transfer/detour.h"
 
 namespace droute::ctrl {
 
@@ -35,7 +35,8 @@ struct TransferJob {
   std::string id;  // unique, caller-chosen
   int priority = 0;  // higher runs earlier
   net::NodeId client = net::kInvalidNode;
-  transfer::SteeredUploadEngine& engine;  // binds provider and Steering
+  transfer::DetourEngine& engine;  // binds the provider
+  Steering& steering;              // picks the session's relay chain
   transfer::FileSpec file;
 };
 

@@ -1,16 +1,16 @@
 // The decision-source seam between the control plane and the data plane.
 //
-// ctrl::Steering is the interface transfer engines and scenario::World
-// consult when a new upload session starts: given (client, bytes), it names
+// ctrl::Steering is the interface transfer::DetourEngine::steered_task
+// consults when a new upload session starts: given (client, bytes), it names
 // the path — direct, one DTN relay, or a bounded relay chain — the session
-// should ride. ctrl::Controller is the online implementation; StaticSteering
-// pins a fixed path (the "what the paper hardcoded" baseline and the bench
-// oracle's building block).
+// should ride, and DetourEngine runs that chain. ctrl::Controller is the
+// online implementation; StaticSteering pins a fixed path (the "what the
+// paper hardcoded" baseline and the bench oracle's building block).
 //
 // This header is deliberately dependency-light (net ids only, everything
-// inline) so the transfer layer can accept a Steering* without linking
-// droute_ctrl — the control plane depends on the data plane, not the other
-// way around.
+// inline) so the transfer layer can take a Steering& and a PathSpec without
+// linking droute_ctrl — the control plane depends on the data plane, not
+// the other way around.
 #pragma once
 
 #include <cstdint>

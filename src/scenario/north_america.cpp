@@ -9,7 +9,6 @@
 #include "scenario/foreground.h"
 #include "sim/task.h"
 #include "transfer/rsync_engine.h"
-#include "transfer/steered.h"
 #include "util/logging.h"
 #include "util/units.h"
 
@@ -365,7 +364,7 @@ util::Result<std::string> World::stage_object(cloud::ProviderKind provider,
   auto task = api_engine(provider).upload_task(
       intermediate_node(Intermediate::kUAlberta), file);
   if (!sim::drive(simulator_, task, kForegroundDeadlineS)) {
-    return util::Error::make("stage_object failed: ");
+    return util::Error::make("stage_object did not finish (deadline)");
   }
   const auto& joined = task.result();
   if (!joined.ok()) {
@@ -430,7 +429,8 @@ util::Result<double> World::run_upload(Client client,
                                            : Intermediate::kUMich);
     transfer::DetourOptions options;
     options.mode = mode;
-    auto task = detour_engine(provider).transfer_task(src, via, sized, options);
+    auto task = detour_engine(provider).transfer_task(
+        src, ctrl::PathSpec{{via}}, sized, options);
     if (sim::drive(simulator_, task, kForegroundDeadlineS)) {
       elapsed = fold_elapsed(task.result());
     }
@@ -482,11 +482,9 @@ util::Result<double> World::run_steered_upload(cloud::ProviderKind provider,
       config_.seed ^ ++upload_counter_);
   file.bytes = bytes;
 
-  transfer::SteeredUploadEngine engine(fabric_.get(), *xfer_,
-                                       &api_engine(provider), &steering);
   util::Result<double> elapsed =
       util::Error::make("steered upload did not finish (deadline)");
-  auto task = engine.upload_task(src, file);
+  auto task = detour_engine(provider).steered_task(src, file, steering);
   if (sim::drive(simulator_, task, kForegroundDeadlineS)) {
     elapsed = fold_elapsed(task.result());
   }

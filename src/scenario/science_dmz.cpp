@@ -93,7 +93,8 @@ util::Result<double> ScienceDmzWorld::run_upload(Path path,
       elapsed = fold_elapsed(task.result());
     }
   } else {
-    auto task = detour_->transfer_task(lab_host_, dtn_, file);
+    auto task =
+        detour_->transfer_task(lab_host_, ctrl::PathSpec{{dtn_}}, file);
     if (sim::drive(simulator_, task, kForegroundDeadlineS)) {
       elapsed = fold_elapsed(task.result());
     }

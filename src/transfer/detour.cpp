@@ -4,6 +4,7 @@
 #include <utility>
 #include <vector>
 
+#include "check/contract.h"
 #include "obs/recorder.h"
 #include "transfer/leg.h"
 #include "util/logging.h"
@@ -31,17 +32,21 @@ void emit_detour_span(const DetourResult& result) {
 }  // namespace
 
 sim::Task<DetourResult> DetourEngine::transfer_task(net::NodeId client,
-                                                    net::NodeId intermediate,
+                                                    ctrl::PathSpec path,
                                                     FileSpec file,
                                                     DetourOptions options) {
-  return options.mode == DetourMode::kStoreAndForward
-             ? store_and_forward_task(client, intermediate, std::move(file),
-                                      options)
-             : pipelined_task(client, intermediate, std::move(file), options);
+  if (options.mode == DetourMode::kStoreAndForward) {
+    return store_and_forward_task(client, std::move(path), std::move(file),
+                                  options);
+  }
+  DROUTE_CHECK(path.relay_hops() == 1,
+               "pipelined detour needs exactly one relay");
+  return pipelined_task(client, path.relays.front(), std::move(file),
+                        options);
 }
 
 sim::Task<DetourResult> DetourEngine::store_and_forward_task(
-    net::NodeId client, net::NodeId intermediate, FileSpec file,
+    net::NodeId client, ctrl::PathSpec path, FileSpec file,
     DetourOptions options) {
   sim::Simulator& simulator = *fabric_->simulator();
   DetourResult result;
@@ -49,32 +54,73 @@ sim::Task<DetourResult> DetourEngine::store_and_forward_task(
   result.start_time = simulator.now();
   result.payload_bytes = file.bytes;
 
-  auto leg1_task = rsync_.push_task(client, intermediate, file, options.rsync);
-  const auto leg1_joined = co_await leg1_task;
-  const RsyncResult leg1 = unwrap_leg(leg1_joined, simulator.now());
-  result.leg1_s = leg1.duration_s();
+  // One rsync push per relay; leg 1 is the whole chain up to the last one.
+  net::NodeId from = client;
+  bool relayed = true;
+  for (std::size_t hop = 0; hop < path.relays.size(); ++hop) {
+    auto relay_task =
+        rsync_.push_task(from, path.relays[hop], file, options.rsync);
+    const auto relay_joined = co_await relay_task;
+    const RsyncResult leg = unwrap_leg(relay_joined, simulator.now());
+    result.leg1_s += leg.duration_s();
+    if (!leg.success) {
+      result.error =
+          "detour leg " + std::to_string(hop + 1) + " (rsync): " + leg.error;
+      relayed = false;
+      break;
+    }
+    from = path.relays[hop];
+  }
   const double leg1_end = simulator.now();
   obs::emit_span("transfer.detour_leg1", obs::Clock::kSim, result.start_time,
                  leg1_end);
-  if (!leg1.success) {
-    result.error = "detour leg 1 (rsync): " + leg1.error;
+  if (!relayed) {
     result.end_time = leg1_end;
     emit_detour_span(result);
     co_return result;
   }
 
-  auto leg2_task = api_->upload_task(intermediate, file, options.api);
-  const auto leg2_joined = co_await leg2_task;
-  const UploadResult leg2 = unwrap_leg(leg2_joined, simulator.now());
-  result.leg2_s = leg2.duration_s();
-  result.success = leg2.success;
-  if (!leg2.success) {
-    result.error = "detour leg 2 (API): " + leg2.error;
+  auto api_task = api_->upload_task(from, file, options.api);
+  const auto api_joined = co_await api_task;
+  const UploadResult api_leg = unwrap_leg(api_joined, simulator.now());
+  result.leg2_s = api_leg.duration_s();
+  result.success = api_leg.success;
+  if (!api_leg.success) {
+    result.error = "detour leg " + std::to_string(path.relays.size() + 1) +
+                   " (API): " + api_leg.error;
   }
   result.end_time = simulator.now();
   obs::emit_span("transfer.detour_leg2", obs::Clock::kSim, leg1_end,
                  result.end_time);
   emit_detour_span(result);
+  co_return result;
+}
+
+// The steering's reference outlives the task (header contract), as the
+// engine's own members do.
+sim::Task<SteeredResult> DetourEngine::steered_task(  // NOLINT(cppcoreguidelines-avoid-reference-coroutine-parameters)
+    net::NodeId client, FileSpec file, ctrl::Steering& steering) {
+  sim::Simulator& simulator = *fabric_->simulator();
+  SteeredResult result;
+  result.start_time = simulator.now();
+  result.decision = steering.steer(client, file.bytes);
+
+  auto session = transfer_task(client, result.decision.path, file);
+  const auto joined = co_await session;
+  const DetourResult detour = unwrap_leg(joined, simulator.now());
+  result.success = detour.success;
+  result.error = detour.error;
+  result.end_time = simulator.now();
+
+  steering.observe_session(client, result.decision, file.bytes,
+                           result.duration_s(), result.success);
+  if (obs::enabled()) {
+    obs::emit_span("transfer.steered_upload", obs::Clock::kSim,
+                   result.start_time, result.end_time,
+                   {{"path", result.decision.path.label()},
+                    {"bytes", std::to_string(file.bytes)},
+                    {"ok", result.success ? "1" : "0"}});
+  }
   co_return result;
 }
 

@@ -1,18 +1,27 @@
 // Detour transfer engine — the paper's contribution, plus the pipelined
-// extension.
+// extension. It is the one engine that runs relay chains.
 //
 // Store-and-forward (the paper's system, Fig 1): rsync the file from the
-// client to the intermediate DTN, then upload from the DTN with the
-// provider's API. Total time is the *sum* of the legs (e.g. the intro's
-// 19 s + 17 s = 36 s vs 87 s direct for UBC -> Google Drive).
+// client to each DTN of the chain in turn, then upload from the last one
+// with the provider's API. Total time is the *sum* of the legs (e.g. the
+// intro's 19 s + 17 s = 36 s vs 87 s direct for UBC -> Google Drive). The
+// paper's detour is the one-relay chain; the empty chain is the direct
+// API upload.
 //
 // Pipelined (our extension, Sec I future work): relay API-sized chunks
-// through the DTN as they arrive, overlapping the two legs; total time
+// through one DTN as they arrive, overlapping the two legs; total time
 // approaches the slower leg plus one chunk's worth of the other.
+//
+// Steered (the data plane's side of the ctrl seam): ask a ctrl::Steering
+// for the chain, run it store-and-forward, and report the session back via
+// Steering::observe_session, closing the control loop. Only the
+// header-only ctrl/steering.h is used — the transfer layer does not link
+// droute_ctrl (DESIGN.md §14).
 #pragma once
 
 #include <string>
 
+#include "ctrl/steering.h"
 #include "sim/task.h"
 #include "transfer/api_upload.h"
 #include "transfer/rsync_engine.h"
@@ -26,10 +35,21 @@ struct DetourResult {
   std::string error;
   double start_time = 0.0;
   double end_time = 0.0;
-  double leg1_s = 0.0;  // client -> intermediate
-  double leg2_s = 0.0;  // intermediate -> provider (store-and-forward only)
+  double leg1_s = 0.0;  // client -> last relay
+  double leg2_s = 0.0;  // last relay -> provider (store-and-forward only)
   DetourMode mode = DetourMode::kStoreAndForward;
   std::uint64_t payload_bytes = 0;
+
+  double duration_s() const { return end_time - start_time; }
+};
+
+/// A steered session: the decision it rode and how it ended.
+struct SteeredResult {
+  ctrl::Decision decision;
+  bool success = false;
+  std::string error;
+  double start_time = 0.0;
+  double end_time = 0.0;
 
   double duration_s() const { return end_time - start_time; }
 };
@@ -47,18 +67,26 @@ class DetourEngine {
   DetourEngine(net::Fabric* fabric, TransferEngine& xfer, ApiUploadEngine* api)
       : fabric_(fabric), api_(api), rsync_(fabric, xfer), xfer_(xfer) {}
 
-  /// Coroutine form: moves `file` from `client` to the provider via
-  /// `intermediate`. Domain failures land inside DetourResult — including
-  /// a leg that unwound exceptionally (the leg's Task error is folded into
-  /// the failed result rather than terminating, see tests).
+  /// Coroutine form: moves `file` from `client` to the provider through
+  /// the relays of `path`, in order. Domain failures land inside
+  /// DetourResult — including a leg that unwound exceptionally (the leg's
+  /// Task error is folded into the failed result rather than terminating,
+  /// see tests). Pipelined mode needs exactly one relay; any other chain
+  /// fails a DROUTE_CHECK at the call.
   sim::Task<DetourResult> transfer_task(net::NodeId client,
-                                        net::NodeId intermediate,
-                                        FileSpec file,
+                                        ctrl::PathSpec path, FileSpec file,
                                         DetourOptions options = {});
+
+  /// Coroutine form: steers, runs the decided chain store-and-forward and
+  /// reports the session back. `steering` must outlive the task. An
+  /// unroutable decision still runs (direct fallback), so its failure
+  /// surfaces here as it would for a real client with no alternative.
+  sim::Task<SteeredResult> steered_task(net::NodeId client, FileSpec file,
+                                        ctrl::Steering& steering);
 
  private:
   sim::Task<DetourResult> store_and_forward_task(net::NodeId client,
-                                                 net::NodeId intermediate,
+                                                 ctrl::PathSpec path,
                                                  FileSpec file,
                                                  DetourOptions options);
   sim::Task<DetourResult> pipelined_task(net::NodeId client,
@@ -68,7 +96,7 @@ class DetourEngine {
 
   net::Fabric* fabric_;
   ApiUploadEngine* api_;
-  RsyncEngine rsync_;  // leg 1 of store-and-forward
+  RsyncEngine rsync_;  // the relay legs of store-and-forward
   TransferEngine& xfer_;
 };
 

@@ -1,6 +1,6 @@
-// Folding a relay leg's task result back into the leg's own result struct,
-// shared by every engine that chains legs (store-and-forward detours, their
-// download mirror, steered multi-hop uploads).
+// Folding a leg's task result back into the leg's own result struct,
+// shared by every engine that chains legs (store-and-forward relay chains,
+// their download mirror) and by the steered session over a chain.
 #pragma once
 
 #include "util/result.h"

@@ -488,7 +488,7 @@ TEST(DetourTask, ThrowingLegSurfacesAsFailedResult) {
   options.rsync.basis_overlap = 1.5;  // violates the rsync engine contract
 
   auto task = world->detour_engine(cloud::ProviderKind::kGoogleDrive)
-                  .transfer_task(ubc, ua, make_file_mb(10, 7), options);
+                  .transfer_task(ubc, ctrl::PathSpec{{ua}}, make_file_mb(10, 7), options);
   world->simulator().run();
   ASSERT_TRUE(task.done());
   // The leg's exception was folded into a failed result, not rethrown.
@@ -523,7 +523,7 @@ TEST(DetourTask, FailLinkMidLeg1FailsTheDetour) {
   const auto ubc = world->client_node(scenario::Client::kUBC);
   const auto ua = world->intermediate_node(scenario::Intermediate::kUAlberta);
   auto task = world->detour_engine(cloud::ProviderKind::kGoogleDrive)
-                  .transfer_task(ubc, ua, make_file_mb(50, 5));
+                  .transfer_task(ubc, ctrl::PathSpec{{ua}}, make_file_mb(50, 5));
   world->simulator().run_until(4.0);
   ASSERT_FALSE(task.done());
   world->fabric().fail_link(world->topology()
@@ -546,7 +546,7 @@ TEST(DetourTask, TimeoutDuringLeg2AbandonsTheApiSession) {
   auto guarded = sim::with_timeout(
       world->simulator(),
       world->detour_engine(cloud::ProviderKind::kGoogleDrive)
-          .transfer_task(ubc, ua, make_file_mb(50, 9)),
+          .transfer_task(ubc, ctrl::PathSpec{{ua}}, make_file_mb(50, 9)),
       15.0);
   world->simulator().run();
   ASSERT_TRUE(guarded.done());

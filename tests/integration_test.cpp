@@ -141,17 +141,15 @@ TEST(Integration, PlannerPickRunsAsASteeredSchedulerJob) {
   const auto report = planner.plan(kBytes).value();
   ASSERT_EQ(report.decision.route_key, "via UAlberta");
 
-  // The planner's pick becomes the provider engine's steering, and the
-  // upload runs as a scheduler job.
+  // The planner's pick becomes the job's steering, and the upload runs as
+  // a scheduler job.
   ctrl::StaticSteering steering(paths.at(report.decision.route_key));
-  transfer::SteeredUploadEngine gdrive(
-      &world->fabric(), world->transfer_engine(),
-      &world->api_engine(ProviderKind::kGoogleDrive), &steering);
   transfer::FileSpec file = transfer::make_file_mb(60, 9);
   file.name = "planned-60mb";
   ctrl::BatchScheduler scheduler(world->simulator(), 1);
   ASSERT_TRUE(scheduler.submit(
-      {"planned", 0, world->client_node(Client::kUBC), gdrive, file}));
+      {"planned", 0, world->client_node(Client::kUBC),
+       world->detour_engine(ProviderKind::kGoogleDrive), steering, file}));
   scheduler.start();
   world->simulator().run();
 

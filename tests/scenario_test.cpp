@@ -398,6 +398,29 @@ TEST(World, EveryHelperSettlesItsBatches) {
   EXPECT_EQ(world->simulator().pending(), 0u);
 }
 
+TEST(World, StageObjectPastItsDeadlineSaysSo) {
+  WorldConfig config;
+  config.cross_traffic = false;
+  auto world = World::create(config);
+  // Starve UAlberta's uplink: a 10 MB object then needs ~80,000 simulated
+  // seconds, past the foreground deadline.
+  ASSERT_TRUE(world->topology()
+                  .set_link_capacity(
+                      world->topology()
+                          .find_link(
+                              world->node("gsb-asr-core1.backbone.ualberta.ca"),
+                              world->node("uofa-p-1-edm.cybera.ca"))
+                          .value(),
+                      1e-3)
+                  .ok());
+  world->fabric().reallocate_now();
+  const auto name = world->stage_object(ProviderKind::kGoogleDrive, k10MB);
+  ASSERT_FALSE(name.ok());
+  EXPECT_NE(name.error().message.find("deadline"), std::string::npos)
+      << name.error().message;
+  EXPECT_EQ(world->server(ProviderKind::kGoogleDrive).open_sessions(), 0u);
+}
+
 // ------------------------------------------------------- shared routes ----
 
 bool crosses(const net::Route& route, net::LinkId link) {

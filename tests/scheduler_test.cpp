@@ -16,28 +16,31 @@ namespace {
 
 using cloud::ProviderKind;
 
+/// What a job rides: the provider's detour engine and a steering.
+struct Lane {
+  transfer::DetourEngine& engine;
+  Steering& steering;
+};
+
 /// A quiet World plus the pieces a scheduler job needs: a direct steering,
-/// steered engines, and jobs of a given size from one client.
+/// lanes to the providers, and jobs of a given size from one client.
 struct Site {
   explicit Site(scenario::Client from = scenario::Client::kUBC)
       : world(scenario::World::create({.seed = 1, .cross_traffic = false})),
         client(world->client_node(from)) {}
 
-  transfer::SteeredUploadEngine engine(ProviderKind provider,
-                                       Steering& steering) {
-    return transfer::SteeredUploadEngine(&world->fabric(),
-                                         world->transfer_engine(),
-                                         &world->api_engine(provider),
-                                         &steering);
+  Lane lane(ProviderKind provider, Steering& steering) {
+    return {world->detour_engine(provider), steering};
   }
 
-  TransferJob job(std::string id, transfer::SteeredUploadEngine& engine,
-                  std::uint64_t bytes, int priority = 0) const {
+  TransferJob job(std::string id, const Lane& lane, std::uint64_t bytes,
+                  int priority = 0) const {
     transfer::FileSpec file = transfer::make_file_mb(
         std::max<std::uint64_t>(1, bytes / util::kMB), 77);
     file.bytes = bytes;
     file.name = id;
-    return {std::move(id), priority, client, engine, std::move(file)};
+    return {std::move(id), priority,         client,
+            lane.engine,   lane.steering, std::move(file)};
   }
 
   std::unique_ptr<scenario::World> world;
@@ -53,7 +56,7 @@ std::vector<std::string> settle_order(const BatchScheduler& scheduler) {
 
 TEST(Scheduler, RunsJobsAndReportsOutcomes) {
   Site site;
-  auto dropbox = site.engine(ProviderKind::kDropbox, site.direct);
+  auto dropbox = site.lane(ProviderKind::kDropbox, site.direct);
   BatchScheduler scheduler(site.world->simulator(), 2);
   for (int i = 0; i < 5; ++i) {
     ASSERT_TRUE(scheduler.submit(
@@ -82,7 +85,7 @@ TEST(Scheduler, RunsJobsAndReportsOutcomes) {
 
 TEST(Scheduler, ConcurrencyBoundHeld) {
   Site site;
-  auto dropbox = site.engine(ProviderKind::kDropbox, site.direct);
+  auto dropbox = site.lane(ProviderKind::kDropbox, site.direct);
   BatchScheduler scheduler(site.world->simulator(), 3);
   for (int i = 0; i < 10; ++i) {
     ASSERT_TRUE(scheduler.submit(
@@ -100,7 +103,7 @@ TEST(Scheduler, ConcurrencyBoundHeld) {
 
 TEST(Scheduler, PriorityOrderWithFifoTies) {
   Site site;
-  auto dropbox = site.engine(ProviderKind::kDropbox, site.direct);
+  auto dropbox = site.lane(ProviderKind::kDropbox, site.direct);
   BatchScheduler scheduler(site.world->simulator(), 1);
   scheduler.submit(site.job("low1", dropbox, 1000));
   scheduler.submit(site.job("high", dropbox, 1000, 5));
@@ -117,8 +120,8 @@ TEST(Scheduler, OverlayRoutesJobs) {
   const PathSpec via_ualberta{
       {site.world->intermediate_node(scenario::Intermediate::kUAlberta)}};
   StaticSteering overlay(via_ualberta);
-  auto gdrive = site.engine(ProviderKind::kGoogleDrive, overlay);
-  auto dropbox = site.engine(ProviderKind::kDropbox, site.direct);
+  auto gdrive = site.lane(ProviderKind::kGoogleDrive, overlay);
+  auto dropbox = site.lane(ProviderKind::kDropbox, site.direct);
   BatchScheduler scheduler(site.world->simulator(), 1);
   scheduler.submit(site.job("a", gdrive, 1000));
   scheduler.submit(site.job("b", dropbox, 1000));
@@ -133,7 +136,7 @@ TEST(Scheduler, OverlayRoutesJobs) {
 
 TEST(Scheduler, RejectsBadSubmissions) {
   Site site;
-  auto dropbox = site.engine(ProviderKind::kDropbox, site.direct);
+  auto dropbox = site.lane(ProviderKind::kDropbox, site.direct);
   BatchScheduler scheduler(site.world->simulator(), 1);
   EXPECT_TRUE(scheduler.submit(site.job("x", dropbox, 10)));
   EXPECT_FALSE(scheduler.submit(site.job("x", dropbox, 10)));  // duplicate id
@@ -146,7 +149,7 @@ TEST(Scheduler, RejectsBadSubmissions) {
 
 TEST(Scheduler, LateSubmissionsRunWhileActive) {
   Site site;
-  auto dropbox = site.engine(ProviderKind::kDropbox, site.direct);
+  auto dropbox = site.lane(ProviderKind::kDropbox, site.direct);
   BatchScheduler scheduler(site.world->simulator(), 1);
   scheduler.start();
   scheduler.submit(site.job("first", dropbox, util::kMB));
@@ -170,7 +173,7 @@ void isolate_client(Site& site) {
 TEST(Scheduler, FailuresRecorded) {
   Site site(scenario::Client::kPurdue);
   isolate_client(site);
-  auto dropbox = site.engine(ProviderKind::kDropbox, site.direct);
+  auto dropbox = site.lane(ProviderKind::kDropbox, site.direct);
   BatchScheduler scheduler(site.world->simulator(), 1);
   scheduler.submit(site.job("doomed", dropbox, util::kMB));
   scheduler.start();
@@ -188,7 +191,7 @@ TEST(Scheduler, InlineSettlingJobsKeepTheStackFlat) {
   // pump; recursing once per job overflows an 8 MB stack near 10,000 jobs.
   Site site(scenario::Client::kPurdue);
   isolate_client(site);
-  auto dropbox = site.engine(ProviderKind::kDropbox, site.direct);
+  auto dropbox = site.lane(ProviderKind::kDropbox, site.direct);
   BatchScheduler scheduler(site.world->simulator(), 1);
   constexpr int kJobs = 20000;
   for (int i = 0; i < kJobs; ++i) {
@@ -233,7 +236,7 @@ class CountingSteering final : public Steering {
 TEST(Scheduler, OutcomesCarryTheDecisionSteerReturned) {
   Site site;
   CountingSteering counting;
-  auto dropbox = site.engine(ProviderKind::kDropbox, counting);
+  auto dropbox = site.lane(ProviderKind::kDropbox, counting);
   BatchScheduler scheduler(site.world->simulator(), 2);
   for (int i = 0; i < 4; ++i) {
     scheduler.submit(site.job("job" + std::to_string(i), dropbox, util::kMB));
@@ -256,7 +259,7 @@ TEST(Scheduler, OutcomesCarryTheDecisionSteerReturned) {
 
 TEST(Scheduler, DestructorCancelsAndDrainsInFlightJobs) {
   Site site;
-  auto gdrive = site.engine(ProviderKind::kGoogleDrive, site.direct);
+  auto gdrive = site.lane(ProviderKind::kGoogleDrive, site.direct);
   {
     BatchScheduler scheduler(site.world->simulator(), 2);
     scheduler.submit(site.job("big1", gdrive, 100 * util::kMB));
@@ -277,8 +280,8 @@ TEST(Scheduler, DrivesRealTransfersThroughTheWorld) {
   Site site;
   StaticSteering overlay(PathSpec{
       {site.world->intermediate_node(scenario::Intermediate::kUAlberta)}});
-  auto gdrive = site.engine(ProviderKind::kGoogleDrive, overlay);
-  auto dropbox = site.engine(ProviderKind::kDropbox, site.direct);
+  auto gdrive = site.lane(ProviderKind::kGoogleDrive, overlay);
+  auto dropbox = site.lane(ProviderKind::kDropbox, site.direct);
   BatchScheduler scheduler(site.world->simulator(), 2);
   scheduler.submit(site.job("gdrive-20mb", gdrive, 20 * util::kMB));
   scheduler.submit(site.job("dropbox-20mb", dropbox, 20 * util::kMB));

@@ -206,7 +206,8 @@ TEST(ThrottleBackoff, PipelinedDetourBacksOffAndSucceeds) {
   options.mode = DetourMode::kPipelined;
   auto task = detour.transfer_task(
       world->client_node(scenario::Client::kUBC),
-      world->intermediate_node(scenario::Intermediate::kUAlberta),
+      ctrl::PathSpec{{world->intermediate_node(
+          scenario::Intermediate::kUAlberta)}},
       make_file_mb(40, 1), options);
   world->simulator().run();
 

@@ -1,5 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
+#include "chaos/scenario.h"
+#include "check/contract.h"
 #include "scenario/north_america.h"
 #include "transfer/api_upload.h"
 #include "transfer/detour.h"
@@ -191,8 +195,8 @@ TEST(Detour, StoreAndForwardSumsLegs) {
   auto world = quiet_world();
   auto task = world->detour_engine(ProviderKind::kGoogleDrive)
                   .transfer_task(world->client_node(scenario::Client::kUBC),
-                                 world->intermediate_node(
-                                     scenario::Intermediate::kUAlberta),
+                                 ctrl::PathSpec{{world->intermediate_node(
+                                     scenario::Intermediate::kUAlberta)}},
                                  make_file_mb(20, 5));
   world->simulator().run();
   ASSERT_TRUE(task.done());
@@ -213,7 +217,8 @@ TEST(Detour, PipelinedBeatsStoreAndForward) {
         world->detour_engine(ProviderKind::kGoogleDrive)
             .transfer_task(
                 world->client_node(scenario::Client::kUBC),
-                world->intermediate_node(scenario::Intermediate::kUAlberta),
+                ctrl::PathSpec{{world->intermediate_node(
+                    scenario::Intermediate::kUAlberta)}},
                 make_file_mb(60, 6), options);
     world->simulator().run();
     ASSERT_TRUE(task.done());
@@ -238,8 +243,8 @@ TEST(Detour, PipelinedCommitsIntactObject) {
   options.mode = DetourMode::kPipelined;
   auto task = world->detour_engine(ProviderKind::kOneDrive)
                   .transfer_task(world->client_node(scenario::Client::kUBC),
-                                 world->intermediate_node(
-                                     scenario::Intermediate::kUAlberta),
+                                 ctrl::PathSpec{{world->intermediate_node(
+                                     scenario::Intermediate::kUAlberta)}},
                                  file, options);
   world->simulator().run();
   ASSERT_TRUE(task.done());
@@ -263,7 +268,8 @@ TEST(Detour, FailureInLegOneReported) {
       world->detour_engine(ProviderKind::kGoogleDrive)
           .transfer_task(
               client,
-              world->intermediate_node(scenario::Intermediate::kUAlberta),
+              ctrl::PathSpec{{world->intermediate_node(
+                  scenario::Intermediate::kUAlberta)}},
               make_file_mb(10, 8));
   world->simulator().run();
   ASSERT_TRUE(task.done());
@@ -271,6 +277,86 @@ TEST(Detour, FailureInLegOneReported) {
   const DetourResult& result = task.result().value();
   EXPECT_FALSE(result.success);
   EXPECT_NE(result.error.find("leg 1"), std::string::npos);
+}
+
+TEST(Detour, ZeroRelayChainIsTheDirectUpload) {
+  auto direct_world = quiet_world();
+  auto chain_world = quiet_world();
+  const FileSpec file = make_file_mb(20, 11);
+  auto direct = direct_world->api_engine(ProviderKind::kGoogleDrive)
+                    .upload_task(direct_world->client_node(
+                                     scenario::Client::kUBC),
+                                 file);
+  auto chain = chain_world->detour_engine(ProviderKind::kGoogleDrive)
+                   .transfer_task(
+                       chain_world->client_node(scenario::Client::kUBC),
+                       ctrl::PathSpec{}, file);
+  direct_world->simulator().run();
+  chain_world->simulator().run();
+  ASSERT_TRUE(direct.done());
+  ASSERT_TRUE(chain.done());
+  ASSERT_TRUE(direct.result().ok());
+  ASSERT_TRUE(chain.result().ok());
+  ASSERT_TRUE(chain.result().value().success) << chain.result().value().error;
+  EXPECT_EQ(chain.result().value().end_time, direct.result().value().end_time);
+  EXPECT_EQ(chain.result().value().leg1_s, 0.0);
+  EXPECT_EQ(chain_world->simulator().executed_events(),
+            direct_world->simulator().executed_events());
+}
+
+TEST(Detour, TwoRelayChainSumsLegsAndNamesTheFailingLeg) {
+  const auto run = [](bool fail_second_leg) {
+    auto world = quiet_world();
+    if (fail_second_leg) {
+      // UMich's access link: only the UAlberta -> UMich rsync crosses it.
+      world->fabric().fail_link(
+          world->topology()
+              .find_link(world->node("pl-gw.umich.edu"),
+                         world->node("planetlab01.eecs.umich.edu"))
+              .value());
+    }
+    const ctrl::PathSpec chain{
+        {world->intermediate_node(scenario::Intermediate::kUAlberta),
+         world->intermediate_node(scenario::Intermediate::kUMich)}};
+    auto task = world->detour_engine(ProviderKind::kGoogleDrive)
+                    .transfer_task(world->client_node(scenario::Client::kUBC),
+                                   chain, make_file_mb(20, 12));
+    world->simulator().run();
+    EXPECT_TRUE(task.done());
+    EXPECT_TRUE(task.result().ok());
+    return task.result().value();
+  };
+
+  const DetourResult relayed = run(false);
+  ASSERT_TRUE(relayed.success) << relayed.error;
+  EXPECT_GT(relayed.leg1_s, 0.0);
+  EXPECT_GT(relayed.leg2_s, 0.0);
+  EXPECT_NEAR(relayed.duration_s(), relayed.leg1_s + relayed.leg2_s,
+              chaos::kDetourIdentitySlack *
+                  std::max(1.0, relayed.duration_s()));
+
+  const DetourResult failed = run(true);
+  EXPECT_FALSE(failed.success);
+  EXPECT_EQ(failed.error.rfind("detour leg 2 (rsync)", 0), 0u) << failed.error;
+}
+
+TEST(Detour, PipelinedModeNeedsExactlyOneRelay) {
+  auto world = quiet_world();
+  DetourEngine& engine = world->detour_engine(ProviderKind::kGoogleDrive);
+  const auto client = world->client_node(scenario::Client::kUBC);
+  DetourOptions options;
+  options.mode = DetourMode::kPipelined;
+  const ctrl::PathSpec two_relays{
+      {world->intermediate_node(scenario::Intermediate::kUAlberta),
+       world->intermediate_node(scenario::Intermediate::kUMich)}};
+  EXPECT_THROW(
+      (void)engine.transfer_task(client, ctrl::PathSpec{}, make_file_mb(1, 1),
+                                 options),
+      check::CheckError);
+  EXPECT_THROW((void)engine.transfer_task(client, two_relays,
+                                          make_file_mb(1, 1), options),
+               check::CheckError);
+  EXPECT_EQ(world->simulator().pending(), 0u);
 }
 
 }  // namespace

@@ -45,6 +45,16 @@ Rules, all scoped to src/:
                 the fabric's one transfer::TransferEngine (DESIGN.md §15);
                 a direct flow elsewhere is a second way onto the fabric
                 that the batch layer's inflight audit cannot see.
+  relay-chain   nothing includes the deleted transfer/steered.h, and no
+                class or struct owns a RsyncEngine member (by value, or
+                through unique_ptr/shared_ptr/optional/vector/deque)
+                outside transfer/rsync_engine.h, transfer/detour.h and
+                transfer/detour_download.h. DetourEngine runs every relay
+                chain — one rsync push per relay, then the API leg — and the
+                download detour mirrors its one-relay case (DESIGN.md §15);
+                an engine owning its own rsync engine is how a second relay
+                loop starts. Borrowing one by pointer or reference, or a
+                local inside a function, stays allowed.
 
 One rule is scoped to bench/:
 
@@ -124,6 +134,58 @@ START_FLOW_RE = re.compile(r"\bstart_flow\s*\(")
 START_FLOW_ALLOWED_DIR = ("src", "net")
 START_FLOW_ALLOWED_FILES = {Path("src/transfer/sim_transport.cpp")}
 FABRIC_AWAIT_RE = re.compile(r"#\s*include\s*[\"<][^\">]*fabric_await\.h[\">]")
+
+# One relay loop: DetourEngine sequences rsync relay legs and the API leg.
+# The deleted steered engine, which ran a second copy, stays deleted, and
+# only the engines that run relay legs own an rsync engine.
+STEERED_INCLUDE_RE = re.compile(
+    r"#\s*include\s*[\"<][^\">]*transfer/steered\.h[\">]"
+)
+RSYNC_MEMBER_RE = re.compile(
+    r"^\s*(?:(?:static|mutable|const)\s+)*"
+    r"(?:std::(?:unique_ptr|shared_ptr|optional|vector|deque)\s*<\s*)?"
+    r"(?:(?:droute::)?transfer::)?RsyncEngine\s*>?\s+\w+\s*[;{=\[]"
+)
+RSYNC_MEMBER_ALLOWED_FILES = {
+    Path("src/transfer/rsync_engine.h"),
+    Path("src/transfer/detour.h"),
+    Path("src/transfer/detour_download.h"),
+}
+CLASS_HEAD_RE = re.compile(r"\b(?:class|struct|union)\b")
+ENUM_HEAD_RE = re.compile(r"\benum\b")
+
+
+def class_scope_lines(lines: list[str]) -> list[bool]:
+    """For each comment-stripped line, whether it starts inside the body of
+    a class, struct or union (rather than a namespace, function or
+    initializer). A brace opens a class body when the text since the last
+    `;`, `{` or `}` names class/struct/union, is no enum, and holds no `(`
+    (which would make it a function head, e.g. under `template <class T>`).
+    """
+    scopes: list[bool] = []
+    stack: list[bool] = []
+    head = ""
+    for line in lines:
+        scopes.append(bool(stack) and stack[-1])
+        for c in line:
+            if c == "{":
+                stack.append(
+                    bool(CLASS_HEAD_RE.search(head))
+                    and not ENUM_HEAD_RE.search(head)
+                    and "(" not in head
+                )
+                head = ""
+            elif c == "}":
+                if stack:
+                    stack.pop()
+                head = ""
+            elif c == ";":
+                head = ""
+            else:
+                head += c
+        head += " "
+    return scopes
+
 
 # Metric-name literals at instrument call sites. Runs on RAW lines (names
 # live inside string literals, which strip_code removes).
@@ -241,6 +303,11 @@ class Linter:
             rel.parts[: len(START_FLOW_ALLOWED_DIR)] == START_FLOW_ALLOWED_DIR
             or rel in START_FLOW_ALLOWED_FILES
         )
+        in_class = (
+            [False] * len(stripped)
+            if rel in RSYNC_MEMBER_ALLOWED_FILES
+            else class_scope_lines(stripped)
+        )
         for idx, code in enumerate(stripped):
             line_no = idx + 1
             self.check_raw_new(path, line_no, code)
@@ -254,6 +321,8 @@ class Linter:
                 self.check_job_state(path, line_no, code)
             if no_callback_alias:
                 self.check_callback_alias(path, line_no, code)
+            self.check_relay_chain(path, line_no, code, raw_lines[idx],
+                                   in_class[idx])
         if path.suffix == ".h":
             self.check_nodiscard(path, stripped)
         self.report_stale_waivers(path)
@@ -322,6 +391,23 @@ class Linter:
                 "Fabric::start_flow outside src/net/ and the sim transport — "
                 "move the bytes through the fabric's TransferEngine "
                 "(DESIGN.md §15)",
+            )
+
+    def check_relay_chain(
+        self, path: Path, line_no: int, code: str, raw: str, in_class: bool,
+    ) -> None:
+        if STEERED_INCLUDE_RE.search(raw):
+            self.report(
+                path, line_no, "relay-chain",
+                "include of the deleted transfer/steered.h — run the session "
+                "with DetourEngine::steered_task (DESIGN.md §15)",
+            )
+        if in_class and RSYNC_MEMBER_RE.search(code):
+            self.report(
+                path, line_no, "relay-chain",
+                "RsyncEngine member outside the relay engines — run relay "
+                "chains through DetourEngine::transfer_task instead of a "
+                "second relay loop (DESIGN.md §15)",
             )
 
     def check_time_eq(self, path: Path, line_no: int, code: str) -> None:
