@@ -20,6 +20,7 @@
 #include "net/fabric.h"
 #include "net/routing.h"
 #include "net/topology.h"
+#include "obs/recorder.h"
 #include "scenario/north_america.h"
 #include "sim/simulator.h"
 #include "util/rng.h"
@@ -245,8 +246,8 @@ DROUTE_BENCH(churn_storm_100x, "ms") {
 // provider pair of a fresh calibrated World and runs the simulator until all
 // of them drain. Exercises the incremental allocator on the paper topology
 // (shared bottlenecks, policers, live cross traffic) rather than synthetic
-// pods.
-void run_fleet(std::uint64_t seed, int fleet_flows) {
+// pods. Returns the fabric's finish-heap re-keys.
+std::uint64_t run_fleet(std::uint64_t seed, int fleet_flows) {
   scenario::WorldConfig config;
   config.seed = seed;
   auto world = scenario::World::create(config);
@@ -288,12 +289,27 @@ void run_fleet(std::uint64_t seed, int fleet_flows) {
     }
     world->simulator().run_until(horizon_s);
   }
+  return world->fabric().finish_rekeys();
 }
 
 DROUTE_BENCH(fleet_10x, "ms") {
   const int fleet_flows = 60;  // 10x the paper's ~6 concurrent flows
   ctx.set_events(fleet_flows);
   ctx.extra("fleet_flows", fleet_flows);
+  {
+    // One untimed fleet under a private recorder, for the refill count:
+    // the finish heap keys route classes, so a refill re-keys only its
+    // changed classes.
+    obs::Recorder recorder;
+    obs::ScopedRecorder install(&recorder);
+    const double rekeys = static_cast<double>(run_fleet(2016, fleet_flows));
+    const obs::Counter* refills =
+        recorder.metrics().counter("net.realloc_components_total");
+    const double components =
+        refills != nullptr ? static_cast<double>(refills->value()) : 0.0;
+    ctx.extra("finish_rekeys_per_refill",
+              components > 0.0 ? rekeys / components : 0.0);
+  }
   ctx.set_work([fleet_flows] { run_fleet(2016, fleet_flows); });
 }
 

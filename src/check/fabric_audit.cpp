@@ -1,5 +1,8 @@
 #include "check/fabric_audit.h"
 
+#include <algorithm>
+#include <cmath>
+#include <limits>
 #include <sstream>
 
 namespace droute::check {
@@ -60,12 +63,41 @@ util::Status audit_flow_conservation(const net::Fabric& fabric) {
   return util::Status::success();
 }
 
+util::Status audit_finish_order(
+    const std::vector<net::Fabric::ClassFinish>& classes) {
+  for (std::size_t i = 0; i < classes.size(); ++i) {
+    const net::Fabric::ClassFinish& entry = classes[i];
+    double least = std::numeric_limits<double>::infinity();
+    for (const auto& [id, finish_s] : entry.members) {
+      least = std::min(least, finish_s);
+    }
+    if (entry.queued && (!std::isfinite(entry.head_finish_s) ||
+                         entry.head_finish_s != least)) {
+      std::ostringstream out;
+      out << "finish order: queued class " << i << " keyed at "
+          << entry.head_finish_s << " but its earliest member finishes at "
+          << least;
+      return util::Status::failure(out.str());
+    }
+    if (!entry.queued && std::isfinite(least)) {
+      std::ostringstream out;
+      out << "finish order: unqueued class " << i
+          << " has a member finishing at " << least;
+      return util::Status::failure(out.str());
+    }
+  }
+  return util::Status::success();
+}
+
 util::Status audit_fabric(const net::Fabric& fabric, double relative_slack) {
   if (auto status = audit_link_loads(fabric.link_loads(), relative_slack);
       !status.ok()) {
     return status;
   }
-  return audit_flow_conservation(fabric);
+  if (auto status = audit_flow_conservation(fabric); !status.ok()) {
+    return status;
+  }
+  return audit_finish_order(fabric.finish_order());
 }
 
 }  // namespace droute::check

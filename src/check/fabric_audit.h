@@ -8,10 +8,15 @@
 //     total moved never exceeds the total submitted, and delivered bytes
 //     (completed payloads) never exceed submitted bytes either.
 //
+// A third check covers the completion schedule rather than a law: every
+// queued route class is keyed by the least finish among its members, and no
+// flow outside the queue has a finite finish, so the next completion the
+// fabric schedules is the earliest one.
+//
 // Auditors return util::Status so tests can assert on the exact violation;
-// `audit_fabric` composes both laws against a live fabric. The link-load
-// overload takes a plain snapshot so tests can inject a corrupted state and
-// prove the auditor rejects it.
+// `audit_fabric` composes all three against a live fabric. The link-load and
+// finish-order overloads take plain snapshots so tests can inject a
+// corrupted state and prove the auditor rejects it.
 #pragma once
 
 #include <vector>
@@ -37,7 +42,14 @@ util::Status audit_link_loads(const std::vector<net::Fabric::LinkLoad>& loads,
 /// delivered <= submitted (both with sub-byte fluid rounding slack).
 [[nodiscard]] util::Status audit_flow_conservation(const net::Fabric& fabric);
 
-/// Full audit of a live fabric: link capacities + byte conservation.
+/// Checks a finish-order snapshot (net::Fabric::finish_order()): a queued
+/// class's head_finish_s is finite and equals the least of its members'
+/// finish times, and every member of an unqueued class has an infinite one.
+[[nodiscard]] util::Status audit_finish_order(
+    const std::vector<net::Fabric::ClassFinish>& classes);
+
+/// Full audit of a live fabric: link capacities, byte conservation and the
+/// finish order.
 [[nodiscard]] util::Status audit_fabric(
     const net::Fabric& fabric, double relative_slack = kCapacitySlack);
 

@@ -73,8 +73,8 @@ util::Result<double> Fabric::rtt_s(NodeId a, NodeId b) const {
 }
 
 std::uint32_t Fabric::slot_of(FlowId id) const {
-  const auto it = slot_index_.find(id);
-  return it == slot_index_.end() ? kNoSlot : it->second;
+  static_assert(util::FlatIdMap::kAbsent == kNoSlot);
+  return slot_index_.find(id);
 }
 
 util::Result<FlowId> Fabric::start_flow(NodeId src, NodeId dst,
@@ -119,6 +119,7 @@ util::Result<FlowId> Fabric::start_flow(NodeId src, NodeId dst,
   Slot& cell = slots_[slot];
   DROUTE_CHECK(cell.id == 0, "slot reuse of a live flow");
   cell.id = id;
+  cell.finish_s = std::numeric_limits<double>::infinity();
   Flow& flow = cell.flow;
   flow.stats = FlowStats{};
   flow.stats.id = id;
@@ -138,7 +139,7 @@ util::Result<FlowId> Fabric::start_flow(NodeId src, NodeId dst,
   flow.activation_event = sim::EventId{};
   flow.cls = kNoClass;
 
-  slot_index_.emplace(id, slot);
+  slot_index_.insert(id, slot);
   ++live_flows_;
   submitted_bytes_ += bytes;
 
@@ -284,6 +285,29 @@ std::vector<Fabric::LinkLoad> Fabric::link_loads() const {
   return out;
 }
 
+std::vector<Fabric::ClassFinish> Fabric::finish_order() const {
+  std::vector<ClassFinish> order;
+  order.reserve(live_classes_ + 1);
+  for (std::uint32_t cls = 0; cls < classes_.size(); ++cls) {
+    const RouteClass& route_class = classes_[cls];
+    if (route_class.members.empty()) continue;
+    ClassFinish& entry = order.emplace_back();
+    entry.queued = finish_heap_.contains(cls);
+    entry.head_finish_s = route_class.head_finish_s;
+    for (const std::uint32_t slot : route_class.members) {
+      entry.members.emplace_back(slots_[slot].id, slots_[slot].finish_s);
+    }
+  }
+  ClassFinish& pending = order.emplace_back();
+  pending.head_finish_s = std::numeric_limits<double>::infinity();
+  for (const Slot& cell : slots_) {
+    if (cell.id != 0 && !cell.flow.activated) {
+      pending.members.emplace_back(cell.id, cell.finish_s);
+    }
+  }
+  return order;
+}
+
 void Fabric::advance_flow(Flow& flow, double rate_bps) const {
   const sim::Time now = simulator_->now();
   const double dt = now - flow.last_advance_s;
@@ -313,18 +337,34 @@ void Fabric::push_finish(std::uint32_t slot) {
   } else if (flow.activated && drained(flow.remaining_bytes, 0.0)) {
     finish_s = simulator_->now();  // already done, just needs the event
   }
-  if (!std::isfinite(finish_s)) {
-    finish_heap_.erase(slot);
+  cell.finish_s = finish_s;
+}
+
+void Fabric::clear_head(RouteClass& route_class) {
+  route_class.head = kNoSlot;
+  route_class.head_finish_s = std::numeric_limits<double>::infinity();
+}
+
+bool Fabric::offer_head(RouteClass& route_class, std::uint32_t slot) {
+  if (slots_[slot].finish_s >= route_class.head_finish_s) return false;
+  route_class.head = slot;
+  route_class.head_finish_s = slots_[slot].finish_s;
+  return true;
+}
+
+void Fabric::rekey_class(std::uint32_t cls) {
+  if (std::isfinite(classes_[cls].head_finish_s)) {
+    finish_heap_.update(cls);
+  } else if (!finish_heap_.erase(cls)) {
     return;
   }
-  cell.finish_s = finish_s;
-  finish_heap_.update(slot);
+  ++finish_rekeys_;
 }
 
 void Fabric::resync_completion_event() {
   const sim::Time want = finish_heap_.empty()
                              ? sim::kTimeInfinity
-                             : slots_[finish_heap_.top()].finish_s;
+                             : classes_[finish_heap_.top()].head_finish_s;
   if (want == scheduled_finish_) return;
   if (completion_event_.valid()) {
     simulator_->cancel(completion_event_);
@@ -392,7 +432,15 @@ void Fabric::leave_class(std::uint32_t slot) {
   members.pop_back();
   if (pos < members.size()) slots_[members[pos]].flow.member_pos = pos;
   flow.cls = kNoClass;
+  if (left.head == slot) {
+    clear_head(left);
+    for (const std::uint32_t member : members) offer_head(left, member);
+    rekey_class(cls);
+  }
   if (!members.empty()) return;
+  // Class ids are reused LIFO, so an emptied class must hold no heap entry
+  // by now: its head left last.
+  DROUTE_DCHECK(!finish_heap_.contains(cls), "emptied class still queued");
   detach_class(cls);
   --live_classes_;
   ++parked_classes_;
@@ -462,8 +510,8 @@ void Fabric::release_parked_classes() {
 Fabric::Flow Fabric::extract_flow(std::uint32_t slot) {
   Slot& cell = slots_[slot];
   DROUTE_CHECK(cell.id != 0, "extract of a free slot");
-  finish_heap_.erase(slot);
   if (cell.flow.activated) leave_class(slot);
+  cell.finish_s = std::numeric_limits<double>::infinity();
   slot_index_.erase(cell.id);
   cell.id = 0;
   --live_flows_;
@@ -631,12 +679,17 @@ void Fabric::reallocate_and_reschedule(const std::vector<std::uint32_t>& seeds,
     ++components;
     classes += batch_classes_.size();
     for (std::size_t i = 0; i < batch_classes_.size(); ++i) {
-      const RouteClass& route_class = classes_[batch_classes_[i]];
+      const std::uint32_t cls = batch_classes_[i];
+      RouteClass& route_class = classes_[cls];
       class_flows += route_class.members.size();
       if (route_class.rate_bps == batch_prev_rates_[i]) continue;
+      const double old_head_finish_s = route_class.head_finish_s;
+      clear_head(route_class);
       for (const std::uint32_t slot : route_class.members) {
         settle(slot, route_class.rate_bps);
+        offer_head(route_class, slot);
       }
+      if (route_class.head_finish_s != old_head_finish_s) rekey_class(cls);
     }
     if (obs_link_utilization_ != nullptr) {
       for (const LinkId lid : batch_links_) {
@@ -656,7 +709,10 @@ void Fabric::reallocate_and_reschedule(const std::vector<std::uint32_t>& seeds,
   // A flow that joined a class whose rate did not move still holds its
   // pre-activation rate 0: the member walk above skipped it.
   if (joiner != kNoSlot) {
-    settle(joiner, classes_[slots_[joiner].flow.cls].rate_bps);
+    const std::uint32_t cls = slots_[joiner].flow.cls;
+    RouteClass& route_class = classes_[cls];
+    settle(joiner, route_class.rate_bps);
+    if (offer_head(route_class, joiner)) rekey_class(cls);
   }
   obs::add(obs_realloc_rounds_, rounds);
   obs::add(obs_realloc_components_, components);
@@ -671,20 +727,40 @@ void Fabric::on_completion_event() {
   scheduled_finish_ = sim::kTimeInfinity;
   const sim::Time now = simulator_->now();
   leaving_.clear();
+  // Every class whose head is due: one pass settles each member due by now
+  // and recomputes the head, then the class is re-keyed strictly later (or
+  // leaves the heap), so the loop moves on to the next due class.
   while (!finish_heap_.empty()) {
-    const std::uint32_t slot = finish_heap_.top();
-    if (slots_[slot].finish_s > now) break;
-    finish_heap_.pop();
-    Flow& flow = slots_[slot].flow;
-    advance_flow(flow, flow.rate_bps);
-    if (drained(flow.remaining_bytes, flow.rate_bps)) {
-      leaving_.emplace_back(slots_[slot].id, slot);
-    } else {
-      // Residue not quite drained (fp rounding): re-key strictly later. The
-      // nanosecond term in drained() guarantees the new finish is > now.
-      push_finish(slot);
+    const std::uint32_t cls = finish_heap_.top();
+    RouteClass& route_class = classes_[cls];
+    if (route_class.head_finish_s > now) break;
+    clear_head(route_class);
+    for (const std::uint32_t slot : route_class.members) {
+      Slot& cell = slots_[slot];
+      if (cell.finish_s <= now) {
+        Flow& flow = cell.flow;
+        advance_flow(flow, flow.rate_bps);
+        if (drained(flow.remaining_bytes, flow.rate_bps)) {
+          leaving_.emplace_back(cell.id, slot);
+          cell.finish_s = std::numeric_limits<double>::infinity();
+          continue;
+        }
+        // Residue not quite drained (fp rounding): re-key strictly later.
+        // The nanosecond term in drained() keeps the new finish > now while
+        // the clock resolves a nanosecond; past 2^24 s it can round back to
+        // now, and the next representable instant drains the residue.
+        push_finish(slot);
+        if (cell.finish_s <= now) {
+          cell.finish_s =
+              std::nextafter(now, std::numeric_limits<double>::infinity());
+        }
+      }
+      offer_head(route_class, slot);
     }
+    rekey_class(cls);
   }
+  // Completions at one instant fire in FlowId order, whatever order the
+  // classes came due in.
   std::sort(leaving_.begin(), leaving_.end());
   // Survivors that shared a link with a completing flow must be refilled;
   // gather their classes before the completions leave them.

@@ -41,11 +41,15 @@
 //
 // Between-event bookkeeping is lazy so untouched flows cost nothing per
 // event: byte progress is advanced per flow only when its rate is about to
-// change (or it leaves), and completions are scheduled from an indexed
-// min-heap of absolute finish times, re-keyed in place only on rate change
-// and holding at most one entry per live flow. Both are keyed off "did this
-// flow's rate change bitwise", which the component argument above makes
-// identical across the two allocation modes.
+// change (or it leaves). Each flow keeps its own absolute finish time, and
+// completions are scheduled from an indexed min-heap with one entry per
+// route class, keyed by the least finish among its members (the class's
+// head). The merge pass that settles a class's members tracks that least
+// finish and re-keys the class once; a joiner settled alone re-keys it only
+// if it becomes the head, and a leaving flow rescans the class only if it
+// was the head. Both are keyed off "did this flow's rate change bitwise",
+// which the component argument above makes identical across the two
+// allocation modes.
 //
 // Slow start is modelled as an activation delay during which the flow
 // consumes no bandwidth (conservative for short flows, negligible for bulk);
@@ -54,16 +58,19 @@
 
 #include <cstdint>
 #include <functional>
+#include <limits>
 #include <map>
 #include <optional>
 #include <string>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "net/routing.h"
 #include "net/tcp_model.h"
 #include "net/topology.h"
 #include "sim/simulator.h"
+#include "util/flat_id_map.h"
 #include "util/indexed_heap.h"
 #include "util/result.h"
 
@@ -185,9 +192,21 @@ class Fabric {
 
   std::size_t active_flow_count() const { return live_flows_; }
 
-  /// Flows currently queued in the finish heap: those with a finite finish
-  /// time, so never more than active_flow_count().
+  /// Time of the next scheduled completion: the least finish time over the
+  /// live flows, or infinity when none has a finite one.
+  sim::Time next_completion_s() const { return scheduled_finish_; }
+
+  /// Route classes currently queued in the finish heap: those with a member
+  /// of finite finish time, so never more than live_class_count() (nor
+  /// active_flow_count()).
   std::size_t finish_heap_size() const { return finish_heap_.size(); }
+
+  /// Route classes holding at least one activated flow.
+  std::size_t live_class_count() const { return live_classes_; }
+
+  /// Finish-heap re-keys since construction: every update or erase of a
+  /// class's entry. A plain work count, not an obs counter.
+  std::uint64_t finish_rekeys() const { return finish_rekeys_; }
 
   /// Total payload bytes fully delivered since construction.
   std::uint64_t delivered_bytes() const { return delivered_bytes_; }
@@ -216,6 +235,18 @@ class Fabric {
   /// Loads of every link currently carrying at least one active flow.
   std::vector<LinkLoad> link_loads() const;
 
+  /// One route class's finish bookkeeping, for check::audit_finish_order.
+  struct ClassFinish {
+    bool queued = false;         // holds an entry in the finish heap
+    double head_finish_s = 0.0;  // its heap key
+    // Each member's id and finish time (infinity: none).
+    std::vector<std::pair<FlowId, double>> members;
+  };
+
+  /// Every live class, then one unqueued entry holding the finish times of
+  /// the flows still in slow start.
+  std::vector<ClassFinish> finish_order() const;
+
  private:
   static constexpr std::uint32_t kNoSlot = 0xffffffffu;
   static constexpr std::uint32_t kNoClass = 0xffffffffu;
@@ -236,20 +267,12 @@ class Fabric {
 
   /// One dense storage cell; `id == 0` marks a free slot. Slots are reused
   /// LIFO, so slot assignment is deterministic for a given event history.
-  /// While the flow has a finite finish time the slot is queued in
-  /// finish_heap_, keyed by `finish_s`.
   struct Slot {
     FlowId id = 0;
-    double finish_s = 0.0;   // absolute finish time (valid while queued)
+    // Absolute finish time at the flow's current rate; infinity when it has
+    // none (in slow start, frozen at rate 0, or leaving).
+    double finish_s = std::numeric_limits<double>::infinity();
     Flow flow;
-  };
-
-  // Orders finish_heap_ by Slot::finish_s.
-  struct FinishLess {
-    const std::vector<Slot>* slots;
-    bool operator()(std::uint32_t a, std::uint32_t b) const {
-      return (*slots)[a].finish_s < (*slots)[b].finish_s;
-    }
   };
 
   /// The activated flows that share one (route links, cap_bps): the unit the
@@ -267,6 +290,11 @@ class Fabric {
     std::uint32_t mark = 0;              // component-BFS visitation epoch
     bool frozen = false;                 // scratch during a fill: rate final
     bool indexed = false;                // live or parked (not released)
+    // The member slot with the least finite finish_s, and that finish: the
+    // class's finish_heap_ key. kNoSlot and infinity when no member has a
+    // finite finish, exactly then the class is not queued.
+    std::uint32_t head = kNoSlot;
+    double head_finish_s = std::numeric_limits<double>::infinity();
     std::vector<std::uint32_t> members;  // slots
     std::vector<std::uint32_t> link_pos;  // entry in each link's `classes`
   };
@@ -279,6 +307,15 @@ class Fabric {
     std::uint32_t cls = 0;
     std::uint32_t route_idx = 0;  // index into that class's links
   };
+
+  // Orders finish_heap_ by RouteClass::head_finish_s.
+  struct FinishLess {
+    const std::vector<RouteClass>* classes;
+    bool operator()(std::uint32_t a, std::uint32_t b) const {
+      return (*classes)[a].head_finish_s < (*classes)[b].head_finish_s;
+    }
+  };
+
   struct LinkState {
     double remaining_bps = 0.0;
     std::int32_t flows = 0;   // activated flows crossing the link
@@ -295,10 +332,20 @@ class Fabric {
   // remaining_bytes as of now, without mutating (for const queries).
   double live_remaining(const Flow& flow) const;
 
-  // Re-keys `slot`'s finish time from its current rate/remaining, in place:
-  // inserts or sifts the slot when the finish is finite, erases it from the
-  // heap otherwise (e.g. a flow frozen at rate 0).
+  // Computes `slot`'s Slot::finish_s from its current rate and remaining
+  // bytes (infinity when not finite, e.g. a flow frozen at rate 0). No heap
+  // operation: the caller keeps its class's head.
   void push_finish(std::uint32_t slot);
+
+  // Resets a class's head to none; makes `slot` its head if the slot
+  // finishes strictly earlier, returning whether it did. A pass that clears
+  // the head and offers every member leaves the member of least finish_s.
+  void clear_head(RouteClass& route_class);
+  bool offer_head(RouteClass& route_class, std::uint32_t slot);
+
+  // Re-keys `cls` in finish_heap_ to its head_finish_s: queues or sifts it
+  // when finite, erases it otherwise.
+  void rekey_class(std::uint32_t cls);
 
   // Points completion_event_ at the heap's minimum finish time,
   // cancelling/rescheduling only when that minimum changed.
@@ -326,7 +373,8 @@ class Fabric {
   void seed_classes_on(const std::vector<LinkId>& links);
 
   // Settles `slot` onto `rate_bps` if its rate differs bitwise: byte
-  // progress at the old rate, then the new rate and its finish time.
+  // progress at the old rate, then the new rate and its finish time (the
+  // caller keeps the class head).
   void settle(std::uint32_t slot, double rate_bps);
 
   // Replaces the batch with the connected component reachable from
@@ -340,9 +388,10 @@ class Fabric {
   // Water-fills the components reachable from the classes in `seeds`
   // (incremental mode) or every component (full mode / force_full), one at
   // a time in collection order: collect, fill, then settle the members of
-  // every class whose rate changed. `joiner`, a flow that just joined its
-  // class, is settled too even when its class rate did not move. Finally
-  // resyncs the completion event to the new heap minimum.
+  // every class whose rate changed, re-keying each such class once.
+  // `joiner`, a flow that just joined its class, is settled too even when
+  // its class rate did not move. Finally resyncs the completion event to the
+  // new heap minimum.
   void reallocate_and_reschedule(const std::vector<std::uint32_t>& seeds,
                                  bool force_full = false,
                                  std::uint32_t joiner = kNoSlot);
@@ -366,7 +415,7 @@ class Fabric {
 
   std::vector<Slot> slots_;
   std::vector<std::uint32_t> free_slots_;
-  std::unordered_map<FlowId, std::uint32_t> slot_index_;
+  util::FlatIdMap slot_index_;  // FlowId -> slot of every live flow
   std::size_t live_flows_ = 0;
   std::vector<LinkState> links_;
   std::uint32_t epoch_ = 0;
@@ -397,9 +446,10 @@ class Fabric {
   std::vector<Flow> finishing_;
 
   FlowId next_flow_id_ = 1;
-  // Slots keyed by Slot::finish_s: exactly the live flows with a finite
-  // finish time, each once.
-  util::IndexedHeap<FinishLess> finish_heap_{FinishLess{&slots_}};
+  // Class ids keyed by RouteClass::head_finish_s: exactly the live classes
+  // with a member of finite finish time, each once.
+  util::IndexedHeap<FinishLess> finish_heap_{FinishLess{&classes_}};
+  std::uint64_t finish_rekeys_ = 0;
   // Finish time completion_event_ targets; infinity when none is scheduled.
   sim::Time scheduled_finish_ = sim::kTimeInfinity;
   sim::EventId completion_event_;

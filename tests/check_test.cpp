@@ -244,6 +244,56 @@ TEST(FabricAudit, ConservationHoldsThroughAbortAndFailure) {
   EXPECT_LE(fabric.delivered_bytes(), fabric.submitted_bytes());
 }
 
+TEST(FabricAudit, RejectsACorruptedFinishHead) {
+  FabricWorld w = FabricWorld::build();
+  sim::Simulator simulator;
+  net::RouteTable routes(&w.topo);
+  net::Fabric fabric(&simulator, &w.topo, &routes);
+  // Two route classes (distinct app caps) of several members each, plus a
+  // flow still in slow start.
+  net::FlowOptions options;
+  options.charge_slow_start = false;
+  for (int i = 0; i < 6; ++i) {
+    options.app_cap_mbps = i % 2 == 0 ? 5.0 : 8.0;
+    ASSERT_TRUE(fabric
+                    .start_flow(w.src, w.dst, 1'000'000 * (1 + i),
+                                [](const net::FlowStats&) {}, options)
+                    .ok());
+  }
+  ASSERT_TRUE(fabric
+                  .start_flow(w.src, w.dst, 1'000'000,
+                              [](const net::FlowStats&) {}, {})
+                  .ok());
+  const auto order = fabric.finish_order();
+  ASSERT_EQ(order.size(), 3u);  // two classes, then the slow-start flows
+  EXPECT_TRUE(order[0].queued);
+  EXPECT_EQ(order[0].members.size(), 3u);
+  EXPECT_FALSE(order[2].queued);
+  EXPECT_EQ(order[2].members.size(), 1u);
+  const auto clean = audit_finish_order(order);
+  EXPECT_TRUE(clean.ok()) << clean.error().message;
+
+  // A head keyed later than its earliest member would complete it late.
+  auto late_head = order;
+  late_head[1].head_finish_s += 1.0;
+  const auto late = audit_finish_order(late_head);
+  ASSERT_FALSE(late.ok());
+  EXPECT_NE(late.error().message.find("queued class 1"), std::string::npos);
+
+  // An unqueued flow with a finite finish would never complete.
+  auto lost = order;
+  lost[2].members[0].second = 1.0;
+  const auto unqueued = audit_finish_order(lost);
+  ASSERT_FALSE(unqueued.ok());
+  EXPECT_NE(unqueued.error().message.find("unqueued class 2"),
+            std::string::npos);
+
+  simulator.run();
+  const auto drained = audit_finish_order(fabric.finish_order());
+  EXPECT_TRUE(drained.ok()) << drained.error().message;
+  EXPECT_EQ(fabric.finish_order().size(), 1u);  // just the empty pending entry
+}
+
 // --------------------------------------------------------- valley-free ----
 
 /// Stub + two tier-1 peers + stub: A -> P1 <-peer-> P2 -> B, plus a direct

@@ -6,6 +6,7 @@
 #include <limits>
 #include <map>
 #include <optional>
+#include <vector>
 
 #include "check/contract.h"
 #include "check/fabric_audit.h"
@@ -530,11 +531,247 @@ TEST(Fabric, CapacityRewriteMidFlowConverges) {
   world.audit_drained();
 }
 
+// --- Finish order: the per-class heap against a brute-force minimum ------
+
+// The least finish time over every live flow, scanned flow by flow rather
+// than read from the class heads.
+sim::Time brute_next_completion(const Fabric& fabric) {
+  sim::Time least = sim::kTimeInfinity;
+  for (const Fabric::ClassFinish& entry : fabric.finish_order()) {
+    for (const auto& [id, finish_s] : entry.members) {
+      least = std::min(least, finish_s);
+    }
+  }
+  return least;
+}
+
+// The live flows due by `at`.
+std::vector<FlowId> flows_due_by(const Fabric& fabric, sim::Time at) {
+  std::vector<FlowId> due;
+  for (const Fabric::ClassFinish& entry : fabric.finish_order()) {
+    for (const auto& [id, finish_s] : entry.members) {
+      if (finish_s <= at) due.push_back(id);
+    }
+  }
+  std::sort(due.begin(), due.end());
+  return due;
+}
+
+// What run_checking_finish_order saw.
+struct FinishOrderCoverage {
+  int multi_class_instants = 0;  // events completing flows of 2+ caps
+  int residues = 0;              // due flows re-keyed later instead
+};
+
+// Runs `world` to quiescence one event at a time. After every event the
+// fabric's next completion must equal the brute-force minimum and the
+// finish-order audit must pass; the flows that completed in that event must
+// have been due at the completion time predicted before it, must have ended
+// at that time, and must have fired in FlowId order. `ended` is where the
+// flows' callbacks append their stats.
+FinishOrderCoverage run_checking_finish_order(
+    Dumbbell& world, const std::vector<FlowStats>& ended) {
+  const Fabric& fabric = *world.fabric;
+  FinishOrderCoverage coverage;
+  std::size_t seen = ended.size();
+  sim::Time predicted = fabric.next_completion_s();
+  std::vector<FlowId> due = flows_due_by(fabric, predicted);
+  while (world.simulator.step()) {
+    FlowId last = 0;
+    std::vector<double> caps;
+    for (; seen < ended.size(); ++seen) {
+      const FlowStats& stats = ended[seen];
+      if (stats.outcome != FlowOutcome::kCompleted) continue;
+      EXPECT_EQ(stats.end_time, predicted) << "flow " << stats.id;
+      EXPECT_TRUE(std::binary_search(due.begin(), due.end(), stats.id))
+          << "flow " << stats.id << " completed before it was due";
+      EXPECT_GT(stats.id, last) << "same-instant completions out of order";
+      last = stats.id;
+      if (std::find(caps.begin(), caps.end(), stats.cap_mbps) == caps.end()) {
+        caps.push_back(stats.cap_mbps);
+      }
+    }
+    if (caps.size() > 1) ++coverage.multi_class_instants;
+    EXPECT_EQ(fabric.next_completion_s(), brute_next_completion(fabric))
+        << "at t=" << world.simulator.now();
+    if (world.simulator.now() == predicted &&
+        fabric.next_completion_s() > predicted) {
+      // The completion event ran. A due flow that neither completed nor
+      // left holds an fp residue, re-keyed strictly later.
+      for (const Fabric::ClassFinish& entry : fabric.finish_order()) {
+        for (const auto& [id, finish_s] : entry.members) {
+          if (std::binary_search(due.begin(), due.end(), id)) {
+            ++coverage.residues;
+          }
+        }
+      }
+    }
+    const auto audit = check::audit_finish_order(fabric.finish_order());
+    EXPECT_TRUE(audit.ok()) << audit.error().message;
+    predicted = fabric.next_completion_s();
+    due = flows_due_by(fabric, predicted);
+  }
+  return coverage;
+}
+
+// The link from `node` into the dumbbell's core.
+LinkId access_link(const Dumbbell& world, NodeId node) {
+  for (const LinkId lid : world.topo.out_links(node)) {
+    if (world.topo.link(lid).dst == world.left) return lid;
+  }
+  ADD_FAILURE() << "no access link";
+  return kInvalidLink;
+}
+
+// A scripted prologue makes sure every re-keying path runs at least once,
+// then random starts, aborts, link failures and freezes churn the classes;
+// the oracle checks the finish index after every event. Everything happens
+// `t0` seconds into the simulation.
+FinishOrderCoverage expect_finish_order_under_random_ops(double t0) {
+  Dumbbell world(100.0);
+  sim::Simulator& sim = world.simulator;
+  sim.run_until(t0);
+  Fabric& fabric = *world.fabric;
+  std::vector<FlowStats> ended;
+  std::vector<FlowId> live;
+  const auto start = [&](int src, int dst, double cap_mbps,
+                         std::uint64_t bytes, bool slow_start) {
+    FlowOptions options;
+    options.charge_slow_start = slow_start;
+    options.app_cap_mbps = cap_mbps;
+    const auto id = fabric.start_flow(
+        world.a[src], world.b[dst], bytes,
+        [&](const FlowStats& stats) {
+          ended.push_back(stats);
+          live.erase(std::find(live.begin(), live.end(), stats.id));
+        },
+        options);
+    if (id.ok()) live.push_back(id.value());
+    return id.ok() ? id.value() : FlowId{0};
+  };
+  // The head of the queued class with the earliest head, if any.
+  const auto earliest_head = [&] {
+    FlowId head = 0;
+    double least = sim::kTimeInfinity;
+    for (const Fabric::ClassFinish& entry : fabric.finish_order()) {
+      for (const auto& [id, finish_s] : entry.members) {
+        if (entry.queued && finish_s < least) {
+          least = finish_s;
+          head = id;
+        }
+      }
+    }
+    return head;
+  };
+  bool frozen = false;
+  const auto freeze = [&](bool on) {
+    frozen = on;
+    EXPECT_TRUE(world.topo.set_link_capacity(world.shared, on ? 1e-12 : 100.0)
+                    .ok());
+    fabric.reallocate_now();
+    if (on) {
+      EXPECT_EQ(fabric.next_completion_s(), sim::kTimeInfinity);
+    }
+  };
+
+  // Two cap-bound classes on a link with headroom: 4 and 12 Mbps.
+  for (int i = 0; i < 3; ++i) {
+    start(0, 0, 4.0, (2 + i) * util::kMB, false);
+    start(1, 1, 12.0, (3 + i) * util::kMB, false);
+  }
+  FlowId class_b_head = live[1];
+  sim.schedule_at(t0 + 0.5, [&] {
+    // Joiners into a class whose rate does not move: one becomes its head
+    // (1 MB at 0.5 MB/s, due before the 2 MB member), one does not.
+    start(0, 0, 4.0, util::kMB, false);
+    start(0, 0, 4.0, 5 * util::kMB, false);
+  });
+  sim.schedule_at(t0 + 0.6, [&] { fabric.abort_flow(class_b_head); });
+  sim.schedule_at(t0 + 0.7, [&] {
+    // Every class over a[1]'s access link fails, heads included.
+    fabric.fail_link(access_link(world, world.a[1]));
+  });
+  sim.schedule_at(t0 + 0.8, [&] {
+    fabric.restore_link(access_link(world, world.a[1]));
+  });
+  sim.schedule_at(t0 + 0.9, [&] { freeze(true); });
+  sim.schedule_at(t0 + 1.4, [&] { freeze(false); });
+  sim.schedule_at(t0 + 1.5, [&] {
+    // Four flows in two classes, ids interleaved, all due at one instant:
+    // (bytes - 0.5) / rate is one real number for 1e6 B at 0.5 MB/s and
+    // 3e6 - 1 B at 1.5 MB/s.
+    for (int i = 0; i < 2; ++i) {
+      start(2, 2, 4.0, 1'000'000, false);
+      start(2, 2, 12.0, 2'999'999, false);
+    }
+  });
+
+  util::Rng rng(2016);
+  for (int op = 0; op < 400; ++op) {
+    const double at = t0 + 10.0 + 0.15 * op;
+    const auto kind = rng.uniform_int(0, 9);
+    const int src = static_cast<int>(rng.uniform_int(0, 2));
+    const int dst = static_cast<int>(rng.uniform_int(0, 2));
+    const double caps[] = {0.0, 4.0, 4.0, 12.0};
+    const double cap = caps[rng.uniform_int(0, 3)];
+    const std::uint64_t bytes =
+        static_cast<std::uint64_t>(rng.uniform_int(1, 4)) * util::kMB;
+    const bool slow_start = rng.uniform_int(0, 2) == 0;
+    const std::size_t pick = static_cast<std::size_t>(rng.uniform_int(0, 99));
+    sim.schedule_at(at, [&, kind, src, dst, cap, bytes, slow_start, pick] {
+      if (kind <= 5) {
+        if (!frozen) start(src, dst, cap, bytes, slow_start);
+      } else if (kind == 6) {
+        if (!live.empty()) fabric.abort_flow(live[pick % live.size()]);
+      } else if (kind == 7) {
+        if (const FlowId head = earliest_head(); head != 0) {
+          fabric.abort_flow(head);
+        }
+      } else if (kind == 8) {
+        const LinkId access = access_link(world, world.a[src]);
+        fabric.fail_link(access);
+        sim.schedule_in(0.1, [&, access] { fabric.restore_link(access); });
+      } else if (!frozen) {
+        freeze(true);
+        sim.schedule_in(0.3, [&] { freeze(false); });
+      }
+    });
+  }
+  const FinishOrderCoverage coverage = run_checking_finish_order(world, ended);
+  EXPECT_GE(coverage.multi_class_instants, 1);
+  EXPECT_TRUE(live.empty());
+  EXPECT_EQ(fabric.active_flow_count(), 0u);
+  EXPECT_EQ(fabric.finish_heap_size(), 0u);
+  std::map<FlowOutcome, int> outcomes;
+  for (const FlowStats& stats : ended) ++outcomes[stats.outcome];
+  EXPECT_GT(outcomes[FlowOutcome::kCompleted], 50);
+  EXPECT_GT(outcomes[FlowOutcome::kAborted], 10);
+  EXPECT_GT(outcomes[FlowOutcome::kLinkFailed], 10);
+  world.audit();
+  world.audit_drained();
+  return coverage;
+}
+
+TEST(Fabric, NextCompletionMatchesABruteForceMinimumUnderRandomOps) {
+  expect_finish_order_under_random_ops(0.0);
+}
+
+TEST(Fabric, FpResiduesReKeyStrictlyLaterPastTwoToThe24Seconds) {
+  // Below 2^24 s a clock step is under the nanosecond slack of the drain
+  // test, so a due flow always drains. Past it the finish of a flow can
+  // round early and leave a residue, whose own finish may then round back
+  // to the same instant: it must still be re-keyed strictly later, and the
+  // run must end.
+  const FinishOrderCoverage coverage =
+      expect_finish_order_under_random_ops(std::ldexp(1.0, 25));
+  EXPECT_GT(coverage.residues, 0);
+}
+
 TEST(Fabric, FinishHeapBoundedByLiveFlowsUnderChurn) {
   // Closed-loop churn on one shared link: every completion re-rates all
   // survivors, and each completion callback starts a replacement. The
-  // finish heap holds one entry per live flow at most, however many
-  // re-keys the churn performs.
+  // finish heap holds one entry per live route class at most (so never
+  // more than the live flows), however many re-keys the churn performs.
   Dumbbell world(100.0);
   constexpr int kConcurrent = 24;
   constexpr int kTotal = 600;
@@ -555,6 +792,8 @@ TEST(Fabric, FinishHeapBoundedByLiveFlowsUnderChurn) {
           peak_heap = std::max(peak_heap, world.fabric->finish_heap_size());
           EXPECT_LE(world.fabric->finish_heap_size(),
                     world.fabric->active_flow_count());
+          EXPECT_LE(world.fabric->finish_heap_size(),
+                    world.fabric->live_class_count());
           if (started < kTotal) start_one();
         },
         options);

@@ -2,10 +2,15 @@
 
 #include <cinttypes>
 #include <cstdio>
+#include <cstring>
+#include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
+#include "cloud/provider.h"
 #include "measure/campaign.h"
+#include "net/fabric.h"
 #include "obs/export.h"
 #include "obs/recorder.h"
 #include "scenario/north_america.h"
@@ -208,6 +213,117 @@ TEST(CampaignGolden, MetricsCsvIsByteIdentical) {
   EXPECT_EQ(digest, kMetricsCsvDigest)
       << "metrics CSV drifted; recomputed digest 0x" << std::hex << digest
       << " over " << std::dec << csv.size() << " bytes";
+}
+
+// --- Pinned fleet digest -----------------------------------------------------
+//
+// The campaign above never puts more than a handful of flows in one route
+// class. This closed-loop fleet does: 600 concurrent flows over the 9
+// client x provider pairs of World seed 2016, (10 + 5k) MB each (k = 0..6
+// from util::Rng), a completion starting the next flow on its pair, which is
+// the shape of perfbench's world_fleet. Its first 2000 completions are
+// digested as (id, bytes, end_time bits, outcome), so any change to which
+// flows finish when, or in which order, shows up here.
+constexpr int kFleetFlows = 600;
+constexpr std::uint64_t kFleetWorldSeed = 2016;
+constexpr std::uint64_t kFleetSizeSeed = 1;
+constexpr std::uint64_t kFleetDigestOps = 2000;
+constexpr std::uint64_t kFleetDigest = 0xb613edde4dff11faull;
+
+class FleetReplay {
+ public:
+  FleetReplay() : rng_(kFleetSizeSeed) {
+    scenario::WorldConfig config;
+    config.seed = kFleetWorldSeed;
+    world_ = scenario::World::create(config);
+    world_->simulator().run_until(config.warmup_s);
+    for (const scenario::Client client : scenario::all_clients()) {
+      for (const auto provider : cloud::all_providers()) {
+        pairs_.emplace_back(world_->client_node(client),
+                            world_->provider_node(provider));
+      }
+    }
+    for (int i = 0; i < kFleetFlows; ++i) {
+      start(static_cast<std::size_t>(i) % pairs_.size());
+    }
+  }
+
+  /// Runs until the first kFleetDigestOps completions are digested.
+  void run() {
+    sim::Simulator& sim = world_->simulator();
+    while (ended_ < kFleetDigestOps && !failed_) sim.run_until(sim.now() + 5.0);
+  }
+
+  std::uint64_t digest() const { return digest_; }
+  std::uint64_t ended() const { return ended_; }
+  bool failed() const { return failed_; }
+  scenario::World& world() { return *world_; }
+
+ private:
+  void start(std::size_t pair) {
+    const std::uint64_t bytes =
+        static_cast<std::uint64_t>(10 + 5 * rng_.uniform_int(0, 6)) *
+        util::kMB;
+    net::FlowOptions options;
+    options.charge_slow_start = false;
+    const auto started = world_->fabric().start_flow(
+        pairs_[pair].first, pairs_[pair].second, bytes,
+        [this, pair](const net::FlowStats& stats) { on_complete(pair, stats); },
+        options);
+    if (!started.ok()) failed_ = true;
+  }
+
+  void on_complete(std::size_t pair, const net::FlowStats& stats) {
+    if (stats.outcome != net::FlowOutcome::kCompleted) failed_ = true;
+    if (++ended_ <= kFleetDigestOps) {
+      std::uint64_t end_bits = 0;
+      std::memcpy(&end_bits, &stats.end_time, sizeof end_bits);
+      for (const std::uint64_t word :
+           {stats.id, stats.bytes, end_bits,
+            static_cast<std::uint64_t>(stats.outcome)}) {
+        digest_ = (digest_ ^ word) * 0x100000001b3ull;
+      }
+    }
+    world_->simulator().schedule_in(0.0, [this, pair] { start(pair); });
+  }
+
+  std::unique_ptr<scenario::World> world_;
+  util::Rng rng_;
+  std::vector<std::pair<net::NodeId, net::NodeId>> pairs_;
+  std::uint64_t digest_ = 0xcbf29ce484222325ull;
+  std::uint64_t ended_ = 0;
+  bool failed_ = false;
+};
+
+TEST(FleetGolden, CompletionDigestIsPinned) {
+  FleetReplay fleet;
+  fleet.run();
+  ASSERT_FALSE(fleet.failed());
+  ASSERT_GE(fleet.ended(), kFleetDigestOps);
+  EXPECT_EQ(fleet.digest(), kFleetDigest)
+      << "fleet completions drifted; recomputed digest 0x" << std::hex
+      << fleet.digest();
+}
+
+TEST(FleetGolden, FinishHeapReKeysAboutOncePerRefilledClass) {
+  // The finish heap holds one entry per route class, so a refill re-keys
+  // at most its changed classes, not their members: ~121 re-keys per
+  // refilled component when every member held its own entry, against ~11
+  // classes per component.
+  obs::Recorder recorder;
+  obs::ScopedRecorder install(&recorder);
+  FleetReplay fleet;
+  fleet.run();
+  ASSERT_FALSE(fleet.failed());
+  const obs::Counter* components =
+      recorder.metrics().counter("net.realloc_components_total");
+  ASSERT_NE(components, nullptr);
+  ASSERT_GT(components->value(), 0u);
+  const double rekeys_per_refill =
+      static_cast<double>(fleet.world().fabric().finish_rekeys()) /
+      static_cast<double>(components->value());
+  EXPECT_LE(rekeys_per_refill, 3.0);
+  RecordProperty("rekeys_per_refill", std::to_string(rekeys_per_refill));
 }
 
 }  // namespace

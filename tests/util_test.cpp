@@ -5,6 +5,7 @@
 #include <atomic>
 #include <cmath>
 #include <cstdint>
+#include <map>
 #include <set>
 #include <string>
 #include <utility>
@@ -12,6 +13,7 @@
 
 #include "check/contract.h"
 #include "util/blob.h"
+#include "util/flat_id_map.h"
 #include "util/indexed_heap.h"
 #include "util/logging.h"
 #include "util/result.h"
@@ -24,6 +26,53 @@ namespace droute::util {
 namespace {
 
 // --------------------------------------------------------- indexed heap ----
+
+TEST(FlatIdMap, MatchesAStdMapUnderRandomOps) {
+  // Sequential ids like the fabric's FlowIds, inserted in bursts and erased
+  // at random, so erases shift long probe runs and the table both grows and
+  // shrinks. Every lookup must agree with std::map.
+  FlatIdMap map;
+  std::map<std::uint64_t, std::uint32_t> oracle;
+  Rng rng(26);
+  std::uint64_t next_id = 1;
+  std::size_t peak_capacity = 0;
+  for (int round = 0; round < 40; ++round) {
+    const auto burst = rng.uniform_int(0, 300);
+    for (std::int64_t i = 0; i < burst; ++i) {
+      const auto value =
+          static_cast<std::uint32_t>(rng.uniform_int(0, 1 << 20));
+      map.insert(next_id, value);
+      oracle.emplace(next_id, value);
+      ++next_id;
+    }
+    const auto erases =
+        rng.uniform_int(0, static_cast<std::int64_t>(oracle.size()));
+    for (std::int64_t i = 0; i < erases; ++i) {
+      const auto id = static_cast<std::uint64_t>(
+          rng.uniform_int(1, static_cast<std::int64_t>(next_id)));
+      EXPECT_EQ(map.erase(id), oracle.erase(id) == 1) << "id " << id;
+    }
+    ASSERT_EQ(map.size(), oracle.size());
+    for (std::uint64_t id = 1; id <= next_id; ++id) {
+      const auto it = oracle.find(id);
+      const std::uint32_t want =
+          it == oracle.end() ? FlatIdMap::kAbsent : it->second;
+      ASSERT_EQ(map.find(id), want) << "round " << round << " id " << id;
+    }
+    // At most half full, and, past the floor, at least an eighth.
+    EXPECT_LE(2 * map.size(), map.capacity());
+    if (map.capacity() > FlatIdMap::kMinCapacity) {
+      EXPECT_GE(8 * map.size(), map.capacity());
+    }
+    peak_capacity = std::max(peak_capacity, map.capacity());
+  }
+  for (const auto& [id, value] : oracle) EXPECT_TRUE(map.erase(id));
+  EXPECT_EQ(map.size(), 0u);
+  EXPECT_EQ(map.capacity(), FlatIdMap::kMinCapacity);  // shrank back
+  EXPECT_GT(peak_capacity, 4 * FlatIdMap::kMinCapacity);
+  EXPECT_EQ(map.find(1), FlatIdMap::kAbsent);
+  EXPECT_FALSE(map.erase(1));
+}
 
 TEST(IndexedHeap, MatchesASortedOracleUnderRandomOps) {
   // Keys from a small range so duplicates are common; ids from a small
