@@ -224,12 +224,10 @@ void World::wire_services() {
     stack.server->set_clock([this] { return simulator_.now(); });
     stack.api = std::make_unique<transfer::ApiUploadEngine>(
         fabric_.get(), *xfer_, stack.server.get(), stack.front_node);
-    stack.detour = std::make_unique<transfer::DetourEngine>(
-        fabric_.get(), *xfer_, stack.api.get());
     stack.download = std::make_unique<transfer::ApiDownloadEngine>(
         fabric_.get(), *xfer_, stack.server.get(), stack.front_node);
-    stack.detour_download = std::make_unique<transfer::DetourDownloadEngine>(
-        fabric_.get(), *xfer_, stack.download.get());
+    stack.detour = std::make_unique<transfer::DetourEngine>(
+        fabric_.get(), *xfer_, stack.api.get(), stack.download.get());
     providers_.emplace(kind, std::move(stack));
   }
 }
@@ -348,9 +346,16 @@ transfer::ApiDownloadEngine& World::download_engine(cloud::ProviderKind kind) {
   return *providers_.at(kind).download;
 }
 
-transfer::DetourDownloadEngine& World::detour_download_engine(
-    cloud::ProviderKind kind) {
-  return *providers_.at(kind).detour_download;
+ctrl::PathSpec World::path_of(RouteChoice route) const {
+  switch (route) {
+    case RouteChoice::kDirect:      return {};
+    case RouteChoice::kViaUAlberta:
+      return {{intermediate_node(Intermediate::kUAlberta)}};
+    case RouteChoice::kViaUMich:
+      return {{intermediate_node(Intermediate::kUMich)}};
+  }
+  DROUTE_CHECK(false, "bad route");
+  return {};
 }
 
 util::Result<std::string> World::stage_object(cloud::ProviderKind provider,
@@ -381,23 +386,12 @@ util::Result<double> World::run_download(Client client,
                                          RouteChoice route,
                                          const std::string& name) {
   warm_up();
-  const net::NodeId dst = client_node(client);
   util::Result<double> elapsed =
       util::Error::make("download did not finish (deadline)");
-
-  if (route == RouteChoice::kDirect) {
-    auto task = download_engine(provider).download_task(dst, name);
-    if (sim::drive(simulator_, task, kForegroundDeadlineS)) {
-      elapsed = fold_elapsed(task.result());
-    }
-  } else {
-    const net::NodeId via = intermediate_node(
-        route == RouteChoice::kViaUAlberta ? Intermediate::kUAlberta
-                                           : Intermediate::kUMich);
-    auto task = detour_download_engine(provider).download_task(dst, via, name);
-    if (sim::drive(simulator_, task, kForegroundDeadlineS)) {
-      elapsed = fold_elapsed(task.result());
-    }
+  auto task = detour_engine(provider).download_task(client_node(client),
+                                                    path_of(route), name);
+  if (sim::drive(simulator_, task, kForegroundDeadlineS)) {
+    elapsed = fold_elapsed(task.result());
   }
   for (auto& source : cross_) source->stop();
   return elapsed;
@@ -418,22 +412,13 @@ util::Result<double> World::run_upload(Client client,
   util::Result<double> elapsed =
       util::Error::make("transfer did not finish (deadline)");
 
-  if (route == RouteChoice::kDirect) {
-    auto task = api_engine(provider).upload_task(src, sized);
-    if (sim::drive(simulator_, task, kForegroundDeadlineS)) {
-      elapsed = fold_elapsed(task.result());
-    }
-  } else {
-    const net::NodeId via = intermediate_node(
-        route == RouteChoice::kViaUAlberta ? Intermediate::kUAlberta
-                                           : Intermediate::kUMich);
-    transfer::DetourOptions options;
-    options.mode = mode;
-    auto task = detour_engine(provider).transfer_task(
-        src, ctrl::PathSpec{{via}}, sized, options);
-    if (sim::drive(simulator_, task, kForegroundDeadlineS)) {
-      elapsed = fold_elapsed(task.result());
-    }
+  transfer::DetourOptions options;
+  // Pipelining overlaps a relay's two legs; the direct route has none.
+  if (route != RouteChoice::kDirect) options.mode = mode;
+  auto task = detour_engine(provider).transfer_task(src, path_of(route),
+                                                    sized, options);
+  if (sim::drive(simulator_, task, kForegroundDeadlineS)) {
+    elapsed = fold_elapsed(task.result());
   }
   for (auto& source : cross_) source->stop();
   return elapsed;

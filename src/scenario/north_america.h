@@ -41,7 +41,6 @@
 #include "transfer/api_download.h"
 #include "transfer/api_upload.h"
 #include "transfer/detour.h"
-#include "transfer/detour_download.h"
 #include "transfer/sim_transport.h"
 #include "util/result.h"
 
@@ -106,8 +105,10 @@ class World {
   transfer::ApiUploadEngine& api_engine(cloud::ProviderKind kind);
   transfer::DetourEngine& detour_engine(cloud::ProviderKind kind);
   transfer::ApiDownloadEngine& download_engine(cloud::ProviderKind kind);
-  transfer::DetourDownloadEngine& detour_download_engine(
-      cloud::ProviderKind kind);
+
+  /// The relay chain of a paper route: empty for direct, {DTN} for a
+  /// detour.
+  ctrl::PathSpec path_of(RouteChoice route) const;
 
   /// Runs one complete upload (direct or detoured) of `bytes` from `client`
   /// to `provider`, including cross-traffic warm-up, and returns the elapsed
@@ -173,7 +174,6 @@ class World {
     std::unique_ptr<transfer::ApiUploadEngine> api;
     std::unique_ptr<transfer::DetourEngine> detour;
     std::unique_ptr<transfer::ApiDownloadEngine> download;
-    std::unique_ptr<transfer::DetourDownloadEngine> detour_download;
     net::NodeId front_node = net::kInvalidNode;
   };
   std::map<cloud::ProviderKind, ProviderStack> providers_;

@@ -96,6 +96,58 @@ sim::Task<DetourResult> DetourEngine::store_and_forward_task(
   co_return result;
 }
 
+sim::Task<DetourResult> DetourEngine::download_task(net::NodeId client,
+                                                    ctrl::PathSpec path,
+                                                    std::string name) {
+  DROUTE_CHECK(download_ != nullptr,
+               "DetourEngine::download_task: no download engine bound");
+  sim::Simulator& simulator = *fabric_->simulator();
+  DetourResult result;
+  result.start_time = simulator.now();
+
+  // Leg 1: the API download to the last relay, or to the client if direct.
+  const net::NodeId landing = path.direct() ? client : path.relays.back();
+  auto api_task = download_->download_task(landing, name);
+  const auto api_joined = co_await api_task;
+  const DownloadResult api_leg = unwrap_leg(api_joined, simulator.now());
+  result.leg1_s = api_leg.duration_s();
+  result.payload_bytes = api_leg.payload_bytes;
+  if (!api_leg.success) {
+    result.error = "download detour leg 1 (API): " + api_leg.error;
+    result.end_time = simulator.now();
+    co_return result;
+  }
+
+  // The landing node holds the object; rsync it back down the chain.
+  const auto object = download_->server()->stat(name);
+  if (!object.ok()) {
+    result.error = "download detour: object vanished";
+    result.end_time = simulator.now();
+    co_return result;
+  }
+  FileSpec file;
+  file.name = name;
+  file.bytes = object.value().size;
+  file.seed = object.value().content_seed;
+  result.success = true;
+  for (std::size_t hop = path.relays.size(); hop > 0; --hop) {
+    const net::NodeId to = hop == 1 ? client : path.relays[hop - 2];
+    auto relay_task = rsync_.push_task(path.relays[hop - 1], to, file);
+    const auto relay_joined = co_await relay_task;
+    const RsyncResult leg = unwrap_leg(relay_joined, simulator.now());
+    result.leg2_s += leg.duration_s();
+    if (!leg.success) {
+      result.success = false;
+      result.error = "download detour leg " +
+                     std::to_string(path.relays.size() - hop + 2) +
+                     " (rsync): " + leg.error;
+      break;
+    }
+  }
+  result.end_time = simulator.now();
+  co_return result;
+}
+
 // The steering's reference outlives the task (header contract), as the
 // engine's own members do.
 sim::Task<SteeredResult> DetourEngine::steered_task(  // NOLINT(cppcoreguidelines-avoid-reference-coroutine-parameters)

@@ -12,6 +12,11 @@
 // through one DTN as they arrive, overlapping the two legs; total time
 // approaches the slower leg plus one chunk's worth of the other.
 //
+// Download (the mirror image; the paper's clients both upload and
+// download, Sec II): fetch the object with the provider's API to the last
+// relay of the chain, then rsync it back relay by relay to the client. The
+// empty chain is the direct API download.
+//
 // Steered (the data plane's side of the ctrl seam): ask a ctrl::Steering
 // for the chain, run it store-and-forward, and report the session back via
 // Steering::observe_session, closing the control loop. Only the
@@ -23,6 +28,7 @@
 
 #include "ctrl/steering.h"
 #include "sim/task.h"
+#include "transfer/api_download.h"
 #include "transfer/api_upload.h"
 #include "transfer/rsync_engine.h"
 
@@ -35,8 +41,11 @@ struct DetourResult {
   std::string error;
   double start_time = 0.0;
   double end_time = 0.0;
-  double leg1_s = 0.0;  // client -> last relay
-  double leg2_s = 0.0;  // last relay -> provider (store-and-forward only)
+  // Upload: leg 1 is client -> last relay, leg 2 last relay -> provider
+  // (store-and-forward only). Download: leg 1 is the API leg to the last
+  // relay, leg 2 the relay legs back to the client.
+  double leg1_s = 0.0;
+  double leg2_s = 0.0;
   DetourMode mode = DetourMode::kStoreAndForward;
   std::uint64_t payload_bytes = 0;
 
@@ -62,10 +71,16 @@ struct DetourOptions {
 
 class DetourEngine {
  public:
-  /// `api` is bound to the destination provider's front-end node; every
-  /// leg rides `xfer`, the batch layer of `fabric`'s world.
-  DetourEngine(net::Fabric* fabric, TransferEngine& xfer, ApiUploadEngine* api)
-      : fabric_(fabric), api_(api), rsync_(fabric, xfer), xfer_(xfer) {}
+  /// `api` (and `download`, when downloads are run) is bound to the
+  /// provider's front-end node; every leg rides `xfer`, the batch layer of
+  /// `fabric`'s world.
+  DetourEngine(net::Fabric* fabric, TransferEngine& xfer, ApiUploadEngine* api,
+               ApiDownloadEngine* download = nullptr)
+      : fabric_(fabric),
+        api_(api),
+        download_(download),
+        rsync_(fabric, xfer),
+        xfer_(xfer) {}
 
   /// Coroutine form: moves `file` from `client` to the provider through
   /// the relays of `path`, in order. Domain failures land inside
@@ -76,6 +91,13 @@ class DetourEngine {
   sim::Task<DetourResult> transfer_task(net::NodeId client,
                                         ctrl::PathSpec path, FileSpec file,
                                         DetourOptions options = {});
+
+  /// Coroutine form: fetches object `name` from the provider to `client`
+  /// through the relays of `path` (client -> provider order, as uploads
+  /// name them), store-and-forward. Domain failures land inside
+  /// DetourResult. Requires the engine to be bound to a download engine.
+  sim::Task<DetourResult> download_task(net::NodeId client,
+                                        ctrl::PathSpec path, std::string name);
 
   /// Coroutine form: steers, runs the decided chain store-and-forward and
   /// reports the session back. `steering` must outlive the task. An
@@ -96,7 +118,8 @@ class DetourEngine {
 
   net::Fabric* fabric_;
   ApiUploadEngine* api_;
-  RsyncEngine rsync_;  // the relay legs of store-and-forward
+  ApiDownloadEngine* download_;
+  RsyncEngine rsync_;  // the relay legs of store-and-forward, both ways
   TransferEngine& xfer_;
 };
 

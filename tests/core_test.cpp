@@ -1,9 +1,7 @@
 #include <gtest/gtest.h>
 
 #include "core/advisor.h"
-#include "core/planner.h"
 #include "core/tiv.h"
-#include "util/rng.h"
 
 namespace droute::core {
 namespace {
@@ -163,66 +161,6 @@ TEST(SizeTable, DominantRouteAndExceptions) {
   EXPECT_EQ(table.dominant_route(), "Direct");
   EXPECT_EQ(table.exceptions(),
             (std::vector<std::uint64_t>{40000000, 60000000}));
-}
-
-// ---------------------------------------------------------------- planner ----
-
-measure::TransferFn affine_route(double overhead_s, double mbps,
-                                 double noise_cv = 0.0) {
-  return [=](std::uint64_t bytes, std::uint64_t seed) -> util::Result<double> {
-    util::Rng rng(seed);
-    const double base = overhead_s + static_cast<double>(bytes) * 8e-6 / mbps;
-    return noise_cv > 0.0 ? base * rng.lognormal_mean_cv(1.0, noise_cv) : base;
-  };
-}
-
-TEST(Planner, RecoversAffineModel) {
-  DetourPlanner::Options options;
-  DetourPlanner planner(options);
-  planner.add_candidate("direct", affine_route(1.0, 9.3), true);
-  planner.add_candidate("via ua", affine_route(2.0, 44.0), false);
-  auto report = planner.plan(100 * 1000 * 1000);
-  ASSERT_TRUE(report.ok()) << report.error().message;
-  EXPECT_EQ(report.value().decision.route_key, "via ua");
-  ASSERT_EQ(report.value().models.size(), 2u);
-  const RouteModel& direct = report.value().models[0];
-  EXPECT_NEAR(direct.rate_bytes_per_s, 9.3e6 / 8, 9.3e6 / 8 * 0.02);
-  EXPECT_NEAR(direct.overhead_s, 1.0, 0.05);
-  EXPECT_GT(report.value().probe_cost_s, 0.0);
-}
-
-TEST(Planner, PrefersDirectForSmallGainsUnderNoise) {
-  DetourPlanner::Options options;
-  options.probes_per_size = 3;
-  DetourPlanner planner(options);
-  planner.add_candidate("direct", affine_route(0.5, 20.0, 0.25), true);
-  planner.add_candidate("via x", affine_route(0.5, 22.0, 0.25), false);
-  auto report = planner.plan(50 * 1000 * 1000);
-  ASSERT_TRUE(report.ok());
-  // With 25% noise and a ~9% gap, error bars overlap => conservative direct.
-  EXPECT_EQ(report.value().decision.route_key, "direct");
-}
-
-TEST(Planner, RequiresExactlyOneDirect) {
-  DetourPlanner planner{DetourPlanner::Options{}};
-  planner.add_candidate("a", affine_route(1, 10), false);
-  EXPECT_FALSE(planner.plan(1000).ok());
-  planner.add_candidate("b", affine_route(1, 10), true);
-  planner.add_candidate("c", affine_route(1, 10), true);
-  EXPECT_FALSE(planner.plan(1000).ok());
-}
-
-TEST(Planner, PropagatesProbeFailures) {
-  DetourPlanner planner{DetourPlanner::Options{}};
-  planner.add_candidate("direct",
-                        [](std::uint64_t, std::uint64_t)
-                            -> util::Result<double> {
-                          return util::Error::make("probe exploded");
-                        },
-                        true);
-  auto report = planner.plan(1000);
-  ASSERT_FALSE(report.ok());
-  EXPECT_NE(report.error().message.find("probe exploded"), std::string::npos);
 }
 
 }  // namespace

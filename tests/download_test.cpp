@@ -1,11 +1,11 @@
-// Download-direction tests: server ranged reads, the ApiDownloadEngine and
-// DetourDownloadEngine, and the scenario-level download shapes.
+// Download-direction tests: server ranged reads, the ApiDownloadEngine,
+// DetourEngine's download chains, and the scenario-level download shapes.
 #include <gtest/gtest.h>
 
 #include "cloud/content.h"
 #include "scenario/north_america.h"
 #include "transfer/api_download.h"
-#include "transfer/detour_download.h"
+#include "transfer/detour.h"
 #include "util/units.h"
 
 namespace droute::transfer {
@@ -113,20 +113,28 @@ TEST(ApiDownload, OAuthRefreshCharged) {
 
 // --------------------------------------------------------- detour download ----
 
+/// Runs DetourEngine::download_task of `name` to UBC over `relays` (client
+/// -> provider order) to completion.
+DetourResult download_via(World& world, ProviderKind provider,
+                          std::vector<net::NodeId> relays,
+                          const std::string& name) {
+  auto task = world.detour_engine(provider).download_task(
+      world.client_node(scenario::Client::kUBC), ctrl::PathSpec{relays},
+      name);
+  world.simulator().run();
+  EXPECT_TRUE(task.done());
+  EXPECT_TRUE(task.result().ok());
+  return task.result().value();
+}
+
 TEST(DetourDownload, SumsLegsAndDelivers) {
   auto world = quiet_world();
   auto name = world->stage_object(ProviderKind::kGoogleDrive, 30 * util::kMB);
   ASSERT_TRUE(name.ok());
-  auto task =
-      world->detour_download_engine(ProviderKind::kGoogleDrive)
-          .download_task(
-              world->client_node(scenario::Client::kUBC),
-              world->intermediate_node(scenario::Intermediate::kUAlberta),
-              name.value());
-  world->simulator().run();
-  ASSERT_TRUE(task.done());
-  ASSERT_TRUE(task.result().ok());
-  const DownloadDetourResult& result = task.result().value();
+  const DetourResult result = download_via(
+      *world, ProviderKind::kGoogleDrive,
+      {world->intermediate_node(scenario::Intermediate::kUAlberta)},
+      name.value());
   ASSERT_TRUE(result.success) << result.error;
   EXPECT_GT(result.leg1_s, 0.0);
   EXPECT_GT(result.leg2_s, 0.0);
@@ -136,18 +144,63 @@ TEST(DetourDownload, SumsLegsAndDelivers) {
 
 TEST(DetourDownload, MissingObjectReportsLegOne) {
   auto world = quiet_world();
-  auto task =
-      world->detour_download_engine(ProviderKind::kDropbox)
-          .download_task(
-              world->client_node(scenario::Client::kUBC),
-              world->intermediate_node(scenario::Intermediate::kUAlberta),
-              "ghost");
-  world->simulator().run();
-  ASSERT_TRUE(task.done());
-  ASSERT_TRUE(task.result().ok());
-  const DownloadDetourResult& result = task.result().value();
+  const DetourResult result = download_via(
+      *world, ProviderKind::kDropbox,
+      {world->intermediate_node(scenario::Intermediate::kUAlberta)}, "ghost");
   EXPECT_FALSE(result.success);
   EXPECT_NE(result.error.find("leg 1"), std::string::npos);
+}
+
+// UBC <- UAlberta <- UMich <- Google Drive: the API leg lands at UMich, and
+// two rsync legs bring the object back; leg 2 is their sum.
+TEST(DetourDownload, TwoRelayChainSumsItsRelayLegs) {
+  auto world = quiet_world();
+  auto name = world->stage_object(ProviderKind::kGoogleDrive, 30 * util::kMB);
+  ASSERT_TRUE(name.ok());
+  const DetourResult two = download_via(
+      *world, ProviderKind::kGoogleDrive,
+      {world->intermediate_node(scenario::Intermediate::kUAlberta),
+       world->intermediate_node(scenario::Intermediate::kUMich)},
+      name.value());
+  ASSERT_TRUE(two.success) << two.error;
+  EXPECT_EQ(two.payload_bytes, 30 * util::kMB);
+  EXPECT_NEAR(two.duration_s(), two.leg1_s + two.leg2_s, 1e-6);
+
+  // The same two pushes, each alone on a quiet network.
+  const double umich_to_ualberta =
+      quiet_world()
+          ->run_rsync("planetlab01.eecs.umich.edu", "cluster.cs.ualberta.ca",
+                      30 * util::kMB)
+          .value();
+  const double ualberta_to_ubc =
+      quiet_world()
+          ->run_rsync("cluster.cs.ualberta.ca", "planetlab1.cs.ubc.ca",
+                      30 * util::kMB)
+          .value();
+  EXPECT_NEAR(two.leg2_s, umich_to_ualberta + ualberta_to_ubc, 1e-6);
+}
+
+TEST(DetourDownload, FailedMiddleLegReportsItsError) {
+  auto world = quiet_world();
+  auto name = world->stage_object(ProviderKind::kGoogleDrive, 10 * util::kMB);
+  ASSERT_TRUE(name.ok());
+  // Cut the UAlberta cluster's inbound link: the API leg to UMich still
+  // lands, and the UMich -> UAlberta push (leg 2 of 3) is rejected.
+  world->fabric().fail_link(
+      world->topology()
+          .find_link(world->node("ww-fw.cs.ualberta.ca"),
+                     world->node("cluster.cs.ualberta.ca"))
+          .value());
+  const DetourResult result = download_via(
+      *world, ProviderKind::kGoogleDrive,
+      {world->intermediate_node(scenario::Intermediate::kUAlberta),
+       world->intermediate_node(scenario::Intermediate::kUMich)},
+      name.value());
+  EXPECT_FALSE(result.success);
+  EXPECT_GT(result.leg1_s, 0.0);
+  EXPECT_NE(result.error.find("download detour leg 2 (rsync)"),
+            std::string::npos)
+      << result.error;
 }
 
 // ------------------------------------------------------- scenario shapes ----

@@ -1,16 +1,15 @@
 // Cross-module integration: the full pipeline the paper implies —
-// measure -> catalogue TIVs -> plan detours -> run the pick as a steered
-// scheduler job.
+// measure -> catalogue TIVs -> select detours online -> run the selection
+// as a steered scheduler job.
 // Reacting to dynamic bottlenecks is the controller's job (ctrl_test).
 #include <gtest/gtest.h>
 
-#include <map>
 #include <string>
 
-#include "core/planner.h"
 #include "core/tiv.h"
 #include "ctrl/scheduler.h"
 #include "measure/campaign.h"
+#include "obs/recorder.h"
 #include "scenario/north_america.h"
 #include "util/thread_pool.h"
 #include "util/units.h"
@@ -81,83 +80,80 @@ TEST(Integration, TivCatalogueFindsUAlbertaDetourForUbcGoogle) {
 }
 
 TEST(Integration, PlannerSelectsPaperRoutesPerClient) {
-  // Automatic detour selection over the real scenario: UBC->GDrive should
-  // pick via UAlberta; UBC->Dropbox should stay direct.
-  auto plan_for = [](ProviderKind provider) {
-    core::DetourPlanner::Options options;
-    options.probes_per_size = 1;
-    core::DetourPlanner planner(options);
-    planner.add_candidate("Direct",
-                          scenario::make_transfer_fn(Client::kUBC, provider,
-                                                     RouteChoice::kDirect,
-                                                     quiet()),
-                          true);
-    planner.add_candidate("via UAlberta",
-                          scenario::make_transfer_fn(
-                              Client::kUBC, provider,
-                              RouteChoice::kViaUAlberta, quiet()),
-                          false);
-    planner.add_candidate("via UMich",
-                          scenario::make_transfer_fn(Client::kUBC, provider,
-                                                     RouteChoice::kViaUMich,
-                                                     quiet()),
-                          false);
-    auto report = planner.plan(100 * util::kMB);
-    EXPECT_TRUE(report.ok());
-    return report.value();
+  // Automatic detour selection over the real scenario, as
+  // bench_abl_advisor runs it: UBC->GDrive must steer via UAlberta, and
+  // UBC->Dropbox must stay direct.
+  struct Steered {
+    ctrl::Decision decision;
+    ctrl::PathSpec via_ualberta;
+    double probe_bytes = 0.0;
+  };
+  const auto steer_ubc = [](ProviderKind provider) {
+    obs::Recorder recorder(0);
+    obs::ScopedRecorder install(&recorder);
+    auto world = World::create(WorldConfig{});
+    world->simulator().run_until(WorldConfig{}.warmup_s);
+    ctrl::ControllerConfig config;
+    config.max_relay_hops = 1;
+    ctrl::Controller& ctrl = world->make_controller(provider, config);
+    ctrl.start();
+    world->simulator().run_until(world->simulator().now() +
+                                 3 * config.epoch_s);
+    Steered out;
+    out.decision =
+        ctrl.steer(world->client_node(Client::kUBC), 100 * util::kMB);
+    out.via_ualberta = world->path_of(RouteChoice::kViaUAlberta);
+    ctrl.stop();
+    out.probe_bytes =
+        recorder.metrics().histogram("ctrl.probe_budget_spent_bytes")->sum();
+    return out;
   };
 
-  const auto gdrive = plan_for(ProviderKind::kGoogleDrive);
-  EXPECT_EQ(gdrive.decision.route_key, "via UAlberta");
-  const auto dropbox = plan_for(ProviderKind::kDropbox);
-  EXPECT_EQ(dropbox.decision.route_key, "Direct");
+  const Steered gdrive = steer_ubc(ProviderKind::kGoogleDrive);
+  EXPECT_EQ(gdrive.decision.path, gdrive.via_ualberta)
+      << gdrive.decision.reason;
+  const Steered dropbox = steer_ubc(ProviderKind::kDropbox);
+  EXPECT_TRUE(dropbox.decision.path.direct()) << dropbox.decision.reason;
 
-  // Probe cost is charged and is much cheaper than one bad 100 MB transfer.
-  EXPECT_GT(gdrive.probe_cost_s, 0.0);
-  EXPECT_LT(gdrive.probe_bytes, 100 * util::kMB);
+  // Probing is charged, and costs far less than one bad 100 MB transfer.
+  EXPECT_GT(gdrive.probe_bytes, 0.0);
+  EXPECT_LT(gdrive.probe_bytes, 100.0 * util::kMB);
+  EXPECT_LT(dropbox.probe_bytes, 100.0 * util::kMB);
 }
 
 TEST(Integration, PlannerPickRunsAsASteeredSchedulerJob) {
-  constexpr std::uint64_t kBytes = 60 * util::kMB;
+  // The controller itself is the job's Steering: it probes, then the job
+  // asks it for a path when the scheduler starts the upload.
   auto world = World::create(quiet());
-  const std::map<std::string, ctrl::PathSpec> paths = {
-      {"Direct", ctrl::PathSpec{}},
-      {"via UAlberta",
-       ctrl::PathSpec{
-           {world->intermediate_node(scenario::Intermediate::kUAlberta)}}}};
+  ctrl::ControllerConfig config;
+  config.max_relay_hops = 1;
+  ctrl::Controller& ctrl =
+      world->make_controller(ProviderKind::kGoogleDrive, config);
+  ctrl.start();
+  world->simulator().run_until(3 * config.epoch_s);
 
-  core::DetourPlanner::Options options;
-  options.probes_per_size = 1;
-  core::DetourPlanner planner(options);
-  for (const auto& [key, path] : paths) {
-    planner.add_candidate(
-        key,
-        scenario::make_transfer_fn(Client::kUBC, ProviderKind::kGoogleDrive,
-                                   path.direct() ? RouteChoice::kDirect
-                                                 : RouteChoice::kViaUAlberta,
-                                   quiet()),
-        path.direct());
-  }
-  const auto report = planner.plan(kBytes).value();
-  ASSERT_EQ(report.decision.route_key, "via UAlberta");
-
-  // The planner's pick becomes the job's steering, and the upload runs as
-  // a scheduler job.
-  ctrl::StaticSteering steering(paths.at(report.decision.route_key));
   transfer::FileSpec file = transfer::make_file_mb(60, 9);
   file.name = "planned-60mb";
   ctrl::BatchScheduler scheduler(world->simulator(), 1);
   ASSERT_TRUE(scheduler.submit(
       {"planned", 0, world->client_node(Client::kUBC),
-       world->detour_engine(ProviderKind::kGoogleDrive), steering, file}));
+       world->detour_engine(ProviderKind::kGoogleDrive), ctrl, file}));
   scheduler.start();
+  // The controller's epochs never run dry: step until the job settles,
+  // then stop the controller and drain.
+  for (int step = 0; step < 60 && scheduler.outcomes().empty(); ++step) {
+    world->simulator().run_until(world->simulator().now() + config.epoch_s);
+  }
+  ctrl.stop();
   world->simulator().run();
 
   ASSERT_EQ(scheduler.outcomes().size(), 1u);
   const ctrl::JobOutcome& outcome = scheduler.outcomes()[0];
   EXPECT_TRUE(outcome.success) << outcome.error;
-  EXPECT_EQ(outcome.decision.path, paths.at("via UAlberta"));
+  EXPECT_EQ(outcome.decision.path, world->path_of(RouteChoice::kViaUAlberta))
+      << outcome.decision.reason;
   EXPECT_EQ(world->server(ProviderKind::kGoogleDrive).object_count(), 1u);
+  EXPECT_EQ(world->transfer_engine().batches_inflight(), 0u);
 }
 
 TEST(Integration, CampaignGridRunsInParallelDeterministically) {

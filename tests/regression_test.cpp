@@ -14,73 +14,9 @@
 #include "obs/export.h"
 #include "obs/recorder.h"
 #include "scenario/north_america.h"
-#include "stats/regression.h"
 #include "util/rng.h"
 #include "util/thread_pool.h"
 #include "util/units.h"
-
-namespace droute::stats {
-namespace {
-
-TEST(LinearFit, ExactLineRecovered) {
-  const std::vector<double> xs{1.0, 2.0, 3.0, 4.0};
-  std::vector<double> ys;
-  for (double x : xs) ys.push_back(2.5 + 0.75 * x);
-  const LinearFit fit = fit_linear(xs, ys);
-  EXPECT_NEAR(fit.slope, 0.75, 1e-12);
-  EXPECT_NEAR(fit.intercept, 2.5, 1e-12);
-  EXPECT_NEAR(fit.r_squared, 1.0, 1e-12);
-  EXPECT_NEAR(fit.predict(10.0), 10.0, 1e-12);
-}
-
-TEST(LinearFit, NoisyLineApproximatelyRecovered) {
-  util::Rng rng(5);
-  std::vector<double> xs, ys;
-  for (int i = 0; i < 200; ++i) {
-    const double x = rng.uniform(0.0, 100.0);
-    xs.push_back(x);
-    ys.push_back(1.0 + 0.5 * x + rng.normal(0.0, 0.5));
-  }
-  const LinearFit fit = fit_linear(xs, ys);
-  EXPECT_NEAR(fit.slope, 0.5, 0.02);
-  EXPECT_NEAR(fit.intercept, 1.0, 1.0);
-  EXPECT_GT(fit.r_squared, 0.98);
-}
-
-TEST(LinearFit, DegenerateCases) {
-  EXPECT_EQ(fit_linear({}, {}).points, 0u);
-  const std::vector<double> one_x{3.0}, one_y{7.0};
-  const LinearFit single = fit_linear(one_x, one_y);
-  EXPECT_DOUBLE_EQ(single.slope, 0.0);
-  EXPECT_DOUBLE_EQ(single.intercept, 7.0);
-  // Zero x-variance: flat fit through the mean.
-  const std::vector<double> same_x{2.0, 2.0, 2.0}, ys{1.0, 2.0, 3.0};
-  const LinearFit flat = fit_linear(same_x, ys);
-  EXPECT_DOUBLE_EQ(flat.slope, 0.0);
-  EXPECT_DOUBLE_EQ(flat.intercept, 2.0);
-}
-
-TEST(LinearFit, LowRSquaredFlagsNonAffineRoutes) {
-  // A superlinear (congested-path-like) cost curve must show r^2 visibly
-  // below an affine route's.
-  std::vector<double> xs, ys_affine, ys_super;
-  for (double x = 1.0; x <= 10.0; x += 1.0) {
-    xs.push_back(x);
-    ys_affine.push_back(2.0 * x);
-    ys_super.push_back(0.2 * x * x * x);
-  }
-  EXPECT_GT(fit_linear(xs, ys_affine).r_squared,
-            fit_linear(xs, ys_super).r_squared);
-  EXPECT_NEAR(fit_linear(xs, ys_affine).r_squared, 1.0, 1e-12);
-}
-
-TEST(LinearFit, SizeMismatchIsLogicError) {
-  const std::vector<double> xs{1.0, 2.0}, ys{1.0};
-  EXPECT_THROW(fit_linear(xs, ys), std::logic_error);
-}
-
-}  // namespace
-}  // namespace droute::stats
 
 // --- Golden same-seed campaign digests ---------------------------------------
 //

@@ -48,11 +48,11 @@ Rules, all scoped to src/:
   relay-chain   nothing includes the deleted transfer/steered.h, and no
                 class or struct owns a RsyncEngine member (by value, or
                 through unique_ptr/shared_ptr/optional/vector/deque)
-                outside transfer/rsync_engine.h, transfer/detour.h and
-                transfer/detour_download.h. DetourEngine runs every relay
-                chain — one rsync push per relay, then the API leg — and the
-                download detour mirrors its one-relay case (DESIGN.md §15);
-                an engine owning its own rsync engine is how a second relay
+                outside transfer/rsync_engine.h and transfer/detour.h.
+                DetourEngine runs every relay chain in both directions —
+                one rsync push per relay, then the API leg, or the API leg
+                to the last relay and the pushes back (DESIGN.md §15); an
+                engine owning its own rsync engine is how a second relay
                 loop starts. Borrowing one by pointer or reference, or a
                 local inside a function, stays allowed.
 
@@ -149,7 +149,6 @@ RSYNC_MEMBER_RE = re.compile(
 RSYNC_MEMBER_ALLOWED_FILES = {
     Path("src/transfer/rsync_engine.h"),
     Path("src/transfer/detour.h"),
-    Path("src/transfer/detour_download.h"),
 }
 CLASS_HEAD_RE = re.compile(r"\b(?:class|struct|union)\b")
 ENUM_HEAD_RE = re.compile(r"\benum\b")
