@@ -4,12 +4,10 @@
 // at the cost of one token-endpoint round trip before the upload can start.
 #pragma once
 
-#include <coroutine>
 #include <cstdint>
 #include <string>
 
 #include "sim/simulator.h"
-#include "sim/task.h"
 #include "util/result.h"
 #include "util/rng.h"
 
@@ -58,53 +56,5 @@ class OAuthSession {
   // obs handle (null when recording is disabled at construction).
   obs::Counter* obs_token_refreshes_ = nullptr;
 };
-
-/// Awaitable form of the refresh wait: ensures a valid token and, when a
-/// token-endpoint round trip was needed, suspends the awaiting sim::Task
-/// for one `rtt_s`. Yields whether a refresh happened, or a kErrCancelled
-/// error when the task was cancelled mid-wait. Bind to a local (lvalue-only
-/// awaiting, like every awaitable in this codebase):
-///
-///   auto auth = cloud::ensure_token_await(oauth, simulator, rtt_s);
-///   const auto refreshed = co_await auth;
-///   if (!refreshed.ok()) co_return refreshed.error();
-class TokenRefreshAwaitable {
- public:
-  TokenRefreshAwaitable(OAuthSession& session, sim::Simulator& simulator,
-                        double rtt_s)
-      : delay_(simulator, refresh_cost(session, simulator, rtt_s,
-                                       &refreshed_)) {}
-
-  bool await_ready() const& noexcept { return delay_.await_ready(); }
-
-  template <typename Promise>
-  bool await_suspend(std::coroutine_handle<Promise> handle) & {
-    return delay_.await_suspend(handle);
-  }
-
-  [[nodiscard]] util::Result<bool> await_resume() const& {
-    if (!delay_.await_resume()) {
-      return util::Error::make("token refresh cancelled", sim::kErrCancelled);
-    }
-    return refreshed_;
-  }
-
- private:
-  static sim::Time refresh_cost(OAuthSession& session,
-                                sim::Simulator& simulator, double rtt_s,
-                                bool* refreshed) {
-    session.ensure_token(simulator.now(), refreshed);
-    return *refreshed ? rtt_s : 0.0;
-  }
-
-  bool refreshed_ = false;  // must precede delay_: refresh_cost writes it
-  sim::DelayAwaitable delay_;
-};
-
-inline TokenRefreshAwaitable ensure_token_await(OAuthSession& session,
-                                                sim::Simulator& simulator,
-                                                double rtt_s) {
-  return TokenRefreshAwaitable(session, simulator, rtt_s);
-}
 
 }  // namespace droute::cloud

@@ -16,6 +16,8 @@ namespace {
 // Completion tolerance: half a byte absorbs fluid-model rounding.
 constexpr double kByteEps = 0.5;
 constexpr double kRateEps = 1e-6;  // bytes/sec
+// Added to propagation in every model RTT: host stacks and serialization.
+constexpr double kBaseRttS = 0.003;
 
 // Parked (emptied) route classes are released once they outnumber both the
 // live classes and this floor, so class memory stays within a small factor
@@ -69,7 +71,7 @@ util::Result<double> Fabric::rtt_s(NodeId a, NodeId b) const {
   const auto& back = routes_->route(b, a);
   if (!back.ok()) return util::Error{back.error()};
   return routes_->one_way_delay_s(forward.value()) +
-         routes_->one_way_delay_s(back.value()) + base_rtt_s_;
+         routes_->one_way_delay_s(back.value()) + kBaseRttS;
 }
 
 std::uint32_t Fabric::slot_of(FlowId id) const {

@@ -147,12 +147,9 @@ class Fabric {
   void set_alloc_mode(AllocMode mode) { alloc_mode_ = mode; }
   AllocMode alloc_mode() const { return alloc_mode_; }
 
-  /// Base RTT added to propagation (host stacks, serialization); default 3ms.
-  void set_base_rtt_s(double base_rtt) { base_rtt_s_ = base_rtt; }
-  double base_rtt_s() const { return base_rtt_s_; }
-
   /// Model RTT between two nodes along current routes (forward + reverse
-  /// propagation + base). Errors if either direction is unroutable.
+  /// propagation + a fixed 3 ms base for host stacks and serialization).
+  /// Errors if either direction is unroutable.
   [[nodiscard]] util::Result<double> rtt_s(NodeId a, NodeId b) const;
 
   /// Starts a flow of `bytes` from src to dst; `on_complete` fires exactly
@@ -410,7 +407,6 @@ class Fabric {
   sim::Simulator* simulator_;
   Topology* topo_;
   RouteTable* routes_;
-  double base_rtt_s_ = 0.003;
   AllocMode alloc_mode_ = AllocMode::kIncremental;
 
   std::vector<Slot> slots_;

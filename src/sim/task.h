@@ -20,9 +20,12 @@
 //     util::Error, or a whole util::Result<T>. Task<void> completes with a
 //     util::Status. An exception escaping the body is caught and becomes
 //     an error result — never std::terminate.
-//   * Join: poll done()/result(), register on_done(fn), co_await the task
-//     from another task (completion resumes the awaiter in the same sim
-//     event), or run it from plain code with drive(simulator, task, dt).
+//   * Join: co_await the task from another task (completion resumes the
+//     awaiter in the same sim event), or, from plain code, poll
+//     done()/result() or run it with drive(simulator, task, dt). A task has
+//     one joiner slot: a second co_await while the first is still parked is
+//     a contract violation (a finished task may be awaited any number of
+//     times).
 //   * Cancellation is cooperative: cancel() sets a flag and cancels the
 //     awaitable the task is currently parked on (pending sim event,
 //     in-flight transfer batch, Notify wait). The body resumes, observes
@@ -41,7 +44,6 @@
 #pragma once
 
 #include <coroutine>
-#include <cstddef>
 #include <exception>
 #include <functional>
 #include <memory>
@@ -59,7 +61,8 @@ namespace droute::sim {
 
 /// util::Error codes used by the Task layer.
 inline constexpr int kErrCancelled = 499;
-inline constexpr int kErrTimeout = 408;
+
+class TaskPromiseBase;
 
 namespace detail {
 
@@ -71,9 +74,11 @@ struct TaskStateBase {
   // Cancels whatever awaitable the task is currently parked on; armed by
   // the awaitable at suspension, disarmed on normal resume.
   std::function<void()> cancel_pending;
-  // Fired (in registration order) after the task finishes and its frame
-  // is destroyed. Waiters must not throw.
-  std::vector<std::function<void()>> waiters;
+  // The one coroutine parked in co_await on this task, resumed after the
+  // task finishes and its frame is destroyed; with its promise when it is
+  // a task (null for a plain coroutine), whose canceller is disarmed first.
+  std::coroutine_handle<> joiner;
+  TaskPromiseBase* joiner_promise = nullptr;
 };
 
 inline void request_cancel(TaskStateBase& state) {
@@ -144,7 +149,7 @@ class Task {
     std::optional<result_type> result;
   };
 
-  /// Destroys the frame before resuming joiners, so a waiter observes the
+  /// Destroys the frame before resuming the joiner, so it observes the
   /// task fully finished (and the frame's RAII state released).
   struct FinalAwaiter {
     bool await_ready() const noexcept { return false; }
@@ -153,9 +158,11 @@ class Task {
       handle.destroy();
       state->finished = true;
       state->cancel_pending = nullptr;
-      auto waiters = std::move(state->waiters);
-      state->waiters.clear();
-      for (auto& waiter : waiters) waiter();
+      const std::coroutine_handle<> joiner = std::exchange(state->joiner, {});
+      if (!joiner) return;
+      TaskPromiseBase* parent = std::exchange(state->joiner_promise, nullptr);
+      if (parent != nullptr) parent->disarm_canceller();
+      joiner.resume();
     }
     void await_resume() const noexcept {}
   };
@@ -216,47 +223,28 @@ class Task {
     return state_ != nullptr && state_->cancel_requested;
   }
 
-  /// Registers `fn(result)` to run when the task finishes (immediately if
-  /// it already has). Completion callbacks must not throw: they run inside
-  /// the kernel's noexcept finalization path.
-  template <typename Fn>
-  void on_done(Fn fn) {
-    if (done()) {
-      fn(*state_->result);  // NOLINT(bugprone-unchecked-optional-access) — done() implies result
-      return;
-    }
-    // Raw pointer on purpose: the waiter is stored inside the state it
-    // points at, and FinalAwaiter keeps the state alive while firing.
-    State* state = state_.get();
-    state_->waiters.push_back(
-        // Waiters only fire from FinalAwaiter, after complete() ran.
-        [state, fn = std::move(fn)] { fn(*state->result); });  // NOLINT(bugprone-unchecked-optional-access)
-  }
-
   // --- awaiter interface: co_await a (named, lvalue) task from a task ---
 
   bool await_ready() const& { return done(); }
 
   template <typename Promise>
   bool await_suspend(std::coroutine_handle<Promise> handle) & {
+    DROUTE_CHECK(!state_->joiner, "Task awaited by a second joiner");
+    TaskPromiseBase* parent = nullptr;
     if constexpr (std::is_base_of_v<TaskPromiseBase, Promise>) {
-      TaskPromiseBase& parent = handle.promise();
+      parent = &handle.promise();
       // A cancelled parent forwards the cancellation before parking, so a
       // chain of co_awaits unwinds promptly instead of draining each leg.
-      if (parent.cancel_requested()) detail::request_cancel(*state_);
-      if (state_->finished) return false;
-      state_->waiters.push_back([handle] {
-        handle.promise().disarm_canceller();
-        handle.resume();
-      });
-      detail::TaskStateBase* child = state_.get();
-      parent.arm_canceller([child] { detail::request_cancel(*child); });
-      return true;
-    } else {
-      if (state_->finished) return false;
-      state_->waiters.push_back([handle] { handle.resume(); });
-      return true;
+      if (parent->cancel_requested()) detail::request_cancel(*state_);
     }
+    if (state_->finished) return false;
+    state_->joiner = handle;
+    state_->joiner_promise = parent;
+    if (parent != nullptr) {
+      detail::TaskStateBase* child = state_.get();
+      parent->arm_canceller([child] { detail::request_cancel(*child); });
+    }
+    return true;
   }
 
   // Resumption implies FinalAwaiter ran, which implies complete() ran.
@@ -322,27 +310,6 @@ inline DelayAwaitable delay_until(Simulator& simulator, Time at) {
   return DelayAwaitable(simulator, at - simulator.now());
 }
 
-/// Awaitable that never suspends; yields whether the enclosing task has
-/// been asked to cancel. Lets long synchronous stretches bail early:
-///   if (co_await sim::cancellation_requested()) co_return ...;
-class CancellationProbe {
- public:
-  bool await_ready() const noexcept { return false; }
-  template <typename Promise>
-  bool await_suspend(std::coroutine_handle<Promise> handle) noexcept {
-    if constexpr (std::is_base_of_v<TaskPromiseBase, Promise>) {
-      requested_ = handle.promise().cancel_requested();
-    }
-    return false;  // resume immediately
-  }
-  bool await_resume() const noexcept { return requested_; }
-
- private:
-  bool requested_ = false;
-};
-
-inline CancellationProbe cancellation_requested() { return {}; }
-
 /// Single-simulator condition primitive: tasks park on wait() and are all
 /// resumed by notify_all() (in the same sim event). Waits are
 /// cancellation-aware — a cancelled waiter resumes with false. Always
@@ -406,131 +373,6 @@ class Notify {
  private:
   std::vector<std::function<void()>> waiters_;
 };
-
-// ---------------------------------------------------------------------------
-// Combinators. All take value tasks (Task<void> joins are cheap enough to
-// co_await directly). Tasks are eager, so the work is already in flight
-// when a combinator starts joining.
-
-/// Joins every task; yields their results in input order. Cancelling the
-/// all_of task cascades into the not-yet-joined children.
-template <typename T>
-Task<std::vector<typename Task<T>::result_type>> all_of(
-    std::vector<Task<T>> tasks) {
-  std::vector<typename Task<T>::result_type> results;
-  results.reserve(tasks.size());
-  for (auto& task : tasks) {
-    results.push_back(co_await task);
-  }
-  co_return results;
-}
-
-/// any_of's yield: which task finished first, and with what.
-template <typename T>
-struct AnyOutcome {
-  std::size_t index;
-  typename Task<T>::result_type result;
-};
-
-namespace detail {
-
-/// Parks until the first of `tasks` finishes; yields the winner's index.
-template <typename T>
-class AnyAwaiter {
- public:
-  explicit AnyAwaiter(std::vector<Task<T>>* tasks) : tasks_(tasks) {}
-
-  bool await_ready() & {
-    for (std::size_t i = 0; i < tasks_->size(); ++i) {
-      if ((*tasks_)[i].done()) {
-        winner_ = i;
-        return true;
-      }
-    }
-    return false;
-  }
-
-  template <typename Promise>
-  bool await_suspend(std::coroutine_handle<Promise> handle) & {
-    if constexpr (std::is_base_of_v<TaskPromiseBase, Promise>) {
-      if (handle.promise().cancel_requested()) {
-        for (auto& task : *tasks_) task.cancel();
-        for (std::size_t i = 0; i < tasks_->size(); ++i) {
-          if ((*tasks_)[i].done()) {
-            winner_ = i;
-            return false;
-          }
-        }
-      }
-    }
-    auto armed = std::make_shared<bool>(true);
-    for (std::size_t i = 0; i < tasks_->size(); ++i) {
-      (*tasks_)[i].on_done(
-          [this, armed, handle, i](const typename Task<T>::result_type&) {
-            if (!*armed) return;
-            *armed = false;
-            winner_ = i;
-            if constexpr (std::is_base_of_v<TaskPromiseBase, Promise>) {
-              handle.promise().disarm_canceller();
-            }
-            handle.resume();
-          });
-    }
-    if constexpr (std::is_base_of_v<TaskPromiseBase, Promise>) {
-      std::vector<Task<T>>* tasks = tasks_;
-      handle.promise().arm_canceller([tasks] {
-        for (auto& task : *tasks) task.cancel();
-      });
-    }
-    return true;
-  }
-
-  std::size_t await_resume() const& { return winner_; }
-
- private:
-  std::vector<Task<T>>* tasks_;
-  std::size_t winner_ = 0;
-};
-
-}  // namespace detail
-
-/// Yields the first task to finish; the losers are cancelled (and unwind
-/// cooperatively — they are not awaited, so a loser ignoring cancellation
-/// simply finishes detached).
-template <typename T>
-Task<AnyOutcome<T>> any_of(std::vector<Task<T>> tasks) {
-  DROUTE_CHECK(!tasks.empty(), "any_of over an empty task set");
-  detail::AnyAwaiter<T> first(&tasks);
-  const std::size_t winner = co_await first;
-  for (std::size_t i = 0; i < tasks.size(); ++i) {
-    if (i != winner) tasks[i].cancel();
-  }
-  co_return AnyOutcome<T>{winner, tasks[winner].result()};
-}
-
-/// Runs `task` against a simulated-time budget: if it does not finish
-/// within `dt`, it is cancelled and the result is a kErrTimeout error;
-/// otherwise the inner result passes through unchanged.
-// The Simulator reference is safe to hold across suspension: every Task
-// must be joined or cancelled before its Simulator dies (header contract).
-template <typename T>
-Task<T> with_timeout(Simulator& simulator, Task<T> task, Time dt) {  // NOLINT(cppcoreguidelines-avoid-reference-coroutine-parameters)
-  bool timed_out = false;
-  EventId timer;
-  if (!task.done()) {
-    timer = simulator.schedule_in(dt, [&task, &timed_out] {
-      timed_out = true;
-      task.cancel();
-    });
-  }
-  auto result = co_await task;
-  simulator.cancel(timer);
-  if (timed_out) {
-    co_return util::Error::make(
-        "timed out after " + std::to_string(dt) + " s", kErrTimeout);
-  }
-  co_return result;
-}
 
 /// Steps `simulator` until `task` finishes or `deadline_s` of simulated
 /// time has passed since the call. Returns true when the task finished.

@@ -20,12 +20,6 @@ double sample_stddev(std::span<const double> samples) {
   return std::sqrt(accum / static_cast<double>(samples.size() - 1));
 }
 
-double coefficient_of_variation(std::span<const double> samples) {
-  const double m = mean(samples);
-  if (m == 0.0) return 0.0;
-  return sample_stddev(samples) / m;
-}
-
 Summary summarize(std::span<const double> samples) {
   Summary summary;
   if (samples.empty()) return summary;

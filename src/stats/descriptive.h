@@ -26,9 +26,6 @@ double mean(std::span<const double> samples);
 /// Sample standard deviation (n-1 denominator); 0 for n < 2.
 double sample_stddev(std::span<const double> samples);
 
-/// Coefficient of variation (stddev / mean); 0 when mean is 0.
-double coefficient_of_variation(std::span<const double> samples);
-
 /// The paper's protocol: of `samples` (in run order), drop the first
 /// (count - keep_last) warm-up runs and summarize the rest. If there are
 /// fewer than keep_last samples, all are kept.

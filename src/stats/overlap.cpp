@@ -1,15 +1,9 @@
 #include "stats/overlap.h"
 
-#include <cmath>
-
 namespace droute::stats {
 
 bool error_bars_overlap(const Interval& a, const Interval& b) {
   return a.low() <= b.high() && b.low() <= a.high();
-}
-
-bool clearly_faster(const Interval& candidate, const Interval& baseline) {
-  return candidate.high() < baseline.low();
 }
 
 namespace {
@@ -57,28 +51,6 @@ SignificanceDecision judge_higher_better(const Interval& candidate,
   return compose_verdict(candidate.mean > baseline.mean,
                          error_bars_overlap(candidate, baseline), gain,
                          options);
-}
-
-double welch_t(const Interval& a, std::size_t n_a, const Interval& b,
-               std::size_t n_b) {
-  if (n_a == 0 || n_b == 0) return 0.0;
-  const double va = a.stddev * a.stddev / static_cast<double>(n_a);
-  const double vb = b.stddev * b.stddev / static_cast<double>(n_b);
-  const double denom = std::sqrt(va + vb);
-  if (denom == 0.0) return 0.0;
-  return (a.mean - b.mean) / denom;
-}
-
-double welch_df(const Interval& a, std::size_t n_a, const Interval& b,
-                std::size_t n_b) {
-  if (n_a < 2 || n_b < 2) return 0.0;
-  const double va = a.stddev * a.stddev / static_cast<double>(n_a);
-  const double vb = b.stddev * b.stddev / static_cast<double>(n_b);
-  const double numer = (va + vb) * (va + vb);
-  const double denom = va * va / static_cast<double>(n_a - 1) +
-                       vb * vb / static_cast<double>(n_b - 1);
-  if (denom == 0.0) return 0.0;
-  return numer / denom;
 }
 
 }  // namespace droute::stats

@@ -2,10 +2,8 @@
 // (Sec III-B, Table IV): two routes whose mean +/- 1 stddev intervals
 // overlap are considered statistically indistinguishable, in which case the
 // conservative choice is the direct route ("unsure benefits of the detours").
-// Welch's t statistic is provided as a sharper extension.
 #pragma once
 
-#include <cstddef>
 #include <cstdint>
 
 namespace droute::stats {
@@ -20,10 +18,6 @@ struct Interval {
 
 /// True when the two +/- 1 stddev error bars overlap (the paper's test).
 bool error_bars_overlap(const Interval& a, const Interval& b);
-
-/// True when `candidate` is faster than `baseline` by more than the overlap
-/// criterion allows: candidate.high() < baseline.low().
-bool clearly_faster(const Interval& candidate, const Interval& baseline);
 
 /// How a candidate route compares to the direct baseline under the paper's
 /// Sec III-B heuristic: the one shared verdict behind both the offline
@@ -63,13 +57,5 @@ SignificanceDecision judge_lower_better(const Interval& candidate,
 SignificanceDecision judge_higher_better(
     const Interval& candidate, const Interval& baseline,
     const SignificanceOptions& options = {});
-
-/// Welch's t statistic for unequal-variance comparison of two means.
-double welch_t(const Interval& a, std::size_t n_a, const Interval& b,
-               std::size_t n_b);
-
-/// Welch–Satterthwaite degrees of freedom.
-double welch_df(const Interval& a, std::size_t n_a, const Interval& b,
-                std::size_t n_b);
 
 }  // namespace droute::stats

@@ -52,7 +52,7 @@ void BatchState::launch() {
 }
 
 void BatchState::pump() {
-  while (next_to_start_ < slots_.size() && !cancelled_ && !tripped_ &&
+  while (next_to_start_ < slots_.size() && !cancelled_ &&
          (options_.concurrency == 0 || in_flight_ < options_.concurrency)) {
     const std::size_t i = next_to_start_++;
     start_one(i);
@@ -65,7 +65,6 @@ void BatchState::start_one(std::size_t i) {
   const Segment* target = engine_->segment(slot.request.target_id);
   if (target == nullptr) {
     settle(i, RequestState::kRejected, "unknown target segment", 0);
-    if (options_.fail_fast) trip_fail_fast();
     return;
   }
   slot.status.start_s = transport_->now();
@@ -73,7 +72,6 @@ void BatchState::start_one(std::size_t i) {
                               Transport::CompletionFn{this, i});
   if (!op.ok()) {
     settle(i, RequestState::kRejected, op.error().message, 0);
-    if (options_.fail_fast) trip_fail_fast();
     return;
   }
   slot.op = op.value();
@@ -118,20 +116,6 @@ void BatchState::settle(std::size_t i, RequestState state, std::string error,
   if (never_started) slot.status.start_s = slot.status.end_s;
   ++settled_;
   if (state == RequestState::kCompleted) ++completed_;
-}
-
-void BatchState::trip_fail_fast() {
-  if (tripped_) return;
-  tripped_ = true;
-  // Requests never handed to the transport settle as cancelled; in-flight
-  // ones keep running detached (the state's own reference keeps it alive)
-  // so their bytes still drain through the fabric.
-  for (std::size_t i = next_to_start_; i < slots_.size(); ++i) {
-    if (!slots_[i].status.settled()) {
-      settle(i, RequestState::kCancelled, kCancelledBeforeStart, 0);
-    }
-  }
-  next_to_start_ = slots_.size();
 }
 
 void BatchState::cancel() {
@@ -184,7 +168,7 @@ void BatchState::cancel_before_start_locked() {
 void BatchState::set_waiter(std::coroutine_handle<> waiter,
                             sim::TaskPromiseBase* promise) {
   DROUTE_CHECK(!waiter_, "batch already has a waiter");
-  DROUTE_CHECK(!resume_ready(), "waiter set on a batch ready to resume");
+  DROUTE_CHECK(!all_settled(), "waiter set on a settled batch");
   waiter_ = waiter;
   waiter_promise_ = promise;
 }
@@ -195,7 +179,7 @@ void BatchState::maybe_finish() {
     finished_ = true;
     engine_->on_batch_settled();
   }
-  if (resume_ready() && waiter_) {
+  if (all_settled() && waiter_) {
     const std::coroutine_handle<> waiter = std::exchange(waiter_, nullptr);
     if (waiter_promise_ != nullptr) {
       std::exchange(waiter_promise_, nullptr)->disarm_canceller();

@@ -127,13 +127,6 @@ struct BatchOptions {
   /// in index order). With a cap, a settling request starts the next
   /// pending one synchronously inside its completion.
   std::size_t concurrency = 0;
-  /// Stop launching after the first synchronous rejection and make the
-  /// batch awaitable-ready immediately: unstarted requests settle as
-  /// kCancelled and already-started ones finish detached (the batch state
-  /// stays alive through the transport callbacks until they settle). This
-  /// is the legacy parallel-stripe contract: report the rejection once,
-  /// let in-flight stripes drain.
-  bool fail_fast = false;
 };
 
 class TransferEngine;
@@ -174,14 +167,12 @@ class BatchState final : public Transport::Sink {
   bool launched() const { return launched_; }
   bool cancelled() const { return cancelled_; }
   bool all_settled() const { return settled_ == slots_.size(); }
-  /// The awaiter may resume: everything settled, or fail_fast tripped.
-  bool resume_ready() const { return all_settled() || tripped_; }
   bool all_completed() const { return completed_ == slots_.size(); }
   std::size_t size() const { return slots_.size(); }
   const RequestStatus& status(std::size_t i) const;
 
   /// Registers the one-shot resume of a suspended awaiter; it fires as
-  /// soon as resume_ready(), disarming `promise`'s canceller first when the
+  /// soon as all_settled(), disarming `promise`'s canceller first when the
   /// awaiter is a sim::Task.
   void set_waiter(std::coroutine_handle<> waiter,
                   sim::TaskPromiseBase* promise);
@@ -204,7 +195,6 @@ class BatchState final : public Transport::Sink {
   void start_one(std::size_t i);
   void settle(std::size_t i, RequestState state, std::string error,
               std::uint64_t bytes);
-  void trip_fail_fast();
   void cancel_before_start_locked();
   void maybe_finish();             // waiter + engine bookkeeping
 
@@ -223,7 +213,6 @@ class BatchState final : public Transport::Sink {
   std::size_t completed_ = 0;
   bool launched_ = false;
   bool cancelled_ = false;
-  bool tripped_ = false;
   bool finished_ = false;  // engine notified (inflight gauge decremented)
   std::size_t refs_ = 0;
   std::coroutine_handle<> waiter_;
@@ -272,7 +261,7 @@ class BatchHandle {
   // --- awaiter interface (lvalue-only, like the rest of the Task layer) ---
 
   bool await_ready() const& {
-    return state_->launched() && state_->resume_ready();
+    return state_->launched() && state_->all_settled();
   }
 
   template <typename Promise>
@@ -285,7 +274,7 @@ class BatchHandle {
       }
     }
     state_->launch();
-    if (state_->resume_ready()) return false;  // settled synchronously
+    if (state_->all_settled()) return false;  // settled synchronously
     if constexpr (std::is_base_of_v<sim::TaskPromiseBase, Promise>) {
       state_->set_waiter(handle, &handle.promise());
       // The suspended frame's handle owns the state, and cancel() holds
@@ -309,8 +298,8 @@ class BatchHandle {
 /// The batched transfer engine: segment registry + batch submission over
 /// one Transport backend. A simulated world owns one, next to its fabric,
 /// and every transfer engine and the controller borrow it; it must outlive
-/// every batch it submitted (and, for detached fail-fast batches, the
-/// transport events that settle them).
+/// every batch it submitted (and, for batches whose handles were dropped,
+/// the transport events that settle them).
 class TransferEngine {
  public:
   explicit TransferEngine(Transport* transport);

@@ -25,10 +25,10 @@ sim::Task<ParallelPushResult> ParallelPushEngine::push_task(net::NodeId src,
       std::min<std::uint64_t>(static_cast<std::uint64_t>(streams),
                               std::max<std::uint64_t>(1, file.bytes));
 
-  // One batch, one WRITE request per stripe. fail_fast reproduces the
-  // legacy contract: a synchronously rejected stripe reports the failure
-  // once and immediately, while earlier in-flight stripes finish detached
-  // (their completions release the batch state as the flows drain).
+  // One batch, one WRITE request per stripe. Every stripe shares the source,
+  // the target and so the route, and all launch in the same pump, so a
+  // synchronous rejection hits every stripe or none: the first rejected
+  // stripe reports it, and nothing is left in flight.
   const SegmentId target = xfer_.ensure_node_segment(dst);
   const std::uint64_t stripe = file.bytes / effective_streams;
   std::vector<TransferRequest> requests;
@@ -49,9 +49,7 @@ sim::Task<ParallelPushResult> ParallelPushEngine::push_task(net::NodeId src,
     offset += length;
   }
 
-  BatchOptions options;
-  options.fail_fast = true;
-  auto stripes = xfer_.submit_batch(std::move(requests), options);
+  auto stripes = xfer_.submit_batch(std::move(requests));
   if (!co_await stripes) {
     for (std::size_t i = 0; i < stripes.size(); ++i) {
       const RequestStatus& st = stripes.status(i);

@@ -39,7 +39,7 @@ class ParallelPushEngine {
       : fabric_(fabric), xfer_(xfer) {}
 
   /// Coroutine form: pushes `file` from src to dst over `streams`
-  /// concurrent flows — one fail-fast batch with one WRITE request per
+  /// concurrent flows — one batch with one WRITE request per
   /// contiguous stripe. streams must be >= 1.
   sim::Task<ParallelPushResult> push_task(net::NodeId src, net::NodeId dst,
                                           FileSpec file, int streams);

@@ -143,26 +143,6 @@ TEST(Batch, CancelMidFlightReleasesEverySimEvent) {
   EXPECT_EQ(world->transfer_engine().batches_inflight(), 0u);
 }
 
-TEST(Batch, WithTimeoutMidBatchCancelsAndSettles) {
-  auto world = quiet_world();
-  ParallelPushEngine engine(&world->fabric(), world->transfer_engine());
-  auto timed = sim::with_timeout(
-      world->simulator(),
-      engine.push_task(
-          world->client_node(scenario::Client::kUBC),
-          world->intermediate_node(scenario::Intermediate::kUAlberta),
-          make_file_mb(200, 12), 4),
-      5.0);
-  world->simulator().run();
-
-  ASSERT_TRUE(timed.done());
-  ASSERT_FALSE(timed.result().ok());
-  EXPECT_EQ(timed.result().error().code, sim::kErrTimeout);
-  EXPECT_LT(world->simulator().now(), 6.0);
-  EXPECT_EQ(world->fabric().active_flow_count(), 0u);
-  EXPECT_EQ(world->transfer_engine().batches_inflight(), 0u);
-}
-
 TEST(Batch, CancelBeforeStartNeverTouchesTheFabric) {
   auto world = quiet_world();
   TransferEngine& xfer = world->transfer_engine();

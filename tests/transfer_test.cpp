@@ -467,17 +467,21 @@ TEST(ParallelPush, FailureReportedOnce) {
                      world->node("cs-gw.net.ubc.ca"))
           .value());
   ParallelPushEngine engine(&world->fabric(), world->transfer_engine());
-  int calls = 0;
   auto task = engine.push_task(
       world->client_node(scenario::Client::kUBC),
       world->intermediate_node(scenario::Intermediate::kUAlberta),
       make_file_mb(10, 4), 4);
-  task.on_done([&](const util::Result<ParallelPushResult>&) { ++calls; });
-  world->simulator().run();
-  EXPECT_EQ(calls, 1);
+  // Every stripe shares the dead route, so the push settles synchronously
+  // with one rejection report and no flow ever starts.
   ASSERT_TRUE(task.done());
   ASSERT_TRUE(task.result().ok());
-  EXPECT_FALSE(task.result().value().success);
+  const ParallelPushResult& result = task.result().value();
+  EXPECT_FALSE(result.success);
+  EXPECT_EQ(result.error.rfind("stripe rejected: ", 0), 0u);
+  EXPECT_EQ(result.error.find("stripe rejected: ", 1), std::string::npos);
+  EXPECT_EQ(world->fabric().submitted_bytes(), 0u);  // no flow started
+  world->simulator().run();
+  EXPECT_EQ(world->transfer_engine().batches_inflight(), 0u);
 }
 
 }  // namespace

@@ -1,7 +1,7 @@
 // Fixture: awaiting a temporary. ReadyProbe deliberately has rvalue-safe
 // (non-&-qualified) awaiter methods so the temporary form still compiles;
 // the analyzer flags it anyway because only the documented factories in
-// sim/task.h (delay, delay_until, cancellation_requested) are known safe —
+// sim/task.h (delay, delay_until) are known safe —
 // GCC PR 99576 miscompiles the frame slot for awaited temporaries.
 #include <coroutine>
 

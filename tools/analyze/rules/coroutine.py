@@ -21,9 +21,7 @@ RULE_TASK_FIELD = "coroutine-task-field"
 # Awaitable factories documented rvalue-safe: their awaiter methods are not
 # &-qualified and the object completes within the co_await expression
 # (sim/task.h). Matched against the last segment of the callee chain.
-RVALUE_SAFE_AWAITABLES = frozenset(
-    {"delay", "delay_until", "cancellation_requested"}
-)
+RVALUE_SAFE_AWAITABLES = frozenset({"delay", "delay_until"})
 
 
 def _last_segment(callee: str) -> str:
@@ -149,7 +147,7 @@ class DiscardedTaskRule:
                     rule=self.name,
                     message=(
                         f"result of task coroutine `{tok.text}(...)` is "
-                        "discarded — bind it and join (co_await / on_done / "
+                        "discarded — bind it and join (co_await / drive / "
                         "cancel) so the frame cannot outlive its inputs"
                     ),
                 )
@@ -163,8 +161,7 @@ class RvalueAwaitRule:
     summary = (
         "awaitables must be lvalues: `co_await make_x()` awaits a "
         "temporary (GCC PR 99576 miscompiles the frame slot) — bind to a "
-        "local first; sim::delay/delay_until/cancellation_requested are "
-        "documented rvalue-safe"
+        "local first; sim::delay/delay_until are documented rvalue-safe"
     )
 
     def check(self, model: FileModel, ctx: AnalysisContext) -> list[Diagnostic]:

@@ -358,9 +358,9 @@ class Linter:
         if TASK_SHIM_RE.search(raw):
             self.report(
                 path, line_no, "task-shim",
-                "include of the deleted transfer/task_shim.h — inline the "
-                "on_done fold over the engine's coroutine entry point "
-                "instead (DESIGN.md §15)",
+                "include of the deleted transfer/task_shim.h — call the "
+                "engine's coroutine entry point and co_await it or drive() "
+                "it instead (DESIGN.md §15)",
             )
 
     def check_callback_alias(self, path: Path, line_no: int, code: str) -> None:
@@ -369,8 +369,7 @@ class Linter:
                 path, line_no, "task-shim",
                 "callback alias in the transfer or control layer — expose "
                 "the sim::Task coroutine as the one entry point and let "
-                "callers co_await it, drive() it or bind on_done "
-                "(DESIGN.md §10)",
+                "callers co_await it or drive() it (DESIGN.md §10)",
             )
 
     def check_fabric_flow(
