@@ -87,17 +87,13 @@ util::Result<double> ScienceDmzWorld::run_upload(Path path,
   file.bytes = bytes;
 
   util::Result<double> elapsed = util::Error::make("upload did not finish");
-  if (path == Path::kThroughFirewall) {
-    auto task = api_->upload_task(lab_host_, file);
-    if (sim::drive(simulator_, task, kForegroundDeadlineS)) {
-      elapsed = fold_elapsed(task.result());
-    }
-  } else {
-    auto task =
-        detour_->transfer_task(lab_host_, ctrl::PathSpec{{dtn_}}, file);
-    if (sim::drive(simulator_, task, kForegroundDeadlineS)) {
-      elapsed = fold_elapsed(task.result());
-    }
+  // The firewalled upload is the empty chain; the DMZ detour relays once.
+  const ctrl::PathSpec chain = path == Path::kThroughFirewall
+                                   ? ctrl::PathSpec{}
+                                   : ctrl::PathSpec{{dtn_}};
+  auto task = detour_->transfer_task(lab_host_, chain, file);
+  if (sim::drive(simulator_, task, kForegroundDeadlineS)) {
+    elapsed = fold_elapsed(task.result());
   }
   return elapsed;
 }

@@ -96,6 +96,13 @@ sim::Task<UploadResult> ApiUploadEngine::upload_task(net::NodeId client,
   cloud::ChunkDigester digester;
   std::uint64_t offset = 0;
   for (std::size_t i = 0; i < chunks.size(); ++i) {
+    // A fed upload PUTs chunk i only once it has landed at the source.
+    while (options.feed != nullptr && options.feed->arrived <= i) {
+      auto landed = options.feed->landed.wait();
+      if (!co_await landed) {
+        co_return fail("upload cancelled waiting for a chunk");
+      }
+    }
     const auto digest = file.chunk_digest(offset, chunks[i]);
     auto put = put_chunk(client, session, offset, chunks[i], digest, i == 0,
                          &result.throttle_retries);
@@ -179,7 +186,7 @@ sim::Task<std::uint64_t> ApiUploadEngine::put_chunk(
     // mid-upload).
     const double backoff =
         profile.retry_after_s * static_cast<double>(1 << attempt);
-    if (throttle_retries != nullptr) ++*throttle_retries;
+    ++*throttle_retries;
     obs::add(obs_throttle_retries_);
     obs::observe(obs_backoff_wait_, backoff);
     if (obs::enabled()) {

@@ -61,7 +61,9 @@ void BatchState::pump() {
 
 void BatchState::start_one(std::size_t i) {
   Slot& slot = slots_[i];
-  if (slot.status.settled()) return;
+  // pump() starts only next_to_start_, and both cancel paths move it past
+  // every slot first, so no settled slot is ever started.
+  DROUTE_DCHECK(!slot.status.settled(), "starting a settled request");
   const Segment* target = engine_->segment(slot.request.target_id);
   if (target == nullptr) {
     settle(i, RequestState::kRejected, "unknown target segment", 0);

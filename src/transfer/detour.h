@@ -10,7 +10,12 @@
 //
 // Pipelined (our extension, Sec I future work): relay API-sized chunks
 // through one DTN as they arrive, overlapping the two legs; total time
-// approaches the slower leg plus one chunk's worth of the other.
+// approaches the slower leg plus one chunk's worth of the other. The
+// provider leg is the ordinary API session (ApiUploadEngine::upload_task
+// from the DTN, honouring DetourOptions::api), fed through a ChunkFeed:
+// it opens its session at the start, then PUTs chunk i once leg 1 has
+// landed it. A failing leg cancels the other; the first failure is the
+// one reported.
 //
 // Download (the mirror image; the paper's clients both upload and
 // download, Sec II): fetch the object with the provider's API to the last
@@ -66,6 +71,8 @@ struct SteeredResult {
 struct DetourOptions {
   DetourMode mode = DetourMode::kStoreAndForward;
   RsyncOptions rsync;
+  /// The provider leg's options, in both modes (the pipelined relay sets
+  /// its own `feed`).
   ApiUploadOptions api;
 };
 

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 
 #include "chaos/scenario.h"
 #include "check/contract.h"
@@ -338,6 +339,144 @@ TEST(Detour, TwoRelayChainSumsLegsAndNamesTheFailingLeg) {
   const DetourResult failed = run(true);
   EXPECT_FALSE(failed.success);
   EXPECT_EQ(failed.error.rfind("detour leg 2 (rsync)", 0), 0u) << failed.error;
+}
+
+TEST(Detour, PipelinedScheduleIsPinned) {
+  // Bit patterns of the pipelined relay's end time and leg 1 on quiet
+  // seed-1 Worlds, captured before the provider leg became the ordinary
+  // API session. The session's preamble is one extra sim event; every
+  // outcome time is unchanged.
+  struct Pin {
+    scenario::Intermediate via;
+    ProviderKind provider;
+    std::uint64_t mb;
+    std::uint64_t end_bits;
+    std::uint64_t leg1_bits;
+    std::uint64_t events;
+  };
+  for (const Pin& pin :
+       {Pin{scenario::Intermediate::kUAlberta, ProviderKind::kGoogleDrive, 30,
+            0x401bb2670527c6a4ull, 0x4016824237d2af88ull, 17},
+        Pin{scenario::Intermediate::kUMich, ProviderKind::kOneDrive, 20,
+            0x4038494ae0853d92ull, 0x40372a3fd577c783ull, 11}}) {
+    auto world = quiet_world(1);
+    DetourOptions options;
+    options.mode = DetourMode::kPipelined;
+    auto task = world->detour_engine(pin.provider)
+                    .transfer_task(world->client_node(scenario::Client::kUBC),
+                                   ctrl::PathSpec{{world->intermediate_node(
+                                       pin.via)}},
+                                   make_file_mb(pin.mb, pin.mb), options);
+    world->simulator().run();
+    ASSERT_TRUE(task.done());
+    ASSERT_TRUE(task.result().ok());
+    const DetourResult& result = task.result().value();
+    ASSERT_TRUE(result.success) << result.error;
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(result.end_time), pin.end_bits)
+        << result.end_time;
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(result.leg1_s), pin.leg1_bits)
+        << result.leg1_s;
+    EXPECT_EQ(world->simulator().executed_events(), pin.events);
+  }
+}
+
+TEST(Detour, PipelinedLegFailureCancelsTheOtherLeg) {
+  // Whichever leg fails first ends the detour at that instant, and the
+  // other leg is cancelled with it: no open session, no flow, no batch.
+  const auto run_until_done = [](scenario::World& world,
+                                 sim::Task<DetourResult>& task) {
+    while (!task.done() && world.simulator().step()) {
+    }
+    EXPECT_TRUE(task.done());
+    EXPECT_TRUE(task.result().ok());
+    EXPECT_EQ(world.fabric().active_flow_count(), 0u);
+    EXPECT_EQ(world.transfer_engine().batches_inflight(), 0u);
+    return task.result().value();
+  };
+  DetourOptions options;
+  options.mode = DetourMode::kPipelined;
+
+  {
+    // Case 1: UBC's access link fails mid-relay, while leg 2 is running.
+    auto world = quiet_world();
+    const auto access = world->topology()
+                            .find_link(world->node("planetlab1.cs.ubc.ca"),
+                                       world->node("cs-gw.net.ubc.ca"))
+                            .value();
+    double fault_s = -1.0;
+    world->simulator().schedule_in(3.0, [&] {
+      fault_s = world->simulator().now();
+      world->fabric().fail_link(access);
+    });
+    auto task = world->detour_engine(ProviderKind::kGoogleDrive)
+                    .transfer_task(world->client_node(scenario::Client::kUBC),
+                                   ctrl::PathSpec{{world->intermediate_node(
+                                       scenario::Intermediate::kUAlberta)}},
+                                   make_file_mb(30, 30), options);
+    const DetourResult result = run_until_done(*world, task);
+    EXPECT_FALSE(result.success);
+    EXPECT_EQ(result.error, "pipelined leg 1 flow failed");
+    EXPECT_EQ(result.end_time, fault_s);
+    EXPECT_EQ(world->server(ProviderKind::kGoogleDrive).open_sessions(), 0u);
+  }
+  {
+    // Case 2: the provider admits one request an hour, so the session
+    // opens and the first chunk PUT exhausts its 429 retries while leg 1
+    // is still relaying later chunks.
+    auto world = quiet_world();
+    cloud::ApiProfile profile =
+        cloud::default_profile(ProviderKind::kGoogleDrive);
+    profile.max_requests_per_window = 1;
+    profile.throttle_window_s = 3600.0;
+    profile.retry_after_s = 0.01;
+    cloud::StorageServer throttled(ProviderKind::kGoogleDrive, profile);
+    double last_request_s = -1.0;
+    std::size_t flows_at_last_request = 0;
+    throttled.set_clock([&] {
+      last_request_s = world->simulator().now();
+      flows_at_last_request = world->fabric().active_flow_count();
+      return last_request_s;
+    });
+    ApiUploadEngine api(&world->fabric(), world->transfer_engine(),
+                        &throttled,
+                        world->provider_node(ProviderKind::kGoogleDrive));
+    DetourEngine detour(&world->fabric(), world->transfer_engine(), &api);
+    auto task = detour.transfer_task(
+        world->client_node(scenario::Client::kUBC),
+        ctrl::PathSpec{
+            {world->intermediate_node(scenario::Intermediate::kUAlberta)}},
+        make_file_mb(200, 31), options);
+    const DetourResult result = run_until_done(*world, task);
+    EXPECT_FALSE(result.success);
+    EXPECT_EQ(result.error.rfind("pipelined leg 2: append rejected", 0), 0u)
+        << result.error;
+    EXPECT_EQ(result.end_time, last_request_s);
+    EXPECT_GE(flows_at_last_request, 1u);  // a leg-1 chunk was in flight
+    EXPECT_EQ(result.leg1_s, 0.0);         // ... and leg 1 never finished
+    EXPECT_EQ(throttled.open_sessions(), 0u);
+  }
+}
+
+TEST(Detour, PipelinedRelayHonoursApiOptions) {
+  // The provider leg authenticates with DetourOptions::api like any API
+  // upload: an expired token is refreshed once, then reused.
+  auto world = quiet_world();
+  cloud::OAuthSession oauth("test-client", 3600.0, 5);
+  DetourOptions options;
+  options.mode = DetourMode::kPipelined;
+  options.api.oauth = &oauth;
+  DetourEngine& engine = world->detour_engine(ProviderKind::kGoogleDrive);
+  const ctrl::PathSpec via{
+      {world->intermediate_node(scenario::Intermediate::kUAlberta)}};
+  for (std::uint64_t seed : {41u, 42u}) {
+    auto task = engine.transfer_task(world->client_node(scenario::Client::kUBC),
+                                     via, make_file_mb(10, seed), options);
+    world->simulator().run();
+    ASSERT_TRUE(task.done());
+    ASSERT_TRUE(task.result().ok());
+    ASSERT_TRUE(task.result().value().success) << task.result().value().error;
+  }
+  EXPECT_EQ(oauth.refresh_count(), 1u);
 }
 
 TEST(Detour, PipelinedModeNeedsExactlyOneRelay) {

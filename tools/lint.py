@@ -55,6 +55,15 @@ Rules, all scoped to src/:
                 engine owning its own rsync engine is how a second relay
                 loop starts. Borrowing one by pointer or reference, or a
                 local inside a function, stays allowed.
+  api-session   outside src/cloud/, only src/transfer/api_upload.cpp calls
+                the StorageServer upload-session verbs (create_session,
+                append_chunk, finalize, abandon — a member call; an empty
+                finalize() is Md5's, not the server's). Every provider
+                upload — direct, store-and-forward's last leg and the
+                pipelined relay's provider leg — is one
+                ApiUploadEngine::upload_task session (DESIGN.md §15); a
+                session opened anywhere else is a second copy that drifts
+                from it (429 backoff, OAuth, the transfer.api_upload span).
 
 One rule is scoped to bench/:
 
@@ -150,6 +159,15 @@ RSYNC_MEMBER_ALLOWED_FILES = {
     Path("src/transfer/rsync_engine.h"),
     Path("src/transfer/detour.h"),
 }
+# One API upload session: ApiUploadEngine::upload_task opens, feeds,
+# finalizes and abandons provider sessions; nothing else under src/ (the
+# cloud package itself aside) drives a StorageServer session.
+API_SESSION_RE = re.compile(
+    r"(?:\.|->)\s*(?:(?:create_session|append_chunk|abandon)\s*\("
+    r"|finalize\s*\(\s*(?:[^)\s]|$))"
+)
+API_SESSION_ALLOWED_DIR = ("src", "cloud")
+API_SESSION_ALLOWED_FILES = {Path("src/transfer/api_upload.cpp")}
 CLASS_HEAD_RE = re.compile(r"\b(?:class|struct|union)\b")
 ENUM_HEAD_RE = re.compile(r"\benum\b")
 
@@ -302,6 +320,10 @@ class Linter:
             rel.parts[: len(START_FLOW_ALLOWED_DIR)] == START_FLOW_ALLOWED_DIR
             or rel in START_FLOW_ALLOWED_FILES
         )
+        may_drive_sessions = (
+            rel.parts[: len(API_SESSION_ALLOWED_DIR)] == API_SESSION_ALLOWED_DIR
+            or rel in API_SESSION_ALLOWED_FILES
+        )
         in_class = (
             [False] * len(stripped)
             if rel in RSYNC_MEMBER_ALLOWED_FILES
@@ -322,6 +344,8 @@ class Linter:
                 self.check_callback_alias(path, line_no, code)
             self.check_relay_chain(path, line_no, code, raw_lines[idx],
                                    in_class[idx])
+            if not may_drive_sessions:
+                self.check_api_session(path, line_no, code)
         if path.suffix == ".h":
             self.check_nodiscard(path, stripped)
         self.report_stale_waivers(path)
@@ -406,6 +430,16 @@ class Linter:
                 "RsyncEngine member outside the relay engines — run relay "
                 "chains through DetourEngine::transfer_task instead of a "
                 "second relay loop (DESIGN.md §15)",
+            )
+
+    def check_api_session(self, path: Path, line_no: int, code: str) -> None:
+        if API_SESSION_RE.search(code):
+            self.report(
+                path, line_no, "api-session",
+                "StorageServer session call outside the API upload engine — "
+                "run the provider leg as ApiUploadEngine::upload_task (feed "
+                "it a ChunkFeed to pipeline it) instead of a second session "
+                "loop (DESIGN.md §15)",
             )
 
     def check_time_eq(self, path: Path, line_no: int, code: str) -> None:
